@@ -151,7 +151,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_report(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,6 @@ hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,36 +71,6 @@ def _indices(dim: int) -> np.ndarray:
     idx = np.arange(dim, dtype=np.int64)
     idx.flags.writeable = False
     return idx
-
-
-class _Scratch:
-    """Reusable work buffers for one dimension; fresh page-backed allocations
-    are far more expensive here than the arithmetic they hold."""
-
-    __slots__ = ("idx", "bits", "sign", "work", "gather", "keep")
-
-    def __init__(self, dim: int):
-        self.idx = np.empty(dim, dtype=np.int64)
-        self.bits = np.empty(dim, dtype=np.uint8)
-        self.sign = np.empty(dim, dtype=np.float64)
-        self.work = np.empty(dim, dtype=np.complex128)
-        self.gather = np.empty(dim, dtype=np.complex128)
-        self.keep = np.empty(dim, dtype=bool)
-
-
-_THREAD_BUFFERS = threading.local()
-
-
-def _scratch_for(dim: int) -> _Scratch:
-    pools = getattr(_THREAD_BUFFERS, "pools", None)
-    if pools is None:
-        pools = {}
-        _THREAD_BUFFERS.pools = pools
-    scratch = pools.get(dim)
-    if scratch is None:
-        scratch = _Scratch(dim)
-        pools[dim] = scratch
-    return scratch
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -292,13 +261,44 @@ class BandedOperator(LinearOperator):
         return float(np.sqrt(total / self.dim))
 
 
+# index into one run's axis, (input side, output side): a flipped run reads
+# its axis reversed (XOR with all ones), a ladder or projector site reads and
+# writes one fixed half
+_RUN_INDEX = {
+    "I": (slice(None), slice(None)),
+    "Z": (slice(None), slice(None)),
+    "X": (slice(None, None, -1), slice(None)),
+    "Y": (slice(None, None, -1), slice(None)),
+    "+": (1, 0),
+    "-": (0, 1),
+    "N": (0, 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_signs(bits: int) -> np.ndarray:
+    """(-1)**popcount(j) for j < 2**bits, read only and shared by strings.
+
+    Shared rather than kept per string: all tables together take under 32
+    bytes per amplitude of the largest sign region ever applied.
+    """
+    signs = np.ones(1 << bits, dtype=np.complex128)
+    for b in range(bits):
+        signs.reshape(-1, 2, 1 << b)[:, 1] *= -1
+    signs.flags.writeable = False
+    return signs
+
+
 class PauliString:
     """A product of single-site factors on distinct sites, times a scalar.
 
     Site labels: X, Y, Z (Pauli), + and - (raising/lowering in the bit
-    convention above), N (occupation projector).  Each factor moves one
-    input basis state to at most one output basis state, so application
-    is a masked gather costing O(2**M).
+    convention above), N (occupation projector).  Sites group, low bit to
+    high bit, into runs of equal I/X/Y/Z labels and single ladder or
+    projector sites; with one axis per run, the vector becomes a C-order
+    view in which every factor is a slice of its axis and the Y/Z signs a
+    broadcast parity table, so application costs O(2**M) with no index
+    arrays.
     """
 
     def __init__(self, coefficient, sites, n_sites: int):
@@ -317,72 +317,49 @@ class PauliString:
         self.sites = tuple(sites)
         self.dim = 1 << self.n_sites
 
-        flip = sign_mask = req_one = req_zero = 0
-        n_y = 0
-        for k, lab in self.sites:
-            bit = 1 << (k - 1)
-            if lab == "X":
-                flip |= bit
-            elif lab == "Y":
-                flip |= bit
-                sign_mask |= bit
-                n_y += 1
-            elif lab == "Z":
-                sign_mask |= bit
-            elif lab == "+":
-                flip |= bit
-                req_one |= bit
-            elif lab == "-":
-                flip |= bit
-                req_zero |= bit
-            elif lab == "N":
-                req_zero |= bit
-        self._flip = flip
-        self._sign_mask = sign_mask
-        self._req_one = req_one
-        self._req_zero = req_zero
-        # the Y factor i*(-1)^bit contributes a global i per Y site plus a
-        # bit-parity sign folded into _sign_mask
-        self._base = self.coefficient * (1j ** n_y)
+        labels = dict(self.sites)
+        runs = []  # [label, length], low bit to high bit
+        for k in range(1, self.n_sites + 1):
+            lab = labels.get(k, "I")
+            if runs and runs[-1][0] == lab and lab in "IXYZ":
+                runs[-1][1] += 1
+            else:
+                runs.append([lab, 1])
+        runs.reverse()  # C order puts the high bits first
+        self._shape = tuple(1 << n for _, n in runs)
+        # the trailing Ellipsis keeps an all-integer index a view
+        self._in_idx = tuple(_RUN_INDEX[lab][0] for lab, _ in runs) + (Ellipsis,)
+        self._out_idx = tuple(_RUN_INDEX[lab][1] for lab, _ in runs) + (Ellipsis,)
+        # parity factorizes over axes, so one table over all Y/Z bits,
+        # reshaped with size 1 on the I/X axes, broadcasts over the view
+        self._sign_bits = sum(n for lab, n in runs if lab in "YZ")
+        self._sign_shape = tuple(
+            1 << n if lab in "YZ" else 1 for lab, n in runs if lab in "IXYZ"
+        )
+        # Y|b> = i(-1)^b |1-b> = -i(-1)^b' |b'> with b' the output bit: a
+        # global -i per Y site, and a sign read off the view like Z's
+        n_y = sum(n for lab, n in runs if lab == "Y")
+        self._base = self.coefficient * (-1j) ** n_y
 
     def apply_into(self, x: np.ndarray, acc: np.ndarray) -> None:
         """acc += (this string applied to x); x is left untouched.
 
-        All intermediates live in per-thread scratch buffers: the arithmetic
-        is a handful of vectorized passes, so buffer reuse, not flops, sets
-        the speed.
+        A strided view of x, times the sign table and the coefficient, is
+        added into the matching view of acc: a few passes over the half or
+        whole vector the string touches, with no index arrays and no
+        scratch buffers.  acc must be contiguous, so that its reshape is a
+        view, and x must not alias acc.
         """
-        n = _indices(self.dim)
-        sc = _scratch_for(self.dim)
-        work = sc.work
-        np.multiply(x, self._base, out=work)
-        if self._sign_mask:
-            np.bitwise_and(n, self._sign_mask, out=sc.idx)
-            np.bitwise_count(sc.idx, out=sc.bits)
-            np.bitwise_and(sc.bits, 1, out=sc.bits)
-            np.multiply(sc.bits, -2.0, out=sc.sign)
-            np.add(sc.sign, 1.0, out=sc.sign)
-            np.multiply(work, sc.sign, out=work)
-        if self._req_one or self._req_zero:
-            if self._req_one:
-                np.bitwise_and(n, self._req_one, out=sc.idx)
-                np.equal(sc.idx, self._req_one, out=sc.keep)
-                if self._req_zero:
-                    np.bitwise_and(n, self._req_zero, out=sc.idx)
-                    np.equal(sc.idx, 0, out=sc.bits)
-                    np.logical_and(sc.keep, sc.bits, out=sc.keep)
-            else:
-                np.bitwise_and(n, self._req_zero, out=sc.idx)
-                np.equal(sc.idx, 0, out=sc.keep)
-            np.multiply(work, sc.keep, out=work)
-        if self._flip:
-            # n ^ flip is an involution: acc[m] += work[m ^ flip] scatters
-            # exactly like acc[n ^ flip] += work[n]
-            np.bitwise_xor(n, self._flip, out=sc.idx)
-            np.take(work, sc.idx, out=sc.gather)
-            np.add(acc, sc.gather, out=acc)
+        view = x.reshape(self._shape)[self._in_idx]
+        if self._sign_bits:
+            # one pass reads the strided view; the coefficient then scales
+            # the contiguous result
+            term = view * _parity_signs(self._sign_bits).reshape(self._sign_shape)
+            term *= self._base
         else:
-            np.add(acc, work, out=acc)
+            term = view * self._base
+        out = acc.reshape(self._shape, copy=False)[self._out_idx]
+        np.add(out, term, out=out)
 
     def apply_to(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)

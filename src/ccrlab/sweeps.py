@@ -72,8 +72,14 @@ class SweepConfig:
         for name, grid in grids.items():
             if len(grid) == 0:
                 raise UsageError(f"{name} must not be empty")
-        if any(n < 1 for n in self.nu_list + self.p_list + self.mode_list):
+        dims = (
+            self.nu_list + self.p_list + self.mode_list
+            + self.parafermi_orders + self.clifford_nu_list
+        )
+        if any(n < 1 for n in dims):
             raise UsageError("dimension parameters must be positive")
+        if self.site_cap < 1:
+            raise UsageError("site_cap must be positive")
         if any(k < 0 for k in self.k_list):
             raise UsageError("k values must be nonnegative")
         if self.tol_exact <= 0 or self.tol_relation <= 0:
@@ -463,55 +469,59 @@ def _is_float(text: str) -> bool:
         return False
 
 
+def _parse_pass(passed):
+    """(passed, skip_reason) from a pass field: a bool, "true"/"false" or "skip:..."."""
+    if isinstance(passed, str) and passed.startswith("skip:"):
+        return True, passed[5:]
+    return passed in (True, "true"), None
+
+
 def parse_records_csv(text: str) -> list:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise UsageError("not a defect-record CSV (bad header)")
     records = []
-    for line in lines[1:]:
-        experiment, params, defect, measured, bound, passed = line.split(",", 5)
-        skip_reason = None
-        if passed.startswith("skip:"):
-            skip_reason = passed[5:]
-            ok = True
-        else:
-            ok = passed == "true"
-        records.append(
-            DefectRecord(
-                experiment,
-                _parse_params(params),
-                defect,
-                float(measured),
-                None if bound == "" else float(bound),
-                ok,
-                skip_reason,
+    for number, line in enumerate(lines[1:], start=1):
+        try:
+            experiment, params, defect, measured, bound, passed = line.split(",", 5)
+            records.append(
+                DefectRecord(
+                    experiment,
+                    _parse_params(params),
+                    defect,
+                    float(measured),
+                    None if bound == "" else float(bound),
+                    *_parse_pass(passed),
+                )
             )
-        )
+        except ValueError as exc:
+            raise UsageError(f"record {number}: malformed CSV line {line!r} ({exc})") from exc
     return records
 
 
 def parse_records_json(text: str) -> list:
+    try:
+        items = json.loads(text)
+    except ValueError as exc:
+        raise UsageError(f"not a defect-record JSON ({exc})") from exc
+    if not isinstance(items, list):
+        raise UsageError("not a defect-record JSON (expected a list of records)")
     records = []
-    for item in json.loads(text):
-        passed = item["pass"]
-        skip_reason = None
-        if isinstance(passed, str) and passed.startswith("skip:"):
-            skip_reason = passed[5:]
-            ok = True
-        else:
-            ok = bool(passed)
-        measured = item["measured"]
-        records.append(
-            DefectRecord(
-                item["experiment"],
-                _parse_params(item["params"]),
-                item["defect"],
-                math.nan if measured is None else float(measured),
-                item["bound"],
-                ok,
-                skip_reason,
+    for number, item in enumerate(items, start=1):
+        try:
+            measured, bound = item["measured"], item["bound"]
+            records.append(
+                DefectRecord(
+                    item["experiment"],
+                    _parse_params(item["params"]),
+                    item["defect"],
+                    math.nan if measured is None else float(measured),
+                    None if bound is None else float(bound),
+                    *_parse_pass(item["pass"]),
+                )
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"record {number}: malformed JSON record ({exc!r})") from exc
     return records
 
 

@@ -1,9 +1,13 @@
 """Substrate tests: realizations agree with dense oracles, norms behave."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ccrlab import linalg
+from ccrlab import clifford, linalg, parafermi
 from ccrlab.linalg import (
     BandedOperator,
     ConvergenceError,
@@ -140,6 +144,89 @@ def test_random_pauli_strings_match_dense_kron_oracle():
         s = PauliString(complex(rng.standard_normal(), rng.standard_normal()), sites, m)
         x = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
         np.testing.assert_allclose(s.apply_to(x), s.dense_matrix() @ x, atol=1e-12)
+
+
+def _reference_apply_into(s, x, acc):
+    """The former gather kernel: masks over all 2**M basis indices.
+
+    acc[n] += base * sign(m) * keep(m) * x[m] with m = n ^ flip, where
+    sign is the Y/Z bit parity of the input index and keep its ladder and
+    projector requirements, in the same order of floating-point steps.
+    """
+    flip = sign_mask = req_one = req_zero = n_y = 0
+    for k, lab in s.sites:
+        bit = 1 << (k - 1)
+        if lab in "XY+-":
+            flip |= bit
+        if lab in "YZ":
+            sign_mask |= bit
+        if lab == "Y":
+            n_y += 1
+        if lab == "+":
+            req_one |= bit
+        if lab in "-N":
+            req_zero |= bit
+    n = np.arange(s.dim, dtype=np.int64)
+    work = x * (s.coefficient * (1j ** n_y))
+    if sign_mask:
+        parity = np.bitwise_count(n & sign_mask) & 1
+        work = work * (1.0 - 2.0 * parity)
+    if req_one or req_zero:
+        keep = ((n & req_one) == req_one) & ((n & req_zero) == 0)
+        work = work * keep
+    np.add(acc, work[n ^ flip], out=acc)
+
+
+def _assert_kernel_matches_reference(s, rng):
+    x = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+    x_before = x.copy()
+    acc0 = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+    got, want = acc0.copy(), acc0.copy()
+    s.apply_into(x, got)
+    _reference_apply_into(s, x, want)
+    assert np.array_equal(got, want), s
+    assert np.array_equal(x, x_before), s
+
+
+_KERNEL_LABELS = ("I",) + linalg.PAULI_LABELS
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_equals_gather_reference_on_every_label_assignment(m):
+    rng = np.random.default_rng(100 + m)
+    for labels in itertools.product(_KERNEL_LABELS, repeat=m):
+        sites = [(k, lab) for k, lab in enumerate(labels, start=1) if lab != "I"]
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        _assert_kernel_matches_reference(PauliString(coeff, sites, m), rng)
+
+
+def test_kernel_equals_gather_reference_on_family_strings():
+    rng = np.random.default_rng(101)
+    strings = []
+    for nu in range(1, 11):
+        strings.extend(op.strings[0] for op in clifford.make_gammas(nu).gammas)
+    for p in range(1, 11):
+        for nu in range(1, 10 // p + 1):
+            green = parafermi.make_green_system(p, nu)
+            strings.extend(op.strings[0] for op in green.components.values())
+    for s in strings:
+        _assert_kernel_matches_reference(s, rng)
+        _assert_kernel_matches_reference(s.adjoint(), rng)
+
+
+@st.composite
+def _pauli_strings(draw):
+    m = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.sampled_from(_KERNEL_LABELS), min_size=m, max_size=m))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    coeff = complex(draw(finite), draw(finite))
+    sites = [(k, lab) for k, lab in enumerate(labels, start=1) if lab != "I"]
+    return PauliString(coeff, sites, m)
+
+
+@given(_pauli_strings(), st.integers(0, 2**32 - 1))
+def test_kernel_equals_gather_reference_on_random_strings(s, seed):
+    _assert_kernel_matches_reference(s, np.random.default_rng(seed))
 
 
 def test_pauli_string_validation():

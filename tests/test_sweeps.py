@@ -1,6 +1,11 @@
 """Sweep runner and CLI tests: determinism, round trips, exit codes."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +219,75 @@ def test_cli_usage_errors(tmp_path):
     assert cli.main(["report", "--in", str(tmp_path / "missing.csv")]) == 2
     config = _write_config(tmp_path, "unknown_key = 3")
     assert cli.main(["run", "--experiment", "spin", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "parafermi_orders = 0",
+        "parafermi_orders = 2, -1",
+        "clifford_nu_list = 0",
+        "site_cap = -1",
+        "site_cap = 0",
+    ],
+)
+def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, body):
+    config = _write_config(tmp_path, body)
+    out = tmp_path / "never.csv"
+    code = cli.main(["run", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_RECORD = {"experiment": "spin", "params": "p=10", "defect": "weight-state",
+           "measured": 0.1, "bound": None, "pass": True}
+_MALFORMED_RECORD_FILES = {
+    "non_numeric.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,abc,,true\n",
+    "short_line.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state\n",
+    "invalid.json": '[{"experiment": "spin",',
+    "missing_key.json": json.dumps([{k: v for k, v in _RECORD.items() if k != "measured"}]),
+    "not_a_record.json": json.dumps([_RECORD, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_RECORD_FILES))
+def test_malformed_record_files_are_usage_errors(tmp_path, capsys, name):
+    text = _MALFORMED_RECORD_FILES[name]
+    parse = parse_records_json if name.endswith(".json") else parse_records_csv
+    with pytest.raises(UsageError):
+        parse(text)
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["report", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_report_on_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"\xff\xfe\x00\x81")
+    for target in (path, tmp_path):  # binary file, directory
+        assert cli.main(["report", "--in", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_entry_point_reports_bad_inputs_without_traceback(tmp_path):
+    bad_records = tmp_path / "bad.csv"
+    bad_records.write_text(_MALFORMED_RECORD_FILES["non_numeric.csv"])
+    config = _write_config(tmp_path, "parafermi_orders = 0")
+    env = dict(os.environ, PYTHONPATH=str(Path(sweeps.__file__).parents[1]))
+    for argv in (["report", "--in", str(bad_records)], ["run", "--config", str(config)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccrlab.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_resource_exit_code(tmp_path):
