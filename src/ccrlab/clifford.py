@@ -25,6 +25,8 @@ from .linalg import (
     DEFAULT_SITE_CAP,
     PauliString,
     PauliSumOperator,
+    bracket_into,
+    finite_norm,
     require_sites,
 )
 
@@ -124,6 +126,56 @@ def bracket_expansion(i: int, j: int, k: int, l: int):
     to_big = {s + 1: v for s, v in enumerate(distinct)}
     pattern = _bracket_pattern(to_small[i], to_small[j], to_small[k], to_small[l])
     return tuple((to_big[a], to_big[b], c) for a, b, c in pattern)
+
+
+@dataclass(frozen=True)
+class RelationResiduals:
+    """Worst residual norms of the three gamma-family identities."""
+
+    square: float
+    anticommutation: float
+    bracket_closure: float
+
+
+def relation_residuals(family: GammaFamily, basis: dict, vectors, bracket_samples) -> RelationResiduals:
+    """Worst residuals of g_i^2 = 1, {g_i, g_j} = 0 and the so(n) closure.
+
+    The first two run over every generator (pair i < j) and every vector in
+    `vectors`; the closure [E_ij, E_kl] = sum c_ab E_ab runs over each
+    ((i, j), (k, l), xi) of `bracket_samples`, whose E are taken from
+    `basis` (so_n_basis of the family).  Samples are consumed one at a
+    time, so they may be drawn lazily.  Three work vectors are allocated
+    once per call; a non-finite residual raises ValueError.
+    """
+    dim = 1 << family.nu
+    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
+    gammas = family.gammas
+
+    square = anticommutation = 0.0
+    for i, gi in enumerate(gammas):
+        for xi in vectors:
+            x = xi.components
+            gi.apply_into(x, work, scratch)
+            gi.apply_into(work, out, scratch)
+            np.subtract(out, x, out=out)
+            square = max(square, finite_norm(out))
+        for gj in gammas[i + 1:]:
+            for xi in vectors:
+                bracket_into(gi, gj, xi.components, out, work, scratch, +1)
+                anticommutation = max(anticommutation, finite_norm(out))
+
+    closure = 0.0
+    for (i, j), (k, l), xi in bracket_samples:
+        x = xi.components
+        bracket_into(basis[(i, j)], basis[(k, l)], x, out, work, scratch, -1)
+        work.fill(0)
+        for a, b, coeff in bracket_expansion(i, j, k, l):
+            basis[(a, b)].apply_into(x, scratch, None)
+            np.multiply(coeff, scratch, out=scratch)
+            np.add(work, scratch, out=work)
+        np.subtract(out, work, out=out)
+        closure = max(closure, finite_norm(out))
+    return RelationResiduals(square, anticommutation, closure)
 
 
 def tensor_sum_rep(

@@ -17,6 +17,7 @@ hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,26 +341,38 @@ class PauliString:
         # global -i per Y site, and a sign read off the view like Z's
         n_y = sum(n for lab, n in runs if lab == "Y")
         self._base = self.coefficient * (-1j) ** n_y
+        # a ladder or projector site leaves half of the output unwritten
+        self._writes_all = all(lab in "IXYZ" for lab, _ in runs)
 
-    def apply_into(self, x: np.ndarray, acc: np.ndarray) -> None:
+    def apply_into(self, x: np.ndarray, acc, scratch=None) -> None:
         """acc += (this string applied to x); x is left untouched.
 
-        A strided view of x, times the sign table and the coefficient, is
-        added into the matching view of acc: a few passes over the half or
-        whole vector the string touches, with no index arrays and no
-        scratch buffers.  acc must be contiguous, so that its reshape is a
-        view, and x must not alias acc.
+        The product term, a strided view of x times the sign table and the
+        coefficient, is written through numpy's out= into scratch at the
+        entries this string reaches (the other entries of scratch keep their
+        values), then added into the matching view of acc.  With scratch
+        None the term goes to a fresh array; with acc None it is only
+        written, so scratch then holds this string's output on the entries
+        it reaches.  Either way this is a few passes over the half or whole
+        vector the string touches, with no index arrays.
+
+        acc and scratch must be contiguous, so that their reshapes are
+        views.  x must not alias acc or scratch, because its reversed axes
+        are read while they are written, and scratch must not alias acc.
         """
         view = x.reshape(self._shape)[self._in_idx]
+        term = None if scratch is None else scratch.reshape(self._shape, copy=False)[self._out_idx]
         if self._sign_bits:
             # one pass reads the strided view; the coefficient then scales
-            # the contiguous result
-            term = view * _parity_signs(self._sign_bits).reshape(self._sign_shape)
+            # the result in place
+            signs = _parity_signs(self._sign_bits).reshape(self._sign_shape)
+            term = np.multiply(view, signs, out=term)
             term *= self._base
         else:
-            term = view * self._base
-        out = acc.reshape(self._shape, copy=False)[self._out_idx]
-        np.add(out, term, out=out)
+            term = np.multiply(view, self._base, out=term)
+        if acc is not None:
+            out = acc.reshape(self._shape, copy=False)[self._out_idx]
+            np.add(out, term, out=out)
 
     def apply_to(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -450,10 +463,25 @@ class PauliSumOperator(LinearOperator):
         self.n_sites = n_sites
         self.dim = 1 << n_sites
 
+    def apply_into(self, x: np.ndarray, out: np.ndarray, scratch) -> None:
+        """out = (this sum applied to x), overwriting out.
+
+        The first string writes its term straight into out (zeroing out
+        first if that string leaves entries unwritten); every later string
+        forms its term in scratch and adds it into out, or in a fresh array
+        when scratch is None.  The rules of PauliString.apply_into hold:
+        x must alias neither out nor scratch.
+        """
+        if not self.strings or not self.strings[0]._writes_all:
+            out.fill(0)
+        if self.strings:
+            self.strings[0].apply_into(x, None, out)
+        for s in self.strings[1:]:
+            s.apply_into(x, out, scratch)
+
     def _apply_array(self, x):
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for s in self.strings:
-            s.apply_into(x, out)
+        out = np.empty(self.dim, dtype=np.complex128)
+        self.apply_into(x, out, None)
         return out
 
     def adjoint(self):
@@ -599,6 +627,37 @@ def anticommutator_apply(a: LinearOperator, b: LinearOperator, xi: StateVector) 
         raise DimensionMismatchError(f"dims {a.dim}, {b.dim}, {xi.dim} differ")
     x = xi.components
     return StateVector(xi.dim, a._apply_array(b._apply_array(x)) + b._apply_array(a._apply_array(x)))
+
+
+def bracket_into(
+    a: PauliSumOperator, b: PauliSumOperator, x: np.ndarray,
+    out: np.ndarray, work: np.ndarray, scratch: np.ndarray, sign: int,
+) -> None:
+    """out = A(Bx) + sign * B(Ax), sign +1 or -1, in caller-owned buffers.
+
+    Every product and sum of anticommutator_apply / commutator_apply
+    happens in the same order, so the result is the same up to the sign of
+    a zero.  work holds the inner products and scratch B(Ax); a later
+    string of a multi-string B forms its term in a fresh array there, so a
+    single-string B allocates nothing.  out, work and scratch must be three
+    distinct arrays and x none of them.
+    """
+    b.apply_into(x, work, scratch)
+    a.apply_into(work, out, scratch)
+    a.apply_into(x, work, scratch)
+    b.apply_into(work, scratch, None)
+    (np.add if sign > 0 else np.subtract)(out, scratch, out=out)
+
+
+def finite_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a residual; a non-finite one raises ValueError.
+
+    A NaN must not reach max(): max(0.0, nan) is 0.0, a false pass.
+    """
+    n = float(np.linalg.norm(v))
+    if not math.isfinite(n):
+        raise ValueError(f"residual norm is not finite ({n})")
+    return n
 
 
 def kron(a: LinearOperator, b: LinearOperator) -> LinearOperator:

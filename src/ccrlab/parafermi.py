@@ -27,7 +27,9 @@ from .linalg import (
     PauliString,
     PauliSumOperator,
     StateVector,
+    bracket_into,
     commutator_apply,
+    finite_norm,
     random_state,
     require_sites,
 )
@@ -158,6 +160,60 @@ def fock_state(
                 f"mode {k}: occupation {occ[k - 1]} exceeds order {sys.p}"
             )
     return vec.normalized()
+
+
+def green_relation_residual(sys: GreenSystem, vectors) -> float:
+    """Worst residual of the Green component relations on `vectors`.
+
+    Components of one block anticommute canonically and components of
+    different blocks commute:
+        {c_ka, c_la^dag} = delta_kl,  {c_ka, c_la} = 0,
+        [c_ka, c_lb^dag] = 0,         [c_ka, c_lb] = 0     (a != b),
+    over every ordered pair of components.  Three work vectors are
+    allocated once per call; a non-finite residual raises ValueError.
+    """
+    dim = 1 << sys.total_sites
+    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
+    comps = sys.components
+    adjoints = {key: c.adjoint() for key, c in comps.items()}
+    worst = 0.0
+    for (k, a), ck in comps.items():
+        for (l, b), cl in comps.items():
+            sign = +1 if a == b else -1
+            for xi in vectors:
+                x = xi.components
+                bracket_into(ck, adjoints[(l, b)], x, out, work, scratch, sign)
+                if a == b and k == l:
+                    np.subtract(out, x, out=out)
+                worst = max(worst, finite_norm(out))
+                bracket_into(ck, cl, x, out, work, scratch, sign)
+                worst = max(worst, finite_norm(out))
+    return worst
+
+
+def number_identity_residual(sys: GreenSystem, vectors) -> float:
+    """Worst residual of N_k = ([b_k^dag, b_k] + p) / 2 on `vectors`.
+
+    Three work vectors are allocated once per call; a non-finite residual
+    raises ValueError.
+    """
+    dim = 1 << sys.total_sites
+    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
+    _, per_mode, _ = number_ops(sys)
+    worst = 0.0
+    for k in range(1, sys.nu + 1):
+        b_k = parafermi_op(sys, k)
+        b_k_dag = b_k.adjoint()
+        for xi in vectors:
+            x = xi.components
+            bracket_into(b_k_dag, b_k, x, out, work, scratch, -1)
+            np.multiply(float(sys.p), x, out=work)
+            np.add(out, work, out=out)
+            np.multiply(0.5, out, out=out)
+            per_mode[k - 1].apply_into(x, work, scratch)
+            np.subtract(out, work, out=out)
+            worst = max(worst, finite_norm(out))
+    return worst
 
 
 def trilinear_defect(sys: GreenSystem, n_vectors: int = 5, rng=None) -> float:

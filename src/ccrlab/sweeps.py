@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, parafermi, spin, weyl
-from .linalg import anticommutator_apply, commutator_apply, random_state
+from .linalg import commutator_apply, random_state
 
 EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
 
@@ -262,41 +262,24 @@ def _clifford_records(cfg: SweepConfig, rng) -> list:
             continue
         family = clifford.make_gammas(nu)
         dim = 1 << nu
-        n_gen = 2 * nu + 1
-
-        worst_sq = 0.0
-        worst_anti = 0.0
         vectors = [random_state(dim, rng) for _ in range(2)]
-        for i in range(n_gen):
-            gi = family.gammas[i]
-            for xi in vectors:
-                worst_sq = max(worst_sq, (gi.apply(gi.apply(xi)) - xi).norm())
-            for j in range(i + 1, n_gen):
-                gj = family.gammas[j]
-                for xi in vectors:
-                    worst_anti = max(
-                        worst_anti, anticommutator_apply(gi, gj, xi).norm()
-                    )
-        records.append(_record("clifford", base, "gamma-square", worst_sq, cfg.tol_exact))
-        records.append(
-            _record("clifford", base, "gamma-anticommutation", worst_anti, cfg.tol_exact)
-        )
-
         basis = clifford.so_n_basis(family)
         keys = sorted(basis)
-        worst_bracket = 0.0
         n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
-        for _ in range(n_samples):
-            (i, j) = keys[rng.integers(0, len(keys))]
-            (k, l) = keys[rng.integers(0, len(keys))]
-            xi = random_state(dim, rng)
-            lhs = commutator_apply(basis[(i, j)], basis[(k, l)], xi)
-            acc = np.zeros(dim, dtype=np.complex128)
-            for a, b, coeff in clifford.bracket_expansion(i, j, k, l):
-                acc += coeff * basis[(a, b)].apply(xi).components
-            worst_bracket = max(worst_bracket, np.linalg.norm(lhs.components - acc))
+
+        def bracket_samples():
+            for _ in range(n_samples):
+                ij = keys[rng.integers(0, len(keys))]
+                kl = keys[rng.integers(0, len(keys))]
+                yield ij, kl, random_state(dim, rng)
+
+        res = clifford.relation_residuals(family, basis, vectors, bracket_samples())
+        records.append(_record("clifford", base, "gamma-square", res.square, cfg.tol_exact))
         records.append(
-            _record("clifford", base, "so-bracket-closure", worst_bracket, cfg.tol_relation)
+            _record("clifford", base, "gamma-anticommutation", res.anticommutation, cfg.tol_exact)
+        )
+        records.append(
+            _record("clifford", base, "so-bracket-closure", res.bracket_closure, cfg.tol_relation)
         )
     return records
 
@@ -317,21 +300,8 @@ def _parafermi_records(cfg: SweepConfig, rng) -> list:
         sys = parafermi.make_green_system(p, nu, site_cap=cfg.site_cap)
         dim = 1 << sys.total_sites
 
-        worst = 0.0
         vectors = [random_state(dim, rng) for _ in range(2)]
-        comps = sys.components
-        for (k, a) in comps:
-            for (l, b) in comps:
-                ck, cl = comps[(k, a)], comps[(l, b)]
-                for xi in vectors:
-                    if a == b:
-                        res = anticommutator_apply(ck, cl.adjoint(), xi)
-                        target = xi if k == l else 0.0 * xi
-                        worst = max(worst, (res - target).norm())
-                        worst = max(worst, anticommutator_apply(ck, cl, xi).norm())
-                    else:
-                        worst = max(worst, commutator_apply(ck, cl.adjoint(), xi).norm())
-                        worst = max(worst, commutator_apply(ck, cl, xi).norm())
+        worst = parafermi.green_relation_residual(sys, vectors)
         records.append(_record("parafermi", base, "green-relations", worst, cfg.tol_relation))
 
         records.append(
@@ -351,14 +321,7 @@ def _parafermi_records(cfg: SweepConfig, rng) -> list:
                 worst = max(worst, (out - target).norm())
         records.append(_record("parafermi", base, "vacuum-condition", worst, cfg.tol_relation))
 
-        every, per_mode, _ = parafermi.number_ops(sys)
-        worst = 0.0
-        for k in range(1, nu + 1):
-            b_k = parafermi.parafermi_op(sys, k)
-            for xi in vectors:
-                comm = commutator_apply(b_k.adjoint(), b_k, xi)
-                lhs = 0.5 * (comm + float(p) * xi)
-                worst = max(worst, (lhs - per_mode[k - 1].apply(xi)).norm())
+        worst = parafermi.number_identity_residual(sys, vectors)
         records.append(_record("parafermi", base, "number-identity", worst, cfg.tol_relation))
 
         if nu >= 2:

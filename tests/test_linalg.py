@@ -181,9 +181,15 @@ def _assert_kernel_matches_reference(s, rng):
     x = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
     x_before = x.copy()
     acc0 = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-    got, want = acc0.copy(), acc0.copy()
-    s.apply_into(x, got)
+    want = acc0.copy()
     _reference_apply_into(s, x, want)
+    got = acc0.copy()
+    s.apply_into(x, got)
+    assert np.array_equal(got, want), s
+    # the term formed in a caller's scratch: entries the string does not
+    # reach keep their NaN and must not leak into acc
+    got = acc0.copy()
+    s.apply_into(x, got, np.full(s.dim, np.nan, dtype=complex))
     assert np.array_equal(got, want), s
     assert np.array_equal(x, x_before), s
 
@@ -215,8 +221,9 @@ def test_kernel_equals_gather_reference_on_family_strings():
 
 
 @st.composite
-def _pauli_strings(draw):
-    m = draw(st.integers(1, 8))
+def _pauli_strings(draw, m=None):
+    if m is None:
+        m = draw(st.integers(1, 8))
     labels = draw(st.lists(st.sampled_from(_KERNEL_LABELS), min_size=m, max_size=m))
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     coeff = complex(draw(finite), draw(finite))
@@ -227,6 +234,49 @@ def _pauli_strings(draw):
 @given(_pauli_strings(), st.integers(0, 2**32 - 1))
 def test_kernel_equals_gather_reference_on_random_strings(s, seed):
     _assert_kernel_matches_reference(s, np.random.default_rng(seed))
+
+
+@st.composite
+def _pauli_sums(draw):
+    m = draw(st.integers(1, 6))
+    return PauliSumOperator(draw(st.lists(_pauli_strings(m), max_size=4)), m)
+
+
+@given(_pauli_sums(), st.integers(0, 2**32 - 1))
+def test_sum_apply_into_overwrites_stale_buffers(op, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    want = np.zeros(op.dim, dtype=complex)
+    for s in op.strings:
+        _reference_apply_into(s, x, want)
+    out = np.full(op.dim, np.nan, dtype=complex)
+    op.apply_into(x, out, np.full(op.dim, np.nan, dtype=complex))
+    assert np.array_equal(out, want)
+    assert np.array_equal(op._apply_array(x), want)
+
+
+@st.composite
+def _pauli_sum_pairs(draw):
+    m = draw(st.integers(1, 5))
+    a, b = (draw(st.lists(_pauli_strings(m), min_size=1, max_size=3)) for _ in range(2))
+    return PauliSumOperator(a, m), PauliSumOperator(b, m)
+
+
+@given(_pauli_sum_pairs(), st.integers(0, 2**32 - 1))
+def test_bracket_into_equals_public_helpers(pair, seed):
+    a, b = pair
+    xi = random_state(a.dim, np.random.default_rng(seed))
+    for sign, helper in ((+1, anticommutator_apply), (-1, commutator_apply)):
+        out, work, scratch = (np.full(a.dim, np.nan, dtype=complex) for _ in range(3))
+        linalg.bracket_into(a, b, xi.components, out, work, scratch, sign)
+        assert np.array_equal(out, helper(a, b, xi).components)
+
+
+def test_finite_norm_refuses_non_finite_residuals():
+    assert linalg.finite_norm(np.array([3.0, 4.0j])) == 5.0
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            linalg.finite_norm(np.array([0.0, bad], dtype=complex))
 
 
 def test_pauli_string_validation():

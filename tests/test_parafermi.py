@@ -1,5 +1,6 @@
 """Order-p oscillator tests: component relations, ladder structure, limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from ccrlab import parafermi
 from ccrlab.linalg import (
+    PauliString,
+    PauliSumOperator,
     ResourceLimitError,
     StateVector,
     anticommutator_apply,
@@ -90,6 +93,50 @@ def test_green_relations_random_vectors(p, nu):
     sys = parafermi.make_green_system(p, nu)
     rng = np.random.default_rng(p * 10 + nu)
     assert green_relation_worst(sys, rng) <= 1e-12
+
+
+GRID_UP_TO_8_SITES = [(p, nu) for p in range(1, 9) for nu in range(1, 9) if p * nu <= 8]
+
+
+@pytest.mark.parametrize("p,nu", GRID_UP_TO_8_SITES)
+def test_green_relation_residual_equals_state_vector_formula(p, nu):
+    sys = parafermi.make_green_system(p, nu)
+    rng = np.random.default_rng(p * 10 + nu)
+    state = rng.bit_generator.state
+    want = green_relation_worst(sys, rng)
+    rng.bit_generator.state = state
+    vectors = [random_state(1 << sys.total_sites, rng) for _ in range(2)]
+    assert parafermi.green_relation_residual(sys, vectors) == want
+
+
+@pytest.mark.parametrize("p,nu", GRID_UP_TO_8_SITES)
+def test_number_identity_residual_equals_state_vector_formula(p, nu):
+    sys = parafermi.make_green_system(p, nu)
+    _, per_mode, _ = parafermi.number_ops(sys)
+    rng = np.random.default_rng(p * 10 + nu)
+    vectors = [random_state(1 << sys.total_sites, rng) for _ in range(2)]
+    want = 0.0
+    for k in range(1, nu + 1):
+        b_k = parafermi.parafermi_op(sys, k)
+        for xi in vectors:
+            lhs = 0.5 * (commutator_apply(b_k.adjoint(), b_k, xi) + float(p) * xi)
+            want = max(want, (lhs - per_mode[k - 1].apply(xi)).norm())
+    assert parafermi.number_identity_residual(sys, vectors) == want
+    assert want <= 1e-12
+
+
+def test_residuals_raise_on_an_infinite_coefficient():
+    sys = parafermi.make_green_system(2, 2)
+    first = sys.components[(1, 1)].strings[0]
+    components = dict(sys.components)
+    components[(1, 1)] = PauliSumOperator([PauliString(np.inf, first.sites, sys.total_sites)])
+    broken = dataclasses.replace(sys, components=components)
+    vectors = [random_state(16, np.random.default_rng(0))]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            parafermi.green_relation_residual(broken, vectors)
+        with pytest.raises(ValueError, match="not finite"):
+            parafermi.number_identity_residual(broken, vectors)
 
 
 def test_order_one_equals_single_component():
