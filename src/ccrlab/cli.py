@@ -71,19 +71,22 @@ def build_config(file_values: dict, overrides: dict) -> SweepConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     for key, value in merged.items():
-        if key in _INT_LIST_KEYS:
-            kwargs[_INT_LIST_KEYS[key]] = (
-                value if isinstance(value, tuple) else _parse_list(str(value), int)
-            )
-        elif key in _FLOAT_LIST_KEYS:
-            kwargs[_FLOAT_LIST_KEYS[key]] = (
-                value if isinstance(value, tuple) else _parse_list(str(value), float)
-            )
-        elif key in _SCALAR_KEYS:
-            target = "fmt" if key == "format" else key
-            kwargs[target] = _SCALAR_KEYS[key](value)
-        else:
+        if key not in _INT_LIST_KEYS and key not in _FLOAT_LIST_KEYS and key not in _SCALAR_KEYS:
             raise UsageError(f"unknown configuration key {key!r}")
+        try:
+            if key in _INT_LIST_KEYS:
+                kwargs[_INT_LIST_KEYS[key]] = (
+                    value if isinstance(value, tuple) else _parse_list(str(value), int)
+                )
+            elif key in _FLOAT_LIST_KEYS:
+                kwargs[_FLOAT_LIST_KEYS[key]] = (
+                    value if isinstance(value, tuple) else _parse_list(str(value), float)
+                )
+            else:
+                target = "fmt" if key == "format" else key
+                kwargs[target] = _SCALAR_KEYS[key](value)
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key!r}: {exc}") from exc
     try:
         cfg = SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:

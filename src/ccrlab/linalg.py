@@ -67,6 +67,20 @@ def require_sites(total_sites: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
         )
 
 
+def require_dim(dim: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
+    """Refuse a state vector of dim amplitudes over the budget of site_cap sites.
+
+    The bytes-based sibling of require_sites, for families whose dimension
+    is not a power of two: 16 bytes per amplitude against 16 * 2**site_cap.
+    """
+    need, cap = 16 * dim, 16 * (1 << site_cap)
+    if need > cap:
+        raise ResourceLimitError(
+            f"dimension {dim} needs {need} bytes per state vector "
+            f"(cap {cap} bytes for {site_cap} sites)"
+        )
+
+
 @functools.lru_cache(maxsize=8)
 def _indices(dim: int) -> np.ndarray:
     idx = np.arange(dim, dtype=np.int64)
@@ -78,6 +92,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, summed without BLAS.
+
+    np.linalg.norm calls BLAS ddot, whose rounding depends on the BLAS
+    thread count and whose worker threads keep spinning after the call;
+    einsum sums the squares of the real and imaginary parts in its own
+    single-threaded loop, so the result is the same on every host setting.
+    """
+    f = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    return math.sqrt(float(np.einsum("i,i->", f, f)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +135,7 @@ class StateVector:
         return cls(dim, comps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        return vector_norm(self.components)
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other> with the left argument conjugated."""
@@ -147,7 +173,7 @@ class StateVector:
 def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> StateVector:
     comps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if normalize:
-        comps /= np.linalg.norm(comps)
+        comps /= vector_norm(comps)
     return StateVector(dim, comps)
 
 
@@ -654,7 +680,7 @@ def finite_norm(v: np.ndarray) -> float:
 
     A NaN must not reach max(): max(0.0, nan) is 0.0, a false pass.
     """
-    n = float(np.linalg.norm(v))
+    n = vector_norm(v)
     if not math.isfinite(n):
         raise ValueError(f"residual norm is not finite ({n})")
     return n
@@ -713,11 +739,11 @@ def operator_norm(
     adj = a.adjoint()
     rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    x /= np.linalg.norm(x)
+    x /= vector_norm(x)
     prev = None
     for _ in range(max_iter):
         y = adj._apply_array(a._apply_array(x))
-        lam = float(np.linalg.norm(y))
+        lam = vector_norm(y)
         if lam == 0.0:
             return 0.0
         x = y / lam

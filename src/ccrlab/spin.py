@@ -28,6 +28,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from .linalg import (
+    DEFAULT_SITE_CAP,
     BandedOperator,
     DenseOperator,
     LinCombOperator,
@@ -35,6 +36,7 @@ from .linalg import (
     StateVector,
     commutator_apply,
     random_state,
+    require_dim,
 )
 
 COVARIANCE_SEED = 0x5EED
@@ -52,9 +54,10 @@ class SpinRep:
     Jminus: BandedOperator
 
 
-def make_spin_rep(p: int) -> SpinRep:
+def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
     if p < 1:
         raise ValueError("p must be a positive integer")
+    require_dim(p + 1, site_cap)
     j = p / 2.0
     k = np.arange(p, dtype=np.float64)
     lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)  # J- |k> -> |k+1>

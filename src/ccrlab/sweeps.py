@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, parafermi, spin, weyl
-from .linalg import commutator_apply, random_state
+from .linalg import ResourceLimitError, commutator_apply, random_state
 
 EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
 
@@ -27,6 +27,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 CSV_HEADER = "experiment,params,defect,measured,bound,pass"
+
+# coherent states need 2 atan(|z| / sqrt(p)) < pi in doubles, for every p
+Z_MAX = 1e15
 
 
 class UsageError(ValueError):
@@ -82,6 +85,10 @@ class SweepConfig:
             raise UsageError("site_cap must be positive")
         if any(k < 0 for k in self.k_list):
             raise UsageError("k values must be nonnegative")
+        if not all(abs(z) < Z_MAX for z in self.z_list):  # also refuses nan
+            raise UsageError(f"z values must be finite and below {Z_MAX:g} in magnitude")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.tol_exact <= 0 or self.tol_relation <= 0:
             raise UsageError("tolerances must be positive")
 
@@ -130,9 +137,13 @@ def _skip(experiment, params, defect, reason):
 def _weyl_records(cfg: SweepConfig, rng) -> list:
     records = []
     for nu in sorted(set(cfg.nu_list)):
-        pair = weyl.make_canonical_pair(nu)
-        mu = weyl.default_window(nu)
         base = {"nu": nu}
+        try:
+            pair = weyl.make_canonical_pair(nu, site_cap=cfg.site_cap)
+        except ResourceLimitError as exc:
+            records.append(_skip("weyl", base, "weyl-relation", str(exc)))
+            continue
+        mu = weyl.default_window(nu)
 
         worst = 0.0
         omega = np.exp(2j * np.pi / nu)
@@ -166,10 +177,12 @@ def _weyl_records(cfg: SweepConfig, rng) -> list:
             params = {**base, "mu": mu, "l": l}
             window = weyl.plateau_vector(pair, l, mu)
             shift_defect = (pair.V.apply(window) - window).norm()
+            # a window that fills the whole cycle (nu = 1) is V-invariant
+            exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
             records.append(
                 _record(
                     "weyl", params, "plateau-shift-exact",
-                    abs(shift_defect - math.sqrt(2.0 / mu)), cfg.tol_exact,
+                    abs(shift_defect - exact), cfg.tol_exact,
                 )
             )
             clock_defect = (pair.U.apply(window) - window).norm()
@@ -204,8 +217,12 @@ def _weyl_records(cfg: SweepConfig, rng) -> list:
 def _spin_records(cfg: SweepConfig, rng) -> list:
     records = []
     for p in sorted(set(cfg.p_list)):
-        rep = spin.make_spin_rep(p)
         base = {"p": p}
+        try:
+            rep = spin.make_spin_rep(p, site_cap=cfg.site_cap)
+        except ResourceLimitError as exc:
+            records.append(_skip("spin", base, "so3-closure", str(exc)))
+            continue
 
         worst = 0.0
         ops = (rep.J1, rep.J2, rep.J3)

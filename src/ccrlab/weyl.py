@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_SITE_CAP,
     LinCombOperator,
     PermutationPhaseOperator,
     StateVector,
     commutator_apply,
     _indices,
+    require_dim,
 )
 
 
@@ -63,10 +65,11 @@ class HeisenbergElement:
             raise ValueError(f"residues must lie in 0..{self.nu - 1}")
 
 
-def make_canonical_pair(nu: int) -> WeylPair:
+def make_canonical_pair(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> WeylPair:
     """Clock/shift pair on C^nu; the clock eigenvector at index 0 has eigenvalue 1."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
+    require_dim(nu, site_cap)
     idx = _indices(nu)
     clock = PermutationPhaseOperator(nu, idx, np.exp(2j * np.pi * idx / nu))
     shift = PermutationPhaseOperator(nu, (idx + 1) % nu, np.ones(nu, dtype=np.complex128))
@@ -115,7 +118,7 @@ def plateau_vector(pair: WeylPair, l: int, mu: int) -> StateVector:
     """Uniform window over mu consecutive clock eigenvectors starting at l*mu.
 
     These are the approximately invariant vectors of both U and V:
-    || V |l> - |l> || = sqrt(2/mu) exactly and
+    || V |l> - |l> || = sqrt(2/mu) exactly for mu < nu (0 for mu = nu) and
     || U |l> - |l> || <= 2 pi (l+1) mu / nu.
     """
     nu = pair.nu

@@ -10,6 +10,7 @@ from ccrlab.linalg import (
     PauliString,
     PauliSumOperator,
     ResourceLimitError,
+    StateVector,
     anticommutator_apply,
     commutator_apply,
     random_state,
@@ -99,7 +100,7 @@ def test_relation_residuals_equal_state_vector_formulas(nu):
         rhs = np.zeros(dim, dtype=complex)
         for a, b, c in clifford.bracket_expansion(i, j, k, l):
             rhs += c * basis[(a, b)].apply(xi).components
-        closure = max(closure, np.linalg.norm(lhs - rhs))
+        closure = max(closure, StateVector(dim, lhs - rhs).norm())
 
     got = clifford.relation_residuals(fam, basis, vectors, samples)
     assert (got.square, got.anticommutation, got.bracket_closure) == (square, anti, closure)

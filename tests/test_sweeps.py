@@ -1,14 +1,19 @@
 """Sweep runner and CLI tests: determinism, round trips, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrlab import cli, sweeps
 from ccrlab.sweeps import (
@@ -290,6 +295,24 @@ def test_cli_entry_point_reports_bad_inputs_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_record_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # norms sum without BLAS, so a single-threaded BLAS gives the same bytes
+    config = _write_config(tmp_path, "nu_list = 65536")
+    env = dict(os.environ, PYTHONPATH=str(Path(sweeps.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"weyl{len(outputs)}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccrlab.cli", "run", "--experiment", "weyl",
+             "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, env={**env, **extra}, cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_resource_exit_code(tmp_path):
     config = _write_config(
         tmp_path, "parafermi_orders = 2, 16\nmode_list = 2\nsite_cap = 16"
@@ -300,6 +323,85 @@ def test_cli_resource_exit_code(tmp_path):
     )
     assert code == 3
     assert "skip:" in out.read_text()
+
+
+def test_weyl_and_spin_dimensions_over_the_budget_become_skip_records():
+    # 16 amplitudes fit a 4-site budget; 2**40 would need 16 TiB and is
+    # refused before any array is built
+    for experiment, key, small in (("weyl", "nu_list", 16), ("spin", "p_list", 15)):
+        cfg = SweepConfig(experiment=experiment, site_cap=4, **{key: (small, 2**40)})
+        records, status = run_sweep(cfg)
+        assert status == EXIT_RESOURCE
+        skipped = [r for r in records if r.skip_reason]
+        assert len(skipped) == 1
+        assert "bytes per state vector" in skipped[0].skip_reason
+        assert any(not r.skip_reason for r in records)
+
+
+# valid values small enough that no grid point holds a vector over 16 KB
+def test_one_dimensional_weyl_pair_passes_its_exact_identities():
+    # the window then fills the whole cycle, where V leaves it invariant
+    records, status = run_sweep(SweepConfig(experiment="weyl", nu_list=(1,)))
+    assert status == EXIT_OK
+    assert all(r.passed for r in records)
+
+
+_CONFIG_VALUES = {
+    "nu_list": st.integers(1, 64),
+    "p_list": st.integers(1, 24),
+    "mode_list": st.integers(1, 3),
+    "k_list": st.integers(0, 4),
+    "parafermi_orders": st.integers(1, 4),
+    "clifford_nu_list": st.integers(1, 8),
+    "z_list": st.floats(-3, 3),
+}
+_NOT_NUMBERS = st.sampled_from(["abc", "1.5", "nan", "inf", "1e3", "-", "0x10"])
+_DEFECTS = (
+    "unknown key", "empty list", "negative", "not a number", "over budget", "no equals sign",
+)
+
+
+@st.composite
+def _config_files(draw):
+    """A valid small config, then zero to two defects written into it."""
+    experiments = sweeps.EXPERIMENTS + ("all",)
+    values = {key: draw(st.lists(items, min_size=1, max_size=2))
+              for key, items in _CONFIG_VALUES.items()}
+    values["site_cap"] = [draw(st.integers(8, 10))]
+    values["experiment"] = [draw(st.sampled_from(experiments))]
+    extra = []
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        key = draw(st.sampled_from(sorted(_CONFIG_VALUES)))
+        if defect == "unknown key":
+            extra.append("bogus_key = 1")
+        elif defect == "empty list":
+            values[key] = []
+        elif defect == "negative":
+            values[key].append(draw(st.integers(-5, -1)))
+        elif defect == "not a number":
+            key = draw(st.sampled_from(sorted(values) + ["seed", "tol_exact"]))
+            values[key] = [draw(_NOT_NUMBERS)]
+        elif defect == "over budget":
+            # 2**10 amplitudes is the largest budget here
+            key = draw(st.sampled_from(["nu_list", "p_list", "mode_list", "clifford_nu_list"]))
+            values[key].append(draw(st.integers(10**6, 10**15)))
+        else:
+            extra.append(f"{key} 3")
+    lines = [f"{key} = " + ", ".join(str(v) for v in vals) for key, vals in values.items()]
+    return "\n".join(draw(st.permutations(lines + extra))) + "\n"
+
+
+@settings(max_examples=60)
+@given(_config_files())
+def test_fuzzed_config_files_reach_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.cfg"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(config), "--out", str(Path(tmp) / "r.csv")])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
 
 
 def test_config_file_parsing(tmp_path):
