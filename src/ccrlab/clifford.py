@@ -137,7 +137,9 @@ class RelationResiduals:
     bracket_closure: float
 
 
-def relation_residuals(family: GammaFamily, basis: dict, vectors, bracket_samples) -> RelationResiduals:
+def relation_residuals(
+    family: GammaFamily, basis: dict, vectors, bracket_samples
+) -> RelationResiduals:
     """Worst residuals of g_i^2 = 1, {g_i, g_j} = 0 and the so(n) closure.
 
     The first two run over every generator (pair i < j) and every vector in

@@ -194,8 +194,9 @@ def green_relation_residual(sys: GreenSystem, vectors) -> float:
 def number_identity_residual(sys: GreenSystem, vectors) -> float:
     """Worst residual of N_k = ([b_k^dag, b_k] + p) / 2 on `vectors`.
 
-    Three work vectors are allocated once per call; a non-finite residual
-    raises ValueError.
+    Three work vectors are allocated once per call; b_k sums p strings, so
+    each bracket also forms p - 1 half-vector terms in fresh arrays (see
+    bracket_into).  A non-finite residual raises ValueError.
     """
     dim = 1 << sys.total_sites
     out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))

@@ -73,10 +73,12 @@ def test_gamma_relations_random_vector_matrix_free(nu):
 
 def _bracket_samples(basis, dim, rng, n):
     keys = sorted(basis)
-    return [
-        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))], random_state(dim, rng))
-        for _ in range(n)
-    ]
+    samples = []
+    for _ in range(n):
+        ij = keys[rng.integers(0, len(keys))]
+        kl = keys[rng.integers(0, len(keys))]
+        samples.append((ij, kl, random_state(dim, rng)))
+    return samples
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6])
