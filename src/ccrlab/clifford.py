@@ -128,26 +128,15 @@ def bracket_expansion(i: int, j: int, k: int, l: int):
     return tuple((to_big[a], to_big[b], c) for a, b, c in pattern)
 
 
-@dataclass(frozen=True)
-class RelationResiduals:
-    """Worst residual norms of the three gamma-family identities."""
+def relation_residuals(family: GammaFamily, basis: dict, vectors, bracket_samples) -> tuple:
+    """Worst residuals (square, anticommutation, bracket closure) of the family.
 
-    square: float
-    anticommutation: float
-    bracket_closure: float
-
-
-def relation_residuals(
-    family: GammaFamily, basis: dict, vectors, bracket_samples
-) -> RelationResiduals:
-    """Worst residuals of g_i^2 = 1, {g_i, g_j} = 0 and the so(n) closure.
-
-    The first two run over every generator (pair i < j) and every vector in
-    `vectors`; the closure [E_ij, E_kl] = sum c_ab E_ab runs over each
-    ((i, j), (k, l), xi) of `bracket_samples`, whose E are taken from
-    `basis` (so_n_basis of the family).  Samples are consumed one at a
-    time, so they may be drawn lazily.  Three work vectors are allocated
-    once per call; a non-finite residual raises ValueError.
+    g_i^2 = 1 and {g_i, g_j} = 0 (i < j) are checked on every vector in
+    `vectors`; [E_ij, E_kl] = sum c_ab E_ab on each ((i, j), (k, l), xi) of
+    `bracket_samples`, with E from `basis` (so_n_basis of the family).
+    Samples are consumed one at a time, so they may be drawn lazily.  Three
+    work vectors are allocated once per call; a non-finite residual raises
+    ValueError.
     """
     dim = 1 << family.nu
     out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
@@ -177,7 +166,7 @@ def relation_residuals(
             np.add(work, scratch, out=work)
         np.subtract(out, work, out=out)
         closure = max(closure, finite_norm(out))
-    return RelationResiduals(square, anticommutation, closure)
+    return square, anticommutation, closure
 
 
 def tensor_sum_rep(

@@ -373,18 +373,14 @@ class PauliString:
     def apply_into(self, x: np.ndarray, acc, scratch=None) -> None:
         """acc += (this string applied to x); x is left untouched.
 
-        The product term, a strided view of x times the sign table and the
-        coefficient, is written through numpy's out= into scratch at the
-        entries this string reaches (the other entries of scratch keep their
-        values), then added into the matching view of acc.  With scratch
-        None the term goes to a fresh array; with acc None it is only
-        written, so scratch then holds this string's output on the entries
-        it reaches.  Either way this is a few passes over the half or whole
-        vector the string touches, with no index arrays.
-
-        acc and scratch must be contiguous, so that their reshapes are
-        views.  x must not alias acc or scratch, because its reversed axes
-        are read while they are written, and scratch must not alias acc.
+        The term, a strided view of x times the sign table and the
+        coefficient, is written through numpy's out= into scratch (a fresh
+        array when scratch is None) at the entries this string reaches, then
+        added into the matching view of acc; with acc None it is only
+        written.  No index arrays: a few passes over the half or whole vector
+        the string touches.  acc and scratch must be contiguous, so that
+        their reshapes are views; x must alias neither, because its reversed
+        axes are read while they are written, and scratch must not alias acc.
         """
         view = x.reshape(self._shape)[self._in_idx]
         term = None if scratch is None else scratch.reshape(self._shape, copy=False)[self._out_idx]

@@ -290,13 +290,15 @@ def _clifford_records(cfg: SweepConfig, rng) -> list:
                 kl = keys[rng.integers(0, len(keys))]
                 yield ij, kl, random_state(dim, rng)
 
-        res = clifford.relation_residuals(family, basis, vectors, bracket_samples())
-        records.append(_record("clifford", base, "gamma-square", res.square, cfg.tol_exact))
+        square, anti, closure = clifford.relation_residuals(
+            family, basis, vectors, bracket_samples()
+        )
+        records.append(_record("clifford", base, "gamma-square", square, cfg.tol_exact))
         records.append(
-            _record("clifford", base, "gamma-anticommutation", res.anticommutation, cfg.tol_exact)
+            _record("clifford", base, "gamma-anticommutation", anti, cfg.tol_exact)
         )
         records.append(
-            _record("clifford", base, "so-bracket-closure", res.bracket_closure, cfg.tol_relation)
+            _record("clifford", base, "so-bracket-closure", closure, cfg.tol_relation)
         )
     return records
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccrlab import clifford, linalg, parafermi
+from ccrlab import clifford, linalg, parafermi, spin, weyl
 from ccrlab.linalg import (
     BandedOperator,
     ConvergenceError,
@@ -568,6 +568,17 @@ def test_normalized_trace_of_commutator_vanishes():
 def test_site_budget_refusal():
     with pytest.raises(ResourceLimitError, match="bytes"):
         linalg.require_sites(23)
+
+
+def test_dimension_budget_refusal_counts_bytes():
+    linalg.require_dim(16, site_cap=4)
+    with pytest.raises(ResourceLimitError, match="272 bytes .*cap 256 bytes"):
+        linalg.require_dim(17, site_cap=4)
+    # the Weyl and spin constructors refuse before building any array
+    with pytest.raises(ResourceLimitError):
+        weyl.make_canonical_pair(2**40)
+    with pytest.raises(ResourceLimitError):
+        spin.make_spin_rep(2**40)
 
 
 def test_permutation_phase_compose_matches_dense():
