@@ -659,10 +659,10 @@ def bracket_into(
 
     Every product and sum of anticommutator_apply / commutator_apply
     happens in the same order, so the result is the same up to the sign of
-    a zero.  work holds the inner products and scratch B(Ax); a later
-    string of a multi-string B forms its term in a fresh array there, so a
-    single-string B allocates nothing.  out, work and scratch must be three
-    distinct arrays and x none of them.
+    a zero.  work holds Bx, then Ax; scratch is the term buffer, then holds
+    B(Ax), which B's first string writes directly and each later string
+    adds from a fresh array, so a single-string B allocates nothing.  out,
+    work and scratch must be three distinct arrays and x none of them.
     """
     b.apply_into(x, work, scratch)
     a.apply_into(work, out, scratch)

@@ -294,12 +294,8 @@ def _clifford_records(cfg: SweepConfig, rng) -> list:
             family, basis, vectors, bracket_samples()
         )
         records.append(_record("clifford", base, "gamma-square", square, cfg.tol_exact))
-        records.append(
-            _record("clifford", base, "gamma-anticommutation", anti, cfg.tol_exact)
-        )
-        records.append(
-            _record("clifford", base, "so-bracket-closure", closure, cfg.tol_relation)
-        )
+        records.append(_record("clifford", base, "gamma-anticommutation", anti, cfg.tol_exact))
+        records.append(_record("clifford", base, "so-bracket-closure", closure, cfg.tol_relation))
     return records
 
 
