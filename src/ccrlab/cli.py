@@ -10,6 +10,7 @@ resource reasons (and nothing failed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,24 +26,10 @@ from .sweeps import (
     run_sweep,
 )
 
-_INT_LIST_KEYS = {
-    "nu_list": "nu_list",
-    "p_list": "p_list",
-    "mode_list": "mode_list",
-    "k_list": "k_list",
-    "parafermi_orders": "parafermi_orders",
-    "clifford_nu_list": "clifford_nu_list",
-}
-_FLOAT_LIST_KEYS = {"z_list": "z_list"}
-_SCALAR_KEYS = {
-    "experiment": str,
-    "mu_rule": str,
-    "tol_exact": float,
-    "tol_relation": float,
-    "site_cap": int,
-    "seed": int,
-    "out": str,
-    "format": str,
+# config key -> SweepConfig field; each value parses as the field's default
+# does, a list item by item
+_FIELDS = {
+    "format" if f.name == "fmt" else f.name: f for f in dataclasses.fields(SweepConfig)
 }
 
 
@@ -71,22 +58,18 @@ def build_config(file_values: dict, overrides: dict) -> SweepConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     for key, value in merged.items():
-        if key not in _INT_LIST_KEYS and key not in _FLOAT_LIST_KEYS and key not in _SCALAR_KEYS:
+        if key not in _FIELDS:
             raise UsageError(f"unknown configuration key {key!r}")
+        field = _FIELDS[key]
         try:
-            if key in _INT_LIST_KEYS:
-                kwargs[_INT_LIST_KEYS[key]] = (
-                    value if isinstance(value, tuple) else _parse_list(str(value), int)
-                )
-            elif key in _FLOAT_LIST_KEYS:
-                kwargs[_FLOAT_LIST_KEYS[key]] = (
-                    value if isinstance(value, tuple) else _parse_list(str(value), float)
-                )
+            if isinstance(field.default, tuple):
+                if not isinstance(value, tuple):
+                    value = _parse_list(str(value), type(field.default[0]))
             else:
-                target = "fmt" if key == "format" else key
-                kwargs[target] = _SCALAR_KEYS[key](value)
+                value = str(value) if field.default is None else type(field.default)(value)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
+        kwargs[field.name] = value
     try:
         cfg = SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:

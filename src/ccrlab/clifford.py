@@ -51,9 +51,10 @@ def _gamma_string(index: int, nu: int) -> PauliString:
     return PauliString(-1.0, [(k, "X")] + tail, nu)
 
 
-def make_gammas(nu: int) -> GammaFamily:
+def make_gammas(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> GammaFamily:
     if nu < 1:
         raise ValueError("nu must be a positive integer")
+    require_sites(nu, site_cap)
     ops = tuple(
         PauliSumOperator([_gamma_string(i, nu)], nu) for i in range(1, 2 * nu + 2)
     )

@@ -60,9 +60,9 @@ class ResourceLimitError(RuntimeError):
 def require_sites(total_sites: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
     """Refuse constructions whose state vectors would not fit the budget."""
     if total_sites > site_cap:
-        need = 16 * (1 << total_sites)
+        # written as a power: 2**total_sites is never formed for a huge register
         raise ResourceLimitError(
-            f"{total_sites} sites need {need} bytes per state vector "
+            f"{total_sites} sites need 16 * 2**{total_sites} bytes per state vector "
             f"(cap {site_cap} sites, {16 * (1 << site_cap)} bytes)"
         )
 

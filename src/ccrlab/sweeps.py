@@ -9,6 +9,7 @@ fitted log-log slope against the dimension parameter.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -31,6 +32,10 @@ CSV_HEADER = "experiment,params,defect,measured,bound,pass"
 # coherent states need 2 atan(|z| / sqrt(p)) < pi in doubles, for every p
 Z_MAX = 1e15
 
+# numpy refuses an array of more than 2**63 - 1 bytes, so the largest budget
+# it could ever hold is a register of 58 sites: 2**58 amplitudes of 16 bytes
+SITE_CAP_MAX = 58
+
 
 class UsageError(ValueError):
     """Bad configuration: unknown experiment, empty grid, bad value."""
@@ -42,7 +47,6 @@ class SweepConfig:
 
     experiment: str = "all"
     nu_list: tuple = (64, 256, 1024, 4096)
-    mu_rule: str = "sqrt"
     p_list: tuple = (10, 100, 1000)
     mode_list: tuple = (1, 2)
     k_list: tuple = (0, 1, 2, 3)
@@ -61,8 +65,6 @@ class SweepConfig:
             raise UsageError(f"unknown experiment {self.experiment!r}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown output format {self.fmt!r}")
-        if self.mu_rule != "sqrt":
-            raise UsageError(f"unknown mu rule {self.mu_rule!r}")
         grids = {
             "nu_list": self.nu_list,
             "p_list": self.p_list,
@@ -81,16 +83,16 @@ class SweepConfig:
         )
         if any(n < 1 for n in dims):
             raise UsageError("dimension parameters must be positive")
-        if self.site_cap < 1:
-            raise UsageError("site_cap must be positive")
+        if not 1 <= self.site_cap <= SITE_CAP_MAX:
+            raise UsageError(f"site_cap must be between 1 and {SITE_CAP_MAX}")
         if any(k < 0 for k in self.k_list):
             raise UsageError("k values must be nonnegative")
         if not all(abs(z) < Z_MAX for z in self.z_list):  # also refuses nan
             raise UsageError(f"z values must be finite and below {Z_MAX:g} in magnitude")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
-        if self.tol_exact <= 0 or self.tol_relation <= 0:
-            raise UsageError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.tol_exact, self.tol_relation)):
+            raise UsageError("tolerances must be positive and finite")  # also refuses nan
 
 
 @dataclass(frozen=True)
@@ -120,257 +122,201 @@ def _fmt_number(value) -> str:
     return repr(float(value))  # shortest round-trip decimal for doubles
 
 
-def _record(experiment, params, defect, measured, bound=None):
-    measured = float(measured)
-    passed = True if bound is None else bool(measured <= bound)
-    return DefectRecord(experiment, dict(params), defect, measured, bound, passed)
-
-
-def _skip(experiment, params, defect, reason):
-    return DefectRecord(experiment, dict(params), defect, math.nan, None, True, reason)
-
-
 # ---------------------------------------------------------------------------
 # per-experiment batteries
+#
+# Each family is a grid of parameter dicts, a builder that refuses a grid
+# point over the memory budget with ResourceLimitError, and a check generator
+# that yields (extra params, defect, measured, bound) in the order it draws
+# from rng.  Builders and residuals are looked up through their modules at
+# call time, so wrappers installed on those modules are the ones called.
 
 
-def _weyl_records(cfg: SweepConfig, rng) -> list:
-    records = []
-    for nu in sorted(set(cfg.nu_list)):
-        base = {"nu": nu}
-        try:
-            pair = weyl.make_canonical_pair(nu, site_cap=cfg.site_cap)
-        except ResourceLimitError as exc:
-            records.append(_skip("weyl", base, "weyl-relation", str(exc)))
-            continue
-        mu = weyl.default_window(nu)
-
-        worst = 0.0
-        omega = np.exp(2j * np.pi / nu)
-        for _ in range(3):
-            xi = random_state(nu, rng)
-            lhs = pair.U.apply(pair.V.apply(xi))
-            rhs = omega * pair.V.apply(pair.U.apply(xi))
-            worst = max(worst, (lhs - rhs).norm())
-        records.append(_record("weyl", base, "weyl-relation", worst, cfg.tol_exact))
-
+def _weyl_checks(cfg, rng, pair, nu):
+    mu = weyl.default_window(nu)
+    worst = 0.0
+    omega = np.exp(2j * np.pi / nu)
+    for _ in range(3):
         xi = random_state(nu, rng)
-        period = max(
-            (pair.power_op(k=nu).apply(xi) - xi).norm(),
-            (pair.power_op(l=nu).apply(xi) - xi).norm(),
-        )
-        records.append(_record("weyl", base, "clock-shift-period", period, cfg.tol_exact))
+        lhs = pair.U.apply(pair.V.apply(xi))
+        rhs = omega * pair.V.apply(pair.U.apply(xi))
+        worst = max(worst, (lhs - rhs).norm())
+    yield {}, "weyl-relation", worst, cfg.tol_exact
 
-        for m, n in ((1, 1), (2, 3)):
-            xi = random_state(nu, rng)
-            res = weyl.commutator_factorization_residual(pair, m, n, xi)
-            records.append(
-                _record(
-                    "weyl", {**base, "m": m, "n": n},
-                    "commutator-factorization", res, cfg.tol_exact,
-                )
-            )
-
-        for l in range(3):
-            if (l + 1) * mu > nu:
-                continue
-            params = {**base, "mu": mu, "l": l}
-            window = weyl.plateau_vector(pair, l, mu)
-            shift_defect = (pair.V.apply(window) - window).norm()
-            # a window that fills the whole cycle (nu = 1) is V-invariant
-            exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
-            records.append(
-                _record(
-                    "weyl", params, "plateau-shift-exact",
-                    abs(shift_defect - exact), cfg.tol_exact,
-                )
-            )
-            clock_defect = (pair.U.apply(window) - window).norm()
-            records.append(
-                _record(
-                    "weyl", params, "plateau-clock-bound",
-                    clock_defect, 2.0 * math.pi * (l + 1) * mu / nu,
-                )
-            )
-            defects = weyl.ccr_defect(pair, 1, 1, window)
-            records.append(_record("weyl", params, "group-ccr-defect", defects.group))
-            if l == 0:
-                records.append(
-                    _record("weyl", params, "quadrature-ccr-defect", defects.quadrature)
-                )
-
-        if nu <= 64:
-            worst = 0.0
-            for _ in range(100):
-                g = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
-                h = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
-                xi = random_state(nu, rng)
-                lhs = weyl.heisenberg_rep(pair, g).apply(weyl.heisenberg_rep(pair, h).apply(xi))
-                rhs = weyl.heisenberg_rep(pair, weyl.heisenberg_mul(g, h)).apply(xi)
-                worst = max(worst, (lhs - rhs).norm())
-            records.append(
-                _record("weyl", base, "heisenberg-homomorphism", worst, cfg.tol_exact)
-            )
-    return records
-
-
-def _spin_records(cfg: SweepConfig, rng) -> list:
-    records = []
-    for p in sorted(set(cfg.p_list)):
-        base = {"p": p}
-        try:
-            rep = spin.make_spin_rep(p, site_cap=cfg.site_cap)
-        except ResourceLimitError as exc:
-            records.append(_skip("spin", base, "so3-closure", str(exc)))
-            continue
-
-        worst = 0.0
-        ops = (rep.J1, rep.J2, rep.J3)
-        for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            xi = random_state(p + 1, rng)
-            res = commutator_apply(ops[a], ops[b], xi) - 1j * ops[c].apply(xi)
-            worst = max(worst, res.norm())
-        records.append(_record("spin", base, "so3-closure", worst, cfg.tol_relation))
-
-        for k in sorted(set(cfg.k_list)):
-            if k > p:
-                continue
-            measured = spin.weight_state_ccr_defect(rep, k)
-            params = {**base, "k": k}
-            records.append(
-                _record(
-                    "spin", params, "ccr-weight-exactness",
-                    abs(measured - k / rep.j), cfg.tol_exact,
-                )
-            )
-            records.append(_record("spin", params, "ccr-weight-defect", measured))
-
-        if p <= 200:
-            worst = max(
-                spin.covariance_defect(rep, theta, n_vectors=4, rng=rng)
-                for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            )
-            records.append(
-                _record("spin", base, "rotation-covariance", worst, cfg.tol_relation)
-            )
-
-        for z in cfg.z_list:
-            kmax = min(max(cfg.k_list), p)
-            errors = spin.coherent_limit_error(rep, z, kmax)
-            for k, err in enumerate(errors):
-                records.append(
-                    _record(
-                        "spin", {**base, "z": float(z), "k": k},
-                        "coherent-overlap-error", err,
-                    )
-                )
-    return records
-
-
-def _clifford_records(cfg: SweepConfig, rng) -> list:
-    records = []
-    for nu in sorted(set(cfg.clifford_nu_list)):
-        base = {"nu": nu}
-        if nu > cfg.site_cap:
-            records.append(
-                _skip("clifford", base, "gamma-anticommutation",
-                      f"register of {nu} sites exceeds cap {cfg.site_cap}")
-            )
-            continue
-        family = clifford.make_gammas(nu)
-        dim = 1 << nu
-        vectors = [random_state(dim, rng) for _ in range(2)]
-        basis = clifford.so_n_basis(family)
-        keys = sorted(basis)
-        n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
-
-        def bracket_samples():
-            for _ in range(n_samples):
-                ij = keys[rng.integers(0, len(keys))]
-                kl = keys[rng.integers(0, len(keys))]
-                yield ij, kl, random_state(dim, rng)
-
-        square, anti, closure = clifford.relation_residuals(
-            family, basis, vectors, bracket_samples()
-        )
-        records.append(_record("clifford", base, "gamma-square", square, cfg.tol_exact))
-        records.append(_record("clifford", base, "gamma-anticommutation", anti, cfg.tol_exact))
-        records.append(_record("clifford", base, "so-bracket-closure", closure, cfg.tol_relation))
-    return records
-
-
-def _parafermi_records(cfg: SweepConfig, rng) -> list:
-    records = []
-    grid = sorted(
-        {(p, nu) for p in cfg.parafermi_orders for nu in cfg.mode_list}
+    xi = random_state(nu, rng)
+    period = max(
+        (pair.power_op(k=nu).apply(xi) - xi).norm(),
+        (pair.power_op(l=nu).apply(xi) - xi).norm(),
     )
-    for p, nu in grid:
-        base = {"p": p, "modes": nu}
-        if p * nu > cfg.site_cap:
+    yield {}, "clock-shift-period", period, cfg.tol_exact
+
+    for m, n in ((1, 1), (2, 3)):
+        xi = random_state(nu, rng)
+        res = weyl.commutator_factorization_residual(pair, m, n, xi)
+        yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
+
+    for l in range(3):
+        if (l + 1) * mu > nu:
+            continue
+        params = {"mu": mu, "l": l}
+        window = weyl.plateau_vector(pair, l, mu)
+        shift_defect = (pair.V.apply(window) - window).norm()
+        # a window that fills the whole cycle (nu = 1) is V-invariant
+        exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
+        yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
+        clock_defect = (pair.U.apply(window) - window).norm()
+        yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
+        defects = weyl.ccr_defect(pair, 1, 1, window)
+        yield params, "group-ccr-defect", defects.group, None
+        if l == 0:
+            yield params, "quadrature-ccr-defect", defects.quadrature, None
+
+    if nu <= 64:
+        worst = 0.0
+        for _ in range(100):
+            g = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
+            h = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
+            xi = random_state(nu, rng)
+            lhs = weyl.heisenberg_rep(pair, g).apply(weyl.heisenberg_rep(pair, h).apply(xi))
+            rhs = weyl.heisenberg_rep(pair, weyl.heisenberg_mul(g, h)).apply(xi)
+            worst = max(worst, (lhs - rhs).norm())
+        yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
+
+
+def _spin_checks(cfg, rng, rep, p):
+    worst = 0.0
+    ops = (rep.J1, rep.J2, rep.J3)
+    for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        xi = random_state(p + 1, rng)
+        res = commutator_apply(ops[a], ops[b], xi) - 1j * ops[c].apply(xi)
+        worst = max(worst, res.norm())
+    yield {}, "so3-closure", worst, cfg.tol_relation
+
+    for k in sorted(set(cfg.k_list)):
+        if k > p:
+            continue
+        measured = spin.weight_state_ccr_defect(rep, k)
+        yield {"k": k}, "ccr-weight-exactness", abs(measured - k / rep.j), cfg.tol_exact
+        yield {"k": k}, "ccr-weight-defect", measured, None
+
+    if p <= 200:
+        worst = max(
+            spin.covariance_defect(rep, theta, n_vectors=4, rng=rng)
+            for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        )
+        yield {}, "rotation-covariance", worst, cfg.tol_relation
+
+    for z in cfg.z_list:
+        kmax = min(max(cfg.k_list), p)
+        for k, err in enumerate(spin.coherent_limit_error(rep, z, kmax)):
+            yield {"z": float(z), "k": k}, "coherent-overlap-error", err, None
+
+
+def _clifford_checks(cfg, rng, family, nu):
+    dim = 1 << nu
+    vectors = [random_state(dim, rng) for _ in range(2)]
+    basis = clifford.so_n_basis(family)
+    keys = sorted(basis)
+    n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
+
+    def bracket_samples():
+        for _ in range(n_samples):
+            ij = keys[rng.integers(0, len(keys))]
+            kl = keys[rng.integers(0, len(keys))]
+            yield ij, kl, random_state(dim, rng)
+
+    square, anti, closure = clifford.relation_residuals(
+        family, basis, vectors, bracket_samples()
+    )
+    yield {}, "gamma-square", square, cfg.tol_exact
+    yield {}, "gamma-anticommutation", anti, cfg.tol_exact
+    yield {}, "so-bracket-closure", closure, cfg.tol_relation
+
+
+def _parafermi_checks(cfg, rng, sys, p, modes):
+    vectors = [random_state(1 << sys.total_sites, rng) for _ in range(2)]
+    worst = parafermi.green_relation_residual(sys, vectors)
+    yield {}, "green-relations", worst, cfg.tol_relation
+
+    worst = parafermi.trilinear_defect(sys, n_vectors=2, rng=rng)
+    yield {}, "trilinear-relations", worst, cfg.tol_relation
+
+    worst = 0.0
+    for k in range(1, modes + 1):
+        for l in range(1, modes + 1):
+            b_k = parafermi.parafermi_op(sys, k)
+            b_l_dag = parafermi.parafermi_op(sys, l).adjoint()
+            out = b_k.apply(b_l_dag.apply(sys.vacuum))
+            target = (float(p) if k == l else 0.0) * sys.vacuum
+            worst = max(worst, (out - target).norm())
+    yield {}, "vacuum-condition", worst, cfg.tol_relation
+
+    worst = parafermi.number_identity_residual(sys, vectors)
+    yield {}, "number-identity", worst, cfg.tol_relation
+
+    if modes >= 2:
+        xi = parafermi.fock_state(sys, (1, 1) + (0,) * (modes - 2))
+        checks = parafermi.normalized_ccr_checks(sys, 1, 2, xi)
+        params = {"label": "1+1"}
+        yield params, "normalized-unit-exactness", abs(checks.unit_defect - 2.0 / p), cfg.tol_exact
+        yield params, "normalized-unit-defect", checks.unit_defect, None
+    if p >= 2:
+        ladder = parafermi.fock_ladder_checks(sys, (2,) + (0,) * (modes - 1))
+        yield {"label": "2"}, "fock-norm-error", ladder.norm_error, None
+
+
+def _run_battery(experiment, first_defect, grid, build, checks, cfg, rng) -> list:
+    """Build the family at each grid point and record its checks.
+
+    A builder's ResourceLimitError becomes one skip record under the
+    battery's first defect name.
+    """
+    records = []
+    for base in grid(cfg):
+        try:
+            built = build(cfg, **base)
+        except ResourceLimitError as exc:
             records.append(
-                _skip("parafermi", base, "green-relations",
-                      f"register of {p * nu} sites exceeds cap {cfg.site_cap}")
+                DefectRecord(experiment, base, first_defect, math.nan, None, True, str(exc))
             )
             continue
-        sys = parafermi.make_green_system(p, nu, site_cap=cfg.site_cap)
-        dim = 1 << sys.total_sites
-
-        vectors = [random_state(dim, rng) for _ in range(2)]
-        worst = parafermi.green_relation_residual(sys, vectors)
-        records.append(_record("parafermi", base, "green-relations", worst, cfg.tol_relation))
-
-        records.append(
-            _record(
-                "parafermi", base, "trilinear-relations",
-                parafermi.trilinear_defect(sys, n_vectors=2, rng=rng), cfg.tol_relation,
-            )
-        )
-
-        worst = 0.0
-        for k in range(1, nu + 1):
-            for l in range(1, nu + 1):
-                b_k = parafermi.parafermi_op(sys, k)
-                b_l_dag = parafermi.parafermi_op(sys, l).adjoint()
-                out = b_k.apply(b_l_dag.apply(sys.vacuum))
-                target = (float(p) if k == l else 0.0) * sys.vacuum
-                worst = max(worst, (out - target).norm())
-        records.append(_record("parafermi", base, "vacuum-condition", worst, cfg.tol_relation))
-
-        worst = parafermi.number_identity_residual(sys, vectors)
-        records.append(_record("parafermi", base, "number-identity", worst, cfg.tol_relation))
-
-        if nu >= 2:
-            xi = parafermi.fock_state(sys, (1, 1) + (0,) * (nu - 2))
-            checks = parafermi.normalized_ccr_checks(sys, 1, 2, xi)
+        for extra, defect, measured, bound in checks(cfg, rng, built, **base):
+            measured = float(measured)
+            passed = bound is None or bool(measured <= bound)
             records.append(
-                _record(
-                    "parafermi", {**base, "label": "1+1"},
-                    "normalized-unit-exactness",
-                    abs(checks.unit_defect - 2.0 / p), cfg.tol_exact,
-                )
-            )
-            records.append(
-                _record(
-                    "parafermi", {**base, "label": "1+1"},
-                    "normalized-unit-defect", checks.unit_defect,
-                )
-            )
-        if p >= 2:
-            ladder = parafermi.fock_ladder_checks(sys, (2,) + (0,) * (nu - 1))
-            records.append(
-                _record(
-                    "parafermi", {**base, "label": "2"},
-                    "fock-norm-error", ladder.norm_error,
-                )
+                DefectRecord(experiment, {**base, **extra}, defect, measured, bound, passed)
             )
     return records
 
 
 _BATTERIES = {
-    "weyl": _weyl_records,
-    "spin": _spin_records,
-    "clifford": _clifford_records,
-    "parafermi": _parafermi_records,
+    "weyl": functools.partial(
+        _run_battery, "weyl", "weyl-relation",
+        lambda cfg: [{"nu": nu} for nu in sorted(set(cfg.nu_list))],
+        lambda cfg, nu: weyl.make_canonical_pair(nu, site_cap=cfg.site_cap),
+        _weyl_checks,
+    ),
+    "spin": functools.partial(
+        _run_battery, "spin", "so3-closure",
+        lambda cfg: [{"p": p} for p in sorted(set(cfg.p_list))],
+        lambda cfg, p: spin.make_spin_rep(p, site_cap=cfg.site_cap),
+        _spin_checks,
+    ),
+    "clifford": functools.partial(
+        _run_battery, "clifford", "gamma-anticommutation",
+        lambda cfg: [{"nu": nu} for nu in sorted(set(cfg.clifford_nu_list))],
+        lambda cfg, nu: clifford.make_gammas(nu, site_cap=cfg.site_cap),
+        _clifford_checks,
+    ),
+    "parafermi": functools.partial(
+        _run_battery, "parafermi", "green-relations",
+        lambda cfg: [
+            {"p": p, "modes": nu}
+            for p, nu in sorted({(p, nu) for p in cfg.parafermi_orders for nu in cfg.mode_list})
+        ],
+        lambda cfg, p, modes: parafermi.make_green_system(p, modes, site_cap=cfg.site_cap),
+        _parafermi_checks,
+    ),
 }
 
 

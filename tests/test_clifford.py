@@ -33,6 +33,15 @@ def test_invalid_register_rejected():
         clifford.make_gammas(0)
 
 
+def test_register_over_the_site_cap_is_refused():
+    clifford.make_gammas(4, site_cap=4)
+    with pytest.raises(ResourceLimitError, match="5 sites need 16 \\* 2\\*\\*5 bytes"):
+        clifford.make_gammas(5, site_cap=4)
+    # the need is written as a power, so a huge register forms no huge integer
+    with pytest.raises(ResourceLimitError, match=f"16 \\* 2\\*\\*{2**40} bytes"):
+        clifford.make_gammas(2**40)
+
+
 def test_two_site_anticommutator_example():
     fam = clifford.make_gammas(2)
     rng = np.random.default_rng(0)

@@ -234,6 +234,17 @@ def test_cli_usage_errors(tmp_path):
         "clifford_nu_list = 0",
         "site_cap = -1",
         "site_cap = 0",
+        # out-of-range scalars: a nan bound fails every record and an
+        # infinite one passes every record
+        "tol_exact = nan",
+        "tol_exact = inf",
+        "tol_exact = -inf",
+        "tol_relation = nan",
+        "tol_relation = inf",
+        # over the largest array numpy can index; refused before any budget
+        # is computed or array built
+        f"site_cap = {sweeps.SITE_CAP_MAX + 1}",
+        "experiment = weyl\nsite_cap = 9223372036854775808",
     ],
 )
 def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, body):
@@ -245,6 +256,24 @@ def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, 
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_config_keys_are_the_sweep_config_fields(tmp_path):
+    body = (
+        "experiment = weyl\nnu_list = 4\np_list = 10\nmode_list = 1\nk_list = 0\n"
+        "z_list = 1.5\nparafermi_orders = 2\nclifford_nu_list = 3\ntol_exact = 1e-11\n"
+        "tol_relation = 1e-9\nsite_cap = 8\nseed = 5\nout = x.csv\nformat = json"
+    )
+    cfg = cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, body))), {})
+    assert cfg == SweepConfig(
+        experiment="weyl", nu_list=(4,), p_list=(10,), mode_list=(1,), k_list=(0,),
+        z_list=(1.5,), parafermi_orders=(2,), clifford_nu_list=(3,), tol_exact=1e-11,
+        tol_relation=1e-9, site_cap=8, seed=5, out="x.csv", fmt="json",
+    )
+    SweepConfig(site_cap=sweeps.SITE_CAP_MAX).validate()
+    for removed in ("mu_rule = sqrt", "fmt = csv"):
+        with pytest.raises(UsageError, match="unknown configuration key"):
+            cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, removed))), {})
 
 
 _RECORD = {"experiment": "spin", "params": "p=10", "defect": "weight-state",
@@ -325,17 +354,25 @@ def test_cli_resource_exit_code(tmp_path):
     assert "skip:" in out.read_text()
 
 
-def test_weyl_and_spin_dimensions_over_the_budget_become_skip_records():
-    # 16 amplitudes fit a 4-site budget; 2**40 would need 16 TiB and is
-    # refused before any array is built
-    for experiment, key, small in (("weyl", "nu_list", 16), ("spin", "p_list", 15)):
-        cfg = SweepConfig(experiment=experiment, site_cap=4, **{key: (small, 2**40)})
-        records, status = run_sweep(cfg)
-        assert status == EXIT_RESOURCE
-        skipped = [r for r in records if r.skip_reason]
-        assert len(skipped) == 1
-        assert "bytes per state vector" in skipped[0].skip_reason
-        assert any(not r.skip_reason for r in records)
+@pytest.mark.parametrize(
+    "experiment,grid,first_defect",
+    [
+        ("weyl", {"nu_list": (16, 2**40)}, "weyl-relation"),
+        ("spin", {"p_list": (15, 2**40)}, "so3-closure"),
+        ("clifford", {"clifford_nu_list": (2, 2**40)}, "gamma-anticommutation"),
+        ("parafermi", {"parafermi_orders": (1, 2**40), "mode_list": (2,)}, "green-relations"),
+    ],
+    ids=sweeps.EXPERIMENTS,
+)
+def test_grid_points_over_the_budget_become_skip_records(experiment, grid, first_defect):
+    # 16 amplitudes fit a 4-site budget; 2**40 amplitudes or sites would need
+    # at least 16 TiB and are refused before any array is built
+    records, status = run_sweep(SweepConfig(experiment=experiment, site_cap=4, **grid))
+    assert status == EXIT_RESOURCE
+    skipped = [r for r in records if r.skip_reason]
+    assert [r.defect for r in skipped] == [first_defect]
+    assert "bytes per state vector" in skipped[0].skip_reason
+    assert any(not r.skip_reason for r in records)
 
 
 # valid values small enough that no grid point holds a vector over 16 KB
@@ -358,6 +395,7 @@ _CONFIG_VALUES = {
 _NOT_NUMBERS = st.sampled_from(["abc", "1.5", "nan", "inf", "1e3", "-", "0x10"])
 _DEFECTS = (
     "unknown key", "empty list", "negative", "not a number", "over budget", "no equals sign",
+    "huge site_cap", "non-finite tolerance",
 )
 
 
@@ -385,6 +423,12 @@ def _config_files(draw):
             # 2**10 amplitudes is the largest budget here
             key = draw(st.sampled_from(["nu_list", "p_list", "mode_list", "clifford_nu_list"]))
             values[key].append(draw(st.integers(10**6, 10**15)))
+        elif defect == "huge site_cap":
+            # refused before 1 << site_cap is formed
+            values["site_cap"] = [draw(st.sampled_from([sweeps.SITE_CAP_MAX + 1, 2**63]))]
+        elif defect == "non-finite tolerance":
+            tol = draw(st.sampled_from(["tol_exact", "tol_relation"]))
+            values[tol] = [draw(st.sampled_from(["nan", "inf", "-inf"]))]
         else:
             extra.append(f"{key} 3")
     lines = [f"{key} = " + ", ".join(str(v) for v in vals) for key, vals in values.items()]
