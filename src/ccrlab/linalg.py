@@ -16,6 +16,7 @@ hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -540,62 +541,74 @@ class PauliSumOperator(LinearOperator):
         return float(np.sqrt(max(total.real, 0.0)))
 
 
-class PermutationPhaseOperator(LinearOperator):
-    """Generalized permutation: (A x)[perm[i]] = phases[i] * x[i].
+@functools.lru_cache(maxsize=8)
+def _clock_table(dim: int) -> np.ndarray:
+    """exp(2 pi i j / dim) for j < dim, read only and shared by every element of dim.
 
-    Closed under composition and adjoints, which keeps powers and products
-    of clock/shift style unitaries exact index arithmetic.
+    Phases are gathered from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
+    """
+    return _freeze(np.exp(2j * np.pi * _indices(dim) / dim))
+
+
+@dataclass(frozen=True)
+class PermutationPhaseOperator(LinearOperator):
+    """Finite Heisenberg group element omega^m V^l U^k on C^dim, omega = exp(2 pi i/dim).
+
+    U = diag(omega^j) is the clock and V: e_j -> e_{j+1 mod dim} the shift,
+    so (A x)[(j + l) % dim] = omega^(k j + m) x[j].  The exponents are
+    Python ints reduced mod dim: products and inverses are exact integer
+    arithmetic at any dim, and U^dim is exactly the identity.
     """
 
-    def __init__(self, dim: int, perm, phases):
-        self.dim = dim
-        perm = np.asarray(perm, dtype=np.int64)
-        phases = np.asarray(phases, dtype=np.complex128)
-        if perm.shape != (dim,) or phases.shape != (dim,):
-            raise ValueError("perm and phases must both have length dim")
-        self.perm = _freeze(perm)
-        self.phases = _freeze(phases)
+    dim: int
+    k: int = 0
+    l: int = 0
+    m: int = 0
 
-    @classmethod
-    def identity(cls, dim: int) -> "PermutationPhaseOperator":
-        return cls(dim, _indices(dim), np.ones(dim, dtype=np.complex128))
-
-    @classmethod
-    def diagonal(cls, phases) -> "PermutationPhaseOperator":
-        phases = np.asarray(phases, dtype=np.complex128)
-        return cls(phases.shape[0], _indices(phases.shape[0]), phases)
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be a positive integer")
+        for name in ("k", "l", "m"):
+            object.__setattr__(self, name, int(getattr(self, name)) % self.dim)
 
     def _apply_array(self, x):
-        out = np.empty(self.dim, dtype=np.complex128)
-        out[self.perm] = self.phases * x
+        dim, k, l, m = self.dim, self.k, self.l, self.m
+        table = _clock_table(dim)
+        if k:
+            phase = table[np.arange(m, m + k * dim, k) % dim]  # omega^(k j + m)
+        else:
+            phase = np.broadcast_to(table[m], (dim,))
+        # the shift: the products land in two contiguous slices of out
+        out = np.empty(dim, dtype=np.complex128)
+        np.multiply(phase[: dim - l], x[: dim - l], out=out[l:])
+        np.multiply(phase[dim - l :], x[dim - l :], out=out[:l])
         return out
 
     def adjoint(self):
-        inv = np.empty(self.dim, dtype=np.int64)
-        inv[self.perm] = _indices(self.dim)
-        new_phases = np.empty(self.dim, dtype=np.complex128)
-        new_phases[self.perm] = np.conj(self.phases)
-        return PermutationPhaseOperator(self.dim, inv, new_phases)
+        """The group inverse (-k, -l, k l - m)."""
+        return PermutationPhaseOperator(self.dim, -self.k, -self.l, self.k * self.l - self.m)
 
     def compose(self, other: "PermutationPhaseOperator") -> "PermutationPhaseOperator":
-        """self applied after other."""
+        """self applied after other: the twisted product (k+k', l+l', m+m'+k l')."""
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} != {other.dim}")
         return PermutationPhaseOperator(
-            self.dim, self.perm[other.perm], other.phases * self.phases[other.perm]
+            self.dim, self.k + other.k, self.l + other.l, self.m + other.m + self.k * other.l
         )
 
     def _dense(self):
-        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        mat[self.perm, _indices(self.dim)] = self.phases
+        dim, idx = self.dim, _indices(self.dim)
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        mat[(idx + self.l) % dim, idx] = _clock_table(dim)[(self.k * idx + self.m) % dim]
         return mat
 
     def normalized_trace(self):
-        fixed = self.perm == _indices(self.dim)
-        return complex(self.phases[fixed].sum() / self.dim)
+        # tau(V^l U^k) is 0 unless k = l = 0: the shift has no diagonal and
+        # the clock phases sum to zero
+        return 0j if self.k or self.l else cmath.exp(2j * math.pi * self.m / self.dim)
 
     def hs_norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.phases) ** 2) / self.dim))
+        return 1.0
 
 
 class LinCombOperator(LinearOperator):

@@ -32,7 +32,6 @@ from .linalg import (
     BandedOperator,
     DenseOperator,
     LinCombOperator,
-    PermutationPhaseOperator,
     StateVector,
     commutator_apply,
     random_state,
@@ -90,10 +89,10 @@ def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
     return (commutator_apply(q, p, xi) - 1j * xi).norm()
 
 
-def rotation_about_axis3(rep: SpinRep, theta: float) -> PermutationPhaseOperator:
+def rotation_about_axis3(rep: SpinRep, theta: float) -> BandedOperator:
     """exp(i theta J3), diagonal and exact."""
     m = rep.j - np.arange(rep.p + 1)
-    return PermutationPhaseOperator.diagonal(np.exp(1j * theta * m))
+    return BandedOperator(rep.p + 1, [(0, np.exp(1j * theta * m))])
 
 
 def covariance_defect(rep: SpinRep, theta: float, n_vectors: int = 10, rng=None) -> float:

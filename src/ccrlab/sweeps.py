@@ -174,11 +174,11 @@ def _weyl_checks(cfg, rng, pair, nu):
     if nu <= 64:
         worst = 0.0
         for _ in range(100):
-            g = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
-            h = weyl.HeisenbergElement(*(int(v) for v in rng.integers(0, nu, 3)), nu)
+            g = pair.power_op(*rng.integers(0, nu, 3))
+            h = pair.power_op(*rng.integers(0, nu, 3))
             xi = random_state(nu, rng)
-            lhs = weyl.heisenberg_rep(pair, g).apply(weyl.heisenberg_rep(pair, h).apply(xi))
-            rhs = weyl.heisenberg_rep(pair, weyl.heisenberg_mul(g, h)).apply(xi)
+            lhs = g.apply(h.apply(xi))
+            rhs = g.compose(h).apply(xi)
             worst = max(worst, (lhs - rhs).norm())
         yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
 

@@ -5,10 +5,11 @@ no smaller power equal to 1, and U V = exp(2 pi i / nu) V U.  The concrete
 realization fixed here is U = diag(exp(2 pi i k / nu)) and V the cyclic shift
 e_k -> e_{k+1 mod nu}; any other canonical pair is unitarily equivalent.
 
-Powers and products of the form exp(2 pi i m / nu) V^l U^k are computed by
-index arithmetic (permutation plus phase), never by matrix multiplication,
-so every identity checked here is exact up to floating-point rounding at
-any dimension that fits in memory.
+Every operator exp(2 pi i m / nu) V^l U^k is the Heisenberg group element
+(k, l, m) itself, a linalg.PermutationPhaseOperator: powers, products and
+inverses are integer arithmetic mod nu, never matrix multiplication, so
+every identity checked here is exact up to floating-point rounding at any
+dimension that fits in memory.
 """
 
 from __future__ import annotations
@@ -38,42 +39,18 @@ class WeylPair:
     V: PermutationPhaseOperator
 
     def power_op(self, k: int = 0, l: int = 0, m: int = 0) -> PermutationPhaseOperator:
-        """exp(2 pi i m / nu) V^l U^k by index arithmetic.
+        """exp(2 pi i m / nu) V^l U^k, the group element (k, l, m).
 
-        Exponents are reduced mod nu in integer arithmetic before any phase
-        is evaluated, so e.g. U^nu is exactly the identity.
+        Exponents are reduced mod nu in integer arithmetic, so e.g. U^nu is
+        exactly the identity; no array is built until the element is applied.
         """
-        nu = self.nu
-        k, l, m = k % nu, l % nu, m % nu
-        idx = _indices(nu)
-        perm = (idx + l) % nu
-        phases = np.exp(2j * np.pi * ((k * idx + m) % nu) / nu)
-        return PermutationPhaseOperator(nu, perm, phases)
-
-
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """Group element (k, l, m) of the finite Heisenberg group over Z/nu."""
-
-    k: int
-    l: int
-    m: int
-    nu: int
-
-    def __post_init__(self):
-        if not (0 <= self.k < self.nu and 0 <= self.l < self.nu and 0 <= self.m < self.nu):
-            raise ValueError(f"residues must lie in 0..{self.nu - 1}")
+        return PermutationPhaseOperator(self.nu, k, l, m)
 
 
 def make_canonical_pair(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> WeylPair:
     """Clock/shift pair on C^nu; the clock eigenvector at index 0 has eigenvalue 1."""
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
     require_dim(nu, site_cap)
-    idx = _indices(nu)
-    clock = PermutationPhaseOperator(nu, idx, np.exp(2j * np.pi * idx / nu))
-    shift = PermutationPhaseOperator(nu, (idx + 1) % nu, np.ones(nu, dtype=np.complex128))
-    return WeylPair(nu, clock, shift)
+    return WeylPair(nu, PermutationPhaseOperator(nu, k=1), PermutationPhaseOperator(nu, l=1))
 
 
 def clock_basis_vector(pair: WeylPair, k: int) -> StateVector:
@@ -92,26 +69,6 @@ def fourier_basis_vector(pair: WeylPair, n: int) -> StateVector:
     idx = _indices(nu)
     comps = np.exp(2j * np.pi * ((n * idx) % nu) / nu) / np.sqrt(nu)
     return StateVector(nu, comps)
-
-
-def heisenberg_mul(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-    """Twisted product (k+k', l+l', m+m'+k*l') with everything mod nu."""
-    if g.nu != h.nu:
-        raise ValueError(f"group moduli differ: {g.nu} != {h.nu}")
-    nu = g.nu
-    return HeisenbergElement(
-        (g.k + h.k) % nu,
-        (g.l + h.l) % nu,
-        (g.m + h.m + g.k * h.l) % nu,
-        nu,
-    )
-
-
-def heisenberg_rep(pair: WeylPair, g: HeisenbergElement) -> PermutationPhaseOperator:
-    """The unitary exp(2 pi i m / nu) V^l U^k representing g."""
-    if g.nu != pair.nu:
-        raise ValueError(f"element modulus {g.nu} != pair dimension {pair.nu}")
-    return pair.power_op(k=g.k, l=g.l, m=g.m)
 
 
 def plateau_vector(pair: WeylPair, l: int, mu: int) -> StateVector:

@@ -297,9 +297,7 @@ def test_apply_is_linear_for_every_realization():
         PauliSumOperator(
             [PauliString(0.7j, [(1, "X"), (3, "Z")], 3), PauliString(1.1, [(2, "-")], 3)]
         ),
-        PermutationPhaseOperator(
-            dim, np.roll(np.arange(dim), 3), np.exp(1j * rng.standard_normal(dim))
-        ),
+        PermutationPhaseOperator(dim, k=5, l=3, m=2),
     ]
     for op in ops:
         a, b = random_state(dim, rng), random_state(dim, rng)
@@ -326,9 +324,7 @@ def test_adjoint_pairing_identity():
             [PauliString(1.7 - 0.4j, [(1, "+"), (2, "Y"), (3, "N")], 3),
              PauliString(0.9j, [(2, "-")], 3)]
         ),
-        PermutationPhaseOperator(
-            dim, np.roll(np.arange(dim), 2), np.exp(1j * rng.standard_normal(dim))
-        ),
+        PermutationPhaseOperator(dim, k=3, l=2, m=5),
         LinCombOperator([(0.5j, identity(dim)), (2.0, BandedOperator(dim, [(0, rng.standard_normal(dim))]))]),
     ]
     for op in ops:
@@ -353,9 +349,7 @@ def test_adjoint_matches_dense_conjugate_transpose():
         PauliSumOperator(
             [PauliString(0.3 + 1j, [(1, "+"), (2, "Y")], 3), PauliString(-2.0, [(3, "N")], 3)]
         ),
-        PermutationPhaseOperator(
-            dim, np.roll(np.arange(dim), 5), np.exp(1j * rng.standard_normal(dim))
-        ),
+        PermutationPhaseOperator(dim, k=6, l=5, m=1),
         LinCombOperator([(1.5j, identity(dim)), (1.0, BandedOperator(dim, [(3, np.ones(dim - 3))]))]),
     ]
     for op in ops:
@@ -528,9 +522,9 @@ def test_normalized_trace_matches_dense_for_all_realizations():
             [PauliString(1.2, [(1, "N")], 3), PauliString(0.5j, [(2, "Z"), (3, "N")], 3),
              PauliString(0.25, [], 3)]
         ),
-        PermutationPhaseOperator(
-            dim, np.concatenate([[1, 0], np.arange(2, dim)]), np.exp(1j * rng.standard_normal(dim))
-        ),
+        PermutationPhaseOperator(dim, m=3),
+        PermutationPhaseOperator(dim, k=2, m=1),
+        PermutationPhaseOperator(dim, l=1, m=1),
     ]
     for op in ops:
         assert abs(op.normalized_trace() - np.trace(op.dense()) / dim) < 1e-12
@@ -546,9 +540,7 @@ def test_hs_norm_matches_definition():
             [PauliString(1.2, [(1, "+")], 3), PauliString(0.5j, [(2, "Z")], 3),
              PauliString(-0.3, [(1, "+"), (2, "X")], 3)]
         ),
-        PermutationPhaseOperator(
-            dim, np.roll(np.arange(dim), 1), 2.0 * np.exp(1j * rng.standard_normal(dim))
-        ),
+        PermutationPhaseOperator(dim, k=1, l=1, m=7),
     ]
     for op in ops:
         mat = op.dense()
@@ -584,13 +576,72 @@ def test_dimension_budget_refusal_counts_bytes():
 def test_permutation_phase_compose_matches_dense():
     rng = np.random.default_rng(23)
     dim = 6
-    a = PermutationPhaseOperator(
-        dim, rng.permutation(dim), np.exp(1j * rng.standard_normal(dim))
-    )
-    b = PermutationPhaseOperator(
-        dim, rng.permutation(dim), np.exp(1j * rng.standard_normal(dim))
-    )
+    a = PermutationPhaseOperator(dim, *rng.integers(0, dim, 3))
+    b = PermutationPhaseOperator(dim, *rng.integers(0, dim, 3))
     np.testing.assert_allclose(a.compose(b).dense(), a.dense() @ b.dense(), atol=1e-14)
+
+
+GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096)
+
+
+@pytest.mark.parametrize("nu", GROUP_DIMS)
+def test_group_element_apply_is_bitwise_the_index_formula(nu):
+    # the phase and index arrays written out, as the clock/shift powers were
+    # applied before they became group elements
+    rng = np.random.default_rng(nu)
+    x = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
+    idx = np.arange(nu)
+    triples = [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -3, 0),
+        (2, 5, 7), (nu, 0, 0), (0, 0, nu - 1), (3, nu + 2, -4), (nu - 1, nu - 1, nu - 1),
+    ]
+    for k, l, m in triples:
+        expected = np.empty(nu, dtype=complex)
+        k_, l_, m_ = k % nu, l % nu, m % nu
+        expected[(idx + l_) % nu] = np.exp(2j * np.pi * ((k_ * idx + m_) % nu) / nu) * x
+        out = PermutationPhaseOperator(nu, k, l, m)._apply_array(x)
+        assert np.array_equal(out, expected), (k, l, m)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+def test_group_law_matches_dense_exhaustively(nu):
+    # every (g, h): compose is the dense product, adjoint the conjugate
+    # transpose, normalized_trace the dense trace over nu
+    elements = [
+        PermutationPhaseOperator(nu, k, l, m)
+        for k, l, m in itertools.product(range(nu), repeat=3)
+    ]
+    dense = {g: g.dense() for g in elements}
+    for g in elements:
+        np.testing.assert_allclose(dense[g.adjoint()], dense[g].conj().T, atol=1e-14)
+        assert abs(g.normalized_trace() - np.trace(dense[g]) / nu) <= 1e-14
+        assert g.hs_norm() == 1.0
+        for h in elements:
+            np.testing.assert_allclose(dense[g.compose(h)], dense[g] @ dense[h], atol=1e-14)
+
+
+def test_group_exponents_are_exact_integers_at_any_dimension(monkeypatch):
+    # no index or phase array may be built on the way: either would need
+    # terabytes at nu = 2**40
+    def refuse(dim):
+        raise AssertionError(f"built an array of dimension {dim}")
+
+    monkeypatch.setattr(linalg, "_indices", refuse)
+    monkeypatch.setattr(linalg, "_clock_table", refuse)
+    nu = 2**40
+    one = PermutationPhaseOperator(nu)
+    assert PermutationPhaseOperator(nu, k=nu) == one
+    assert PermutationPhaseOperator(nu, k=2 * nu, l=-nu, m=3 * nu) == one
+    u, v = PermutationPhaseOperator(nu, k=1), PermutationPhaseOperator(nu, l=1)
+    assert PermutationPhaseOperator(nu, k=nu - 1).compose(u) == one
+    assert u.compose(v) == PermutationPhaseOperator(nu, k=1, l=1, m=1)
+    assert u.adjoint() == PermutationPhaseOperator(nu, k=nu - 1)
+    assert one.normalized_trace() == 1.0 and u.normalized_trace() == 0.0
+    assert u.hs_norm() == 1.0
+    # the pair builder and power_op hold exponents only
+    pair = weyl.make_canonical_pair(2**22)
+    assert pair.U == PermutationPhaseOperator(2**22, k=1)
+    assert pair.power_op(k=3, l=2**22 + 5, m=-1) == PermutationPhaseOperator(2**22, 3, 5, 2**22 - 1)
 
 
 def test_densification_cap_enforced():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ccrlab import weyl
-from ccrlab.linalg import DenseOperator, StateVector, commutator_apply, random_state
+from ccrlab.linalg import (
+    DenseOperator,
+    PermutationPhaseOperator,
+    StateVector,
+    commutator_apply,
+    random_state,
+)
 
 
 def weyl_relation_residual(pair, rng, samples=5):
@@ -135,24 +141,25 @@ def test_eigenbasis_orthonormal_sampled_large():
 
 def test_heisenberg_identity_element():
     pair = weyl.make_canonical_pair(5)
-    g = weyl.HeisenbergElement(0, 0, 0, 5)
-    np.testing.assert_allclose(weyl.heisenberg_rep(pair, g).dense(), np.eye(5), atol=1e-15)
+    g = pair.power_op(0, 0, 0)
+    assert g == PermutationPhaseOperator(5)
+    np.testing.assert_allclose(g.dense(), np.eye(5), atol=1e-15)
 
 
 def test_heisenberg_multiplication_noncommutative():
-    a = weyl.HeisenbergElement(1, 0, 0, 4)
-    b = weyl.HeisenbergElement(0, 1, 0, 4)
-    assert weyl.heisenberg_mul(a, b) == weyl.HeisenbergElement(1, 1, 1, 4)
-    assert weyl.heisenberg_mul(b, a) == weyl.HeisenbergElement(1, 1, 0, 4)
+    pair = weyl.make_canonical_pair(4)
+    a, b = pair.U, pair.V
+    assert a.compose(b) == PermutationPhaseOperator(4, 1, 1, 1)
+    assert b.compose(a) == PermutationPhaseOperator(4, 1, 1, 0)
 
 
 def test_heisenberg_rep_of_product_on_basis_vector():
     pair = weyl.make_canonical_pair(4)
-    a = weyl.HeisenbergElement(1, 0, 0, 4)
-    b = weyl.HeisenbergElement(0, 1, 0, 4)
+    a = pair.power_op(k=1)
+    b = pair.power_op(l=1)
     e0 = StateVector.basis(4, 0)
-    lhs = weyl.heisenberg_rep(pair, a).apply(weyl.heisenberg_rep(pair, b).apply(e0))
-    rhs = weyl.heisenberg_rep(pair, weyl.heisenberg_mul(a, b)).apply(e0)
+    lhs = a.apply(b.apply(e0))
+    rhs = a.compose(b).apply(e0)
     assert (lhs - rhs).norm() <= 1e-12
 
 
@@ -161,29 +168,28 @@ def test_heisenberg_rep_is_homomorphism(nu):
     pair = weyl.make_canonical_pair(nu)
     rng = np.random.default_rng(nu + 1)
     for _ in range(100):
-        g = weyl.HeisenbergElement(*(int(x) for x in rng.integers(0, nu, 3)), nu)
-        h = weyl.HeisenbergElement(*(int(x) for x in rng.integers(0, nu, 3)), nu)
+        g = pair.power_op(*rng.integers(0, nu, 3))
+        h = pair.power_op(*rng.integers(0, nu, 3))
         xi = random_state(nu, rng)
-        lhs = weyl.heisenberg_rep(pair, g).apply(weyl.heisenberg_rep(pair, h).apply(xi))
-        rhs = weyl.heisenberg_rep(pair, weyl.heisenberg_mul(g, h)).apply(xi)
+        lhs = g.apply(h.apply(xi))
+        rhs = g.compose(h).apply(xi)
         assert (lhs - rhs).norm() <= 1e-12
 
 
 def test_heisenberg_rep_unitary():
     pair = weyl.make_canonical_pair(8)
-    g = weyl.HeisenbergElement(3, 5, 2, 8)
-    mat = weyl.heisenberg_rep(pair, g).dense()
+    mat = pair.power_op(3, 5, 2).dense()
     np.testing.assert_allclose(mat.conj().T @ mat, np.eye(8), atol=1e-13)
 
 
 def test_heisenberg_dimension_mismatch():
     pair = weyl.make_canonical_pair(8)
     with pytest.raises(ValueError):
-        weyl.heisenberg_rep(pair, weyl.HeisenbergElement(0, 0, 0, 4))
+        pair.U.compose(PermutationPhaseOperator(4))
     with pytest.raises(ValueError):
-        weyl.heisenberg_mul(
-            weyl.HeisenbergElement(0, 0, 0, 4), weyl.HeisenbergElement(0, 0, 0, 8)
-        )
+        PermutationPhaseOperator(4).compose(pair.V)
+    with pytest.raises(ValueError):
+        pair.U.apply(StateVector.basis(4, 0))
 
 
 # ---------------------------------------------------------------------------
