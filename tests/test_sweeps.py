@@ -73,6 +73,40 @@ def test_spin_sweep_measures_k_over_j():
         assert abs(r.measured - expected) <= 1e-12
 
 
+def test_so3_closure_bound_follows_the_rounding_model():
+    # at p = 10**4 the closure residual is about 0.6 u j^2 with u = 2**-53,
+    # over an absolute 1e-10; while the model stays below tol_relation the
+    # bound is tol_relation itself
+    cfg = SweepConfig(experiment="spin", p_list=(100, 10000), k_list=(0,), z_list=(1.0,))
+    records, status = run_sweep(cfg)
+    assert status == EXIT_OK
+    closure = {r.params["p"]: r for r in records if r.defect == "so3-closure"}
+    assert closure[100].bound == cfg.tol_relation
+    assert closure[10000].passed
+    assert closure[10000].measured > cfg.tol_relation
+    assert closure[10000].bound == 32 * 2.0**-53 * 5000.0**2
+
+
+def test_a_repeated_z_writes_each_record_once():
+    records, _ = run_sweep(SweepConfig(experiment="spin", p_list=(10,), z_list=(0.5, 1.0, 1.0)))
+    keys = [(r.experiment, r.params_key(), r.defect) for r in records]
+    assert len(keys) == len(set(keys))
+    assert records == run_sweep(SweepConfig(experiment="spin", p_list=(10,), z_list=(1.0, 0.5)))[0]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps package functions and methods by name, among
+    # them PermutationPhaseOperator._apply_array and WeylPair.power_op; a
+    # rename fails here instead of in every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys; sys.path.insert(0, 'perfbench'); from tracing import Tracer; Tracer('t').install()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_clifford_sweep_all_pass():
     cfg = SweepConfig(experiment="clifford", clifford_nu_list=(1, 2, 3, 4, 5, 6))
     records, status = run_sweep(cfg)
