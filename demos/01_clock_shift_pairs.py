@@ -32,13 +32,13 @@ def main():
 
     print("\n== the finite Heisenberg group it generates (nu = 8) ==")
     pair = weyl.make_canonical_pair(8)
-    g = weyl.HeisenbergElement(3, 1, 0, 8)
-    h = weyl.HeisenbergElement(2, 5, 4, 8)
-    gh = weyl.heisenberg_mul(g, h)
+    g = pair.power_op(3, 1, 0)
+    h = pair.power_op(2, 5, 4)
+    gh = g.compose(h)
     print(f"  ({g.k},{g.l},{g.m}) * ({h.k},{h.l},{h.m}) = ({gh.k},{gh.l},{gh.m})")
     xi = random_state(8, rng)
-    lhs = weyl.heisenberg_rep(pair, g).apply(weyl.heisenberg_rep(pair, h).apply(xi))
-    rhs = weyl.heisenberg_rep(pair, gh).apply(xi)
+    lhs = g.apply(h.apply(xi))
+    rhs = gh.apply(xi)
     print(f"  representation multiplicativity residual = {(lhs - rhs).norm():.2e}")
 
     print("\n== plateau vectors: almost invariant under both U and V ==")

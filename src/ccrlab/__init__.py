@@ -6,7 +6,7 @@ as the dimension grows.
 Subpackages
 -----------
 linalg     state vectors, operator realizations, commutators, norms
-weyl       clock/shift canonical pairs, finite Heisenberg group, plateaus
+weyl       clock/shift pairs whose powers are Heisenberg group elements, plateaus
 spin       so(3) ladder representation, rotation covariance, coherent states
 clifford   anticommuting generator families and the so(n) they span
 parafermi  order-p oscillators from commuting fermion families

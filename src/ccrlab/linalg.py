@@ -8,7 +8,7 @@ Conventions fixed once, used by every module built on top of this one:
   projector (1 + sigma3)/2 counts sites whose bit is 0, so the fully
   unoccupied product state is the basis vector with every bit set.
 * Dense matrices are only materialized below DENSIFICATION_CAP; larger
-  operators stay matrix free.
+  operators stay matrix free, a clock/shift operator as three integers.
 
 Norms follow the normalized-trace scale: tau(A) = (1/dim) sum_i A_ii,
 hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.

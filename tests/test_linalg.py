@@ -586,8 +586,8 @@ GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096)
 
 @pytest.mark.parametrize("nu", GROUP_DIMS)
 def test_group_element_apply_is_bitwise_the_index_formula(nu):
-    # the phase and index arrays written out, as the clock/shift powers were
-    # applied before they became group elements
+    # oracle: explicit phase and index arrays, with exp evaluated per entry
+    # rather than gathered from the shared clock table
     rng = np.random.default_rng(nu)
     x = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
     idx = np.arange(nu)
