@@ -17,7 +17,8 @@ from ccrlab import parafermi
 def main():
     print("== exact structure at order p = 3, two modes (dim 64) ==")
     sys = parafermi.make_green_system(3, 2)
-    print(f"  trilinear relation residual  = {parafermi.trilinear_defect(sys, n_vectors=3):.2e}")
+    print(f"  exact trilinear residual     = {parafermi.trilinear_defect(sys)}")
+    print(f"  exact Green residual         = {parafermi.green_relation_residual(sys)}")
     b1 = parafermi.parafermi_op(sys, 1)
     out = b1.apply(b1.adjoint().apply(sys.vacuum))
     print(f"  b b^dag |0> = p |0> residual = {(out - 3.0 * sys.vacuum).norm():.2e}")

@@ -5,7 +5,8 @@ as the dimension grows.
 
 Subpackages
 -----------
-linalg     state vectors, operator realizations, commutators, norms
+linalg     state vectors, operator realizations, the exact Pauli algebra,
+           commutators, norms
 weyl       clock/shift pairs whose powers are Heisenberg group elements, plateaus
 spin       so(3) ladder representation, rotation covariance, coherent states
 clifford   anticommuting generator families and the so(n) they span
@@ -21,6 +22,7 @@ from .linalg import (
     LinearOperator,
     PauliString,
     PauliSumOperator,
+    PauliTerms,
     PermutationPhaseOperator,
     StateVector,
     anticommutator_apply,
@@ -40,6 +42,7 @@ __all__ = [
     "LinearOperator",
     "PauliString",
     "PauliSumOperator",
+    "PauliTerms",
     "PermutationPhaseOperator",
     "StateVector",
     "anticommutator_apply",

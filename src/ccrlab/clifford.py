@@ -10,8 +10,10 @@ strings with trailing Z factors:
 Each is Hermitian, squares to the identity, and distinct generators
 anticommute, so e_i = i g_i satisfies e_i^2 = -1 and e_i e_j = -e_j e_i.
 The pair products E_ij = e_i e_j (i < j) close under commutators; the
-structure constants are never hardcoded but extracted once from the
-smallest dense realization and reused as the oracle at every size.
+structure constants are never hardcoded but read off the exact commutators
+of the nu = 2 family and reused as the oracle at every size.  Products and
+relations are multiplied out exactly over the Pauli basis (PauliTerms), so
+a relation that holds leaves a residual of exactly zero.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linalg import (
     DEFAULT_SITE_CAP,
     PauliString,
     PauliSumOperator,
-    bracket_into,
-    finite_norm,
+    PauliTerms,
+    bracket,
     require_sites,
 )
 
@@ -68,24 +68,12 @@ def so_n_basis(family: GammaFamily) -> dict:
     the set closes under commutators with the so(n) structure constants.
     """
     n = 2 * family.nu + 1
-    basis = {}
-    for i in range(1, n + 1):
-        si = family.gammas[i - 1].strings[0]
-        for j in range(i + 1, n + 1):
-            sj = family.gammas[j - 1].strings[0]
-            prod = si.compose(sj)
-            basis[(i, j)] = PauliSumOperator(
-                [PauliString(-prod.coefficient, prod.sites, prod.n_sites)], family.nu
-            )
-    return basis
-
-
-@functools.lru_cache(maxsize=1)
-def _minimal_dense_basis():
-    """Dense E_ij of the nu=2 family (n=5), used to extract structure constants."""
-    family = make_gammas(2)
-    basis = so_n_basis(family)
-    return {key: op.dense() for key, op in basis.items()}
+    terms = [g.terms() for g in family.gammas]
+    return {
+        (i, j): PauliSumOperator.from_terms(-(terms[i - 1] * terms[j - 1]), family.nu)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,21 +81,20 @@ def _bracket_pattern(pi, pj, pk, pl):
     """Expansion of [E_(pi,pj), E_(pk,pl)] over the E basis at nu=2.
 
     Indices must already be mapped into 1..5; returns ((a, b, coeff), ...)
-    with a < b, solved by least squares against the dense basis and
-    validated to 1e-10.
+    with a < b.  Each E_ab is one basis string c_ab P_ab, so the exact
+    commutator's coefficient on P_ab over c_ab is the structure constant;
+    a term left on no E_ab raises AssertionError.
     """
-    dense = _minimal_dense_basis()
-    lhs = dense[(pi, pj)] @ dense[(pk, pl)] - dense[(pk, pl)] @ dense[(pi, pj)]
-    keys = sorted(dense)
-    stack = np.stack([dense[k].ravel() for k in keys], axis=1)
-    coeffs, *_ = np.linalg.lstsq(stack, lhs.ravel(), rcond=None)
-    residual = np.max(np.abs(stack @ coeffs - lhs.ravel()))
-    if residual > 1e-10:
-        raise AssertionError(f"bracket does not close on the E basis: residual {residual}")
+    basis = {key: op.terms() for key, op in so_n_basis(make_gammas(2)).items()}
+    rest = bracket(basis[(pi, pj)], basis[(pk, pl)], -1)
     out = []
-    for key, c in zip(keys, coeffs):
-        if abs(c) > 1e-10:
-            out.append((key[0], key[1], complex(c)))
+    for (a, b), e_ab in sorted(basis.items()):
+        ((string, c_ab),) = e_ab.items()
+        coeff = rest.pop(string, 0) / c_ab
+        if coeff:
+            out.append((a, b, complex(coeff)))
+    if rest:
+        raise AssertionError(f"bracket does not close on the E basis: {len(rest)} terms left")
     return tuple(out)
 
 
@@ -115,8 +102,8 @@ def bracket_expansion(i: int, j: int, k: int, l: int):
     """Structure constants of [E_ij, E_kl] as ((a, b, coeff), ...).
 
     The constants depend only on the coincidence pattern of the four
-    indices, so arbitrary indices are relabeled into the minimal dense
-    realization, expanded there, and mapped back.
+    indices, so arbitrary indices are relabeled into the nu = 2 family
+    (n = 5), expanded there, and mapped back.
     """
     if not (i < j and k < l):
         raise ValueError("index pairs must be ordered i < j and k < l")
@@ -129,44 +116,28 @@ def bracket_expansion(i: int, j: int, k: int, l: int):
     return tuple((to_big[a], to_big[b], c) for a, b, c in pattern)
 
 
-def relation_residuals(family: GammaFamily, basis: dict, vectors, bracket_samples) -> tuple:
+def relation_residuals(family: GammaFamily, basis: dict, bracket_samples) -> tuple:
     """Worst residuals (square, anticommutation, bracket closure) of the family.
 
-    g_i^2 = 1 and {g_i, g_j} = 0 (i < j) are checked on every vector in
-    `vectors`; [E_ij, E_kl] = sum c_ab E_ab on each ((i, j), (k, l), xi) of
-    `bracket_samples`, with E from `basis` (so_n_basis of the family).
-    Samples are consumed one at a time, so they may be drawn lazily.  Three
-    work vectors are allocated once per call; a non-finite residual raises
-    ValueError.
+    g_i^2 = 1 and {g_i, g_j} = 0 (i < j) are checked for every generator;
+    [E_ij, E_kl] = sum c_ab E_ab for each ((i, j), (k, l)) of
+    `bracket_samples`, with E from `basis` (so_n_basis of the family).  Each
+    residual is the Hilbert-Schmidt norm of the exact residual operator, so
+    a relation that holds reads 0.0; a non-finite one raises ValueError.
     """
-    dim = 1 << family.nu
-    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
-    gammas = family.gammas
-
-    square = anticommutation = 0.0
-    for i, gi in enumerate(gammas):
-        for xi in vectors:
-            x = xi.components
-            gi.apply_into(x, work, scratch)
-            gi.apply_into(work, out, scratch)
-            np.subtract(out, x, out=out)
-            square = max(square, finite_norm(out))
-        for gj in gammas[i + 1:]:
-            for xi in vectors:
-                bracket_into(gi, gj, xi.components, out, work, scratch, +1)
-                anticommutation = max(anticommutation, finite_norm(out))
-
+    gammas = [g.terms() for g in family.gammas]
+    one = PauliTerms({(0, 0): 1.0})
+    square = max((g * g - one).norm() for g in gammas)
+    anticommutation = max(
+        (bracket(gi, gj, +1).norm() for i, gi in enumerate(gammas) for gj in gammas[i + 1:]),
+        default=0.0,
+    )
     closure = 0.0
-    for (i, j), (k, l), xi in bracket_samples:
-        x = xi.components
-        bracket_into(basis[(i, j)], basis[(k, l)], x, out, work, scratch, -1)
-        work.fill(0)
+    for (i, j), (k, l) in bracket_samples:
+        res = bracket(basis[(i, j)].terms(), basis[(k, l)].terms(), -1)
         for a, b, coeff in bracket_expansion(i, j, k, l):
-            basis[(a, b)].apply_into(x, scratch, None)
-            np.multiply(coeff, scratch, out=scratch)
-            np.add(work, scratch, out=work)
-        np.subtract(out, work, out=out)
-        closure = max(closure, finite_norm(out))
+            res = res - coeff * basis[(a, b)].terms()
+        closure = max(closure, res.norm())
     return square, anticommutation, closure
 
 

@@ -12,6 +12,11 @@ Conventions fixed once, used by every module built on top of this one:
 
 Norms follow the normalized-trace scale: tau(A) = (1/dim) sum_i A_ii,
 hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.
+
+Two representations of a sum of Pauli strings share these conventions: a
+PauliSumOperator applies to state vectors, and PauliTerms, its expansion
+over the Hermitian Pauli basis, multiplies exactly, so identities between
+string sums are checked as operator equations at any register size.
 """
 
 from __future__ import annotations
@@ -44,6 +49,18 @@ SINGLE_SITE = {
 }
 
 _ADJOINT_LABEL = {"X": "X", "Y": "Y", "Z": "Z", "+": "-", "-": "+", "N": "N"}
+
+# single-site label -> ((x bit, z bit, coeff), ...) over the Hermitian Pauli
+# basis: + = (X + iY)/2, - = (X - iY)/2, N = (1 + Z)/2
+_SITE_TERMS = {
+    "X": ((1, 0, 1),),
+    "Y": ((1, 1, 1),),
+    "Z": ((0, 1, 1),),
+    "+": ((1, 0, 0.5), (1, 1, 0.5j)),
+    "-": ((1, 0, 0.5), (1, 1, -0.5j)),
+    "N": ((0, 0, 0.5), (0, 1, 0.5)),
+}
+_BITS_LABEL = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
 class DimensionMismatchError(ValueError):
@@ -289,6 +306,79 @@ class BandedOperator(LinearOperator):
         return float(np.sqrt(total / self.dim))
 
 
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+class PauliTerms(dict):
+    """Exact sum of Hermitian Pauli basis strings, {(x_mask, z_mask): coeff}.
+
+    Key (x, z) stands for i**|x & z| X**x Z**z, site k in bit k-1 of the
+    Python-int masks, so a site with both bits set carries Y.  The basis is
+    orthonormal under the normalized trace, so norm() is the Hilbert-Schmidt
+    norm and the (0, 0) coefficient the normalized trace.
+
+    X**x1 Z**z1 X**x2 Z**z2 = (-1)**|z1 & x2| X**(x1^x2) Z**(z1^z2), so a
+    product of two basis strings is i**e times a third, with
+    e = |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3| mod 4 from popcounts; the cost
+    depends on the number of terms, never on the dimension 2**M.
+
+    Doubles hold every coefficient the family identities produce exactly.
+    The family strings have coefficients 1, -1, i or -i, and a +, - or N
+    site expands into two terms of coefficient 1/2 or i/2, so a product of
+    r terms is (a + ib) / 2**s with small integers a, b and s.  A sum of n
+    such products keeps the form with |a|, |b| <= n 2**s, and n, the number
+    of products summed, is at most (2p)**3 in the trilinear relations: the
+    numerators, dyadic Gaussian rationals over a common power of two, stay
+    far below 2**53, so no product or sum rounds.  An identity that holds
+    leaves no term at all.
+    """
+
+    @classmethod
+    def _nonzero(cls, items) -> "PauliTerms":
+        return cls({key: c for key, c in items if c != 0})
+
+    def __add__(self, other):
+        out = dict(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) + c
+        return self._nonzero(out.items())
+
+    def __neg__(self):
+        return PauliTerms({key: -c for key, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, PauliTerms):
+            return self._nonzero((key, other * c) for key, c in self.items())
+        out = {}
+        for (x1, z1), c1 in self.items():
+            y1 = (x1 & z1).bit_count()
+            for (x2, z2), c2 in other.items():
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                e = y1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
+                out[x3, z3] = out.get((x3, z3), 0) + _I_POWERS[e & 3] * c1 * c2
+        return self._nonzero(out.items())
+
+    __rmul__ = __mul__  # only ever reached with a scalar on the left
+
+    def norm(self) -> float:
+        """l2 norm of the coefficients; a non-finite one raises ValueError.
+
+        A NaN must not reach max(): max(0.0, nan) is 0.0, a false pass.
+        """
+        n = math.sqrt(sum(abs(c) ** 2 for c in self.values()))
+        if not math.isfinite(n):
+            raise ValueError(f"coefficient norm is not finite ({n})")
+        return n
+
+
+def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
+    """ab + sign * ba: the anticommutator for sign +1, the commutator for -1."""
+    return a * b + sign * (b * a)
+
+
 # index into one run's axis, (input side, output side): a flipped run reads
 # its axis reversed (XOR with all ones), a ladder or projector site reads and
 # writes one fixed half
@@ -421,53 +511,21 @@ class PauliString:
             out = np.kron(out, SINGLE_SITE[labels.get(k, "I")])
         return self.coefficient * out
 
-    def normalized_trace(self) -> complex:
-        value = self.coefficient
-        for _, lab in self.sites:
-            site_trace = np.trace(SINGLE_SITE[lab]) / 2.0
-            if site_trace == 0:
-                return 0j
-            value *= site_trace
-        return complex(value)
-
-    _MUL_TABLE = {
-        ("X", "X"): (1.0, None), ("Y", "Y"): (1.0, None), ("Z", "Z"): (1.0, None),
-        ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-        ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-        ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-    }
-
-    def compose(self, other: "PauliString") -> "PauliString":
-        """Product self * other for strings with X/Y/Z factors only."""
-        if self.n_sites != other.n_sites:
-            raise DimensionMismatchError("site counts differ")
-        mine = dict(self.sites)
-        theirs = dict(other.sites)
-        for lab in list(mine.values()) + list(theirs.values()):
-            if lab not in ("X", "Y", "Z"):
-                raise NotImplementedError("compose only supports X/Y/Z factors")
-        coeff = self.coefficient * other.coefficient
-        sites = []
-        for k in set(mine) | set(theirs):
-            a, b = mine.get(k), theirs.get(k)
-            if a is None:
-                sites.append((k, b))
-            elif b is None:
-                sites.append((k, a))
-            else:
-                phase, lab = self._MUL_TABLE[(a, b)]
-                coeff *= phase
-                if lab is not None:
-                    sites.append((k, lab))
-        return PauliString(coeff, sites, self.n_sites)
+    def terms(self) -> PauliTerms:
+        """Expansion over the Hermitian Pauli basis; +, - and N give two terms each."""
+        out = {(0, 0): self.coefficient}
+        for k, lab in self.sites:
+            bit = 1 << (k - 1)
+            out = {
+                (x | sx * bit, z | sz * bit): c * sc
+                for (x, z), c in out.items()
+                for sx, sz, sc in _SITE_TERMS[lab]
+            }
+        return PauliTerms._nonzero(out.items())
 
     def __repr__(self):
         body = " ".join(f"{lab}{k}" for k, lab in self.sites) or "1"
         return f"PauliString(({self.coefficient:g}) * {body}, sites={self.n_sites})"
-
-
-def _pair_site_trace(a: str, b: str) -> complex:
-    return complex(np.trace(SINGLE_SITE[a].conj().T @ SINGLE_SITE[b]) / 2.0)
 
 
 class PauliSumOperator(LinearOperator):
@@ -485,26 +543,38 @@ class PauliSumOperator(LinearOperator):
         self.strings = tuple(strings)
         self.n_sites = n_sites
         self.dim = 1 << n_sites
+        self._terms = None
 
-    def apply_into(self, x: np.ndarray, out: np.ndarray, scratch) -> None:
-        """out = (this sum applied to x), overwriting out.
+    @classmethod
+    def from_terms(cls, terms: PauliTerms, n_sites: int) -> "PauliSumOperator":
+        """One X/Y/Z string per basis term: Y where both bits are set."""
+        strings = []
+        for (x, z), c in terms.items():
+            bits = ((k, (x >> (k - 1)) & 1, (z >> (k - 1)) & 1) for k in range(1, n_sites + 1))
+            sites = [(k, _BITS_LABEL[bx, bz]) for k, bx, bz in bits if bx or bz]
+            strings.append(PauliString(c, sites, n_sites))
+        return cls(strings, n_sites)
 
-        The first string writes its term straight into out (zeroing out
-        first if that string leaves entries unwritten); every later string
-        forms its term in scratch and adds it into out, or in a fresh array
-        when scratch is None.  The rules of PauliString.apply_into hold:
-        x must alias neither out nor scratch.
-        """
+    def terms(self) -> PauliTerms:
+        """Sum of the strings' expansions, computed once and shared: do not mutate."""
+        if self._terms is None:
+            total = PauliTerms()
+            for s in self.strings:
+                total = total + s.terms()
+            self._terms = total
+        return self._terms
+
+    def _apply_array(self, x):
+        # the first string writes its term straight into out (zeroed first
+        # if it leaves entries unwritten); every later string adds a term
+        # formed in a fresh array
+        out = np.empty(self.dim, dtype=np.complex128)
         if not self.strings or not self.strings[0]._writes_all:
             out.fill(0)
         if self.strings:
             self.strings[0].apply_into(x, None, out)
         for s in self.strings[1:]:
-            s.apply_into(x, out, scratch)
-
-    def _apply_array(self, x):
-        out = np.empty(self.dim, dtype=np.complex128)
-        self.apply_into(x, out, None)
+            s.apply_into(x, out)
         return out
 
     def adjoint(self):
@@ -523,22 +593,10 @@ class PauliSumOperator(LinearOperator):
         return out
 
     def normalized_trace(self):
-        return complex(sum(s.normalized_trace() for s in self.strings))
+        return complex(self.terms().get((0, 0), 0))
 
     def hs_norm(self):
-        # tau(A^dag A) expands into pairwise normalized traces of string
-        # products, each of which factorizes over sites
-        total = 0j
-        for s in self.strings:
-            for t in self.strings:
-                mine, theirs = dict(s.sites), dict(t.sites)
-                term = np.conj(s.coefficient) * t.coefficient
-                for k in set(mine) | set(theirs):
-                    term *= _pair_site_trace(mine.get(k, "I"), theirs.get(k, "I"))
-                    if term == 0:
-                        break
-                total += term
-        return float(np.sqrt(max(total.real, 0.0)))
+        return self.terms().norm()
 
 
 @functools.lru_cache(maxsize=8)
@@ -662,37 +720,6 @@ def anticommutator_apply(a: LinearOperator, b: LinearOperator, xi: StateVector) 
         raise DimensionMismatchError(f"dims {a.dim}, {b.dim}, {xi.dim} differ")
     x = xi.components
     return StateVector(xi.dim, a._apply_array(b._apply_array(x)) + b._apply_array(a._apply_array(x)))
-
-
-def bracket_into(
-    a: PauliSumOperator, b: PauliSumOperator, x: np.ndarray,
-    out: np.ndarray, work: np.ndarray, scratch: np.ndarray, sign: int,
-) -> None:
-    """out = A(Bx) + sign * B(Ax), sign +1 or -1, in caller-owned buffers.
-
-    Every product and sum of anticommutator_apply / commutator_apply
-    happens in the same order, so the result is the same up to the sign of
-    a zero.  work holds Bx, then Ax; scratch is the term buffer, then holds
-    B(Ax), which B's first string writes directly and each later string
-    adds from a fresh array, so a single-string B allocates nothing.  out,
-    work and scratch must be three distinct arrays and x none of them.
-    """
-    b.apply_into(x, work, scratch)
-    a.apply_into(work, out, scratch)
-    a.apply_into(x, work, scratch)
-    b.apply_into(work, scratch, None)
-    (np.add if sign > 0 else np.subtract)(out, scratch, out=out)
-
-
-def finite_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a residual; a non-finite one raises ValueError.
-
-    A NaN must not reach max(): max(0.0, nan) is 0.0, a false pass.
-    """
-    n = vector_norm(v)
-    if not math.isfinite(n):
-        raise ValueError(f"residual norm is not finite ({n})")
-    return n
 
 
 def kron(a: LinearOperator, b: LinearOperator) -> LinearOperator:

@@ -12,6 +12,11 @@ The normalized operators beta_k = b_k / sqrt(p) satisfy harmonic-oscillator
 commutation relations up to O(1/p) defects on low-excitation states; the
 deviation on a number eigenstate is not just bounded but exactly
 (2/p) * ||N_k xi||.
+
+Green's component relations, the number identity and the trilinear
+relations hold exactly at every order, so they are multiplied out exactly
+over the Pauli basis (PauliTerms) and read 0.0 when they hold; the vacuum,
+Fock and normalized-mode checks act on state vectors.
 """
 
 from __future__ import annotations
@@ -26,11 +31,10 @@ from .linalg import (
     DEFAULT_SITE_CAP,
     PauliString,
     PauliSumOperator,
+    PauliTerms,
     StateVector,
-    bracket_into,
+    bracket,
     commutator_apply,
-    finite_norm,
-    random_state,
     require_sites,
 )
 
@@ -162,99 +166,74 @@ def fock_state(
     return vec.normalized()
 
 
-def green_relation_residual(sys: GreenSystem, vectors) -> float:
-    """Worst residual of the Green component relations on `vectors`.
+def green_relation_residual(sys: GreenSystem) -> float:
+    """Worst exact residual of the Green component relations.
 
     Components of one block anticommute canonically and components of
     different blocks commute:
         {c_ka, c_la^dag} = delta_kl,  {c_ka, c_la} = 0,
         [c_ka, c_lb^dag] = 0,         [c_ka, c_lb] = 0     (a != b),
-    over every ordered pair of components.  Three work vectors are
-    allocated once per call; a non-finite residual raises ValueError.
+    over every ordered pair of components.  Each residual is the
+    Hilbert-Schmidt norm of the exact residual operator; a non-finite one
+    raises ValueError.
     """
-    dim = 1 << sys.total_sites
-    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
-    comps = sys.components
-    adjoints = {key: c.adjoint() for key, c in comps.items()}
+    comps = {key: c.terms() for key, c in sys.components.items()}
+    adjoints = {key: c.adjoint().terms() for key, c in sys.components.items()}
+    one = PauliTerms({(0, 0): 1.0})
     worst = 0.0
     for (k, a), ck in comps.items():
         for (l, b), cl in comps.items():
             sign = +1 if a == b else -1
-            for xi in vectors:
-                x = xi.components
-                bracket_into(ck, adjoints[(l, b)], x, out, work, scratch, sign)
-                if a == b and k == l:
-                    np.subtract(out, x, out=out)
-                worst = max(worst, finite_norm(out))
-                bracket_into(ck, cl, x, out, work, scratch, sign)
-                worst = max(worst, finite_norm(out))
+            res = bracket(ck, adjoints[(l, b)], sign)
+            if a == b and k == l:
+                res = res - one
+            worst = max(worst, res.norm(), bracket(ck, cl, sign).norm())
     return worst
 
 
-def number_identity_residual(sys: GreenSystem, vectors) -> float:
-    """Worst residual of N_k = ([b_k^dag, b_k] + p) / 2 on `vectors`.
+def number_identity_residual(sys: GreenSystem) -> float:
+    """Worst exact residual of N_k = ([b_k^dag, b_k] + p) / 2.
 
-    Three work vectors are allocated once per call; b_k sums p strings, so
-    each bracket also forms p - 1 half-vector terms in fresh arrays (see
-    bracket_into).  A non-finite residual raises ValueError.
+    A non-finite residual raises ValueError.
     """
-    dim = 1 << sys.total_sites
-    out, work, scratch = (np.empty(dim, dtype=np.complex128) for _ in range(3))
     _, per_mode, _ = number_ops(sys)
+    p_one = PauliTerms({(0, 0): float(sys.p)})
     worst = 0.0
     for k in range(1, sys.nu + 1):
         b_k = parafermi_op(sys, k)
-        b_k_dag = b_k.adjoint()
-        for xi in vectors:
-            x = xi.components
-            bracket_into(b_k_dag, b_k, x, out, work, scratch, -1)
-            np.multiply(float(sys.p), x, out=work)
-            np.add(out, work, out=out)
-            np.multiply(0.5, out, out=out)
-            per_mode[k - 1].apply_into(x, work, scratch)
-            np.subtract(out, work, out=out)
-            worst = max(worst, finite_norm(out))
+        lhs = 0.5 * (bracket(b_k.adjoint().terms(), b_k.terms(), -1) + p_one)
+        worst = max(worst, (lhs - per_mode[k - 1].terms()).norm())
     return worst
 
 
-def trilinear_defect(sys: GreenSystem, n_vectors: int = 5, rng=None) -> float:
-    """Worst residual of the three double-commutator relations.
+def trilinear_defect(sys: GreenSystem) -> float:
+    """Worst exact residual of the three double-commutator relations.
 
-    Checks, over all (k, l, m) triples and random vectors,
+    Checks, over all (k, l, m) triples,
         [b_k, [b_l^dag, b_m]]      = 2 delta_kl b_m
         [b_k, [b_l^dag, b_m^dag]]  = 2 delta_kl b_m^dag - 2 delta_km b_l^dag
         [b_k, [b_l, b_m]]          = 0.
-    These hold exactly at every finite order, so the result is rounding noise.
+    These hold exactly at every finite order, so the result is 0.0 unless
+    the construction is wrong; a non-finite residual raises ValueError.
     """
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
-    dim = 1 << sys.total_sites
-    ann = {k: parafermi_op(sys, k) for k in range(1, sys.nu + 1)}
-    cre = {k: ann[k].adjoint() for k in ann}
+    modes = range(1, sys.nu + 1)
+    ann = {k: parafermi_op(sys, k).terms() for k in modes}
+    cre = {k: parafermi_op(sys, k).adjoint().terms() for k in modes}
     worst = 0.0
-    vectors = [random_state(dim, rng) for _ in range(n_vectors)]
+    for k, l, m in product(modes, repeat=3):
+        res = bracket(ann[k], bracket(cre[l], ann[m], -1), -1)
+        if k == l:
+            res = res - 2.0 * ann[m]
+        worst = max(worst, res.norm())
 
-    def double_comm(outer, left, right, xi):
-        # [outer, [left, right]] xi without forming any product operator
-        inner = commutator_apply(left, right, xi)
-        return outer.apply(inner) - commutator_apply(left, right, outer.apply(xi))
+        res = bracket(ann[k], bracket(cre[l], cre[m], -1), -1)
+        if k == l:
+            res = res - 2.0 * cre[m]
+        if k == m:
+            res = res + 2.0 * cre[l]
+        worst = max(worst, res.norm())
 
-    for k, l, m in product(range(1, sys.nu + 1), repeat=3):
-        for xi in vectors:
-            lhs = double_comm(ann[k], cre[l], ann[m], xi)
-            rhs = (2.0 if k == l else 0.0) * ann[m].apply(xi)
-            worst = max(worst, (lhs - rhs).norm())
-
-            lhs = double_comm(ann[k], cre[l], cre[m], xi)
-            rhs_vec = np.zeros(dim, dtype=np.complex128)
-            if k == l:
-                rhs_vec += 2.0 * cre[m].apply(xi).components
-            if k == m:
-                rhs_vec -= 2.0 * cre[l].apply(xi).components
-            worst = max(worst, (lhs - StateVector(dim, rhs_vec)).norm())
-
-            lhs = double_comm(ann[k], ann[l], ann[m], xi)
-            worst = max(worst, lhs.norm())
+        worst = max(worst, bracket(ann[k], bracket(ann[l], ann[m], -1), -1).norm())
     return worst
 
 

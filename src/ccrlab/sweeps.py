@@ -224,32 +224,24 @@ def _spin_checks(cfg, rng, rep, p):
 
 
 def _clifford_checks(cfg, rng, family, nu):
-    dim = 1 << nu
-    vectors = [random_state(dim, rng) for _ in range(2)]
     basis = clifford.so_n_basis(family)
     keys = sorted(basis)
     n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
-
-    def bracket_samples():
-        for _ in range(n_samples):
-            ij = keys[rng.integers(0, len(keys))]
-            kl = keys[rng.integers(0, len(keys))]
-            yield ij, kl, random_state(dim, rng)
-
-    square, anti, closure = clifford.relation_residuals(
-        family, basis, vectors, bracket_samples()
-    )
+    samples = [
+        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))])
+        for _ in range(n_samples)
+    ]
+    square, anti, closure = clifford.relation_residuals(family, basis, samples)
     yield {}, "gamma-square", square, cfg.tol_exact
     yield {}, "gamma-anticommutation", anti, cfg.tol_exact
     yield {}, "so-bracket-closure", closure, cfg.tol_relation
 
 
 def _parafermi_checks(cfg, rng, sys, p, modes):
-    vectors = [random_state(1 << sys.total_sites, rng) for _ in range(2)]
-    worst = parafermi.green_relation_residual(sys, vectors)
+    worst = parafermi.green_relation_residual(sys)
     yield {}, "green-relations", worst, cfg.tol_relation
 
-    worst = parafermi.trilinear_defect(sys, n_vectors=2, rng=rng)
+    worst = parafermi.trilinear_defect(sys)
     yield {}, "trilinear-relations", worst, cfg.tol_relation
 
     worst = 0.0
@@ -262,7 +254,7 @@ def _parafermi_checks(cfg, rng, sys, p, modes):
             worst = max(worst, (out - target).norm())
     yield {}, "vacuum-condition", worst, cfg.tol_relation
 
-    worst = parafermi.number_identity_residual(sys, vectors)
+    worst = parafermi.number_identity_residual(sys)
     yield {}, "number-identity", worst, cfg.tol_relation
 
     if modes >= 2:

@@ -202,7 +202,7 @@ def test_criterion_09_parafermi_relations():
                         worst = max(worst, commutator_apply(ck, cl.adjoint(), xi).norm())
                         worst = max(worst, commutator_apply(ck, cl, xi).norm())
 
-        worst = max(worst, parafermi.trilinear_defect(sys, n_vectors=2, rng=rng))
+        worst = max(worst, parafermi.trilinear_defect(sys))
 
         for k in range(1, nu + 1):
             for l in range(1, nu + 1):

@@ -1,7 +1,5 @@
 """Generator-family tests: anticommutation, pair products, block sums."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -80,24 +78,19 @@ def test_gamma_relations_random_vector_matrix_free(nu):
                 assert anticommutator_apply(gi, gj, xi).norm() <= 1e-12
 
 
-def _bracket_samples(basis, dim, rng, n):
-    keys = sorted(basis)
-    samples = []
-    for _ in range(n):
-        ij = keys[rng.integers(0, len(keys))]
-        kl = keys[rng.integers(0, len(keys))]
-        samples.append((ij, kl, random_state(dim, rng)))
-    return samples
-
-
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6])
 def test_relation_residuals_equal_state_vector_formulas(nu):
+    # the exact residuals read 0.0; the same relations on random vectors,
+    # the route they replaced, stay at rounding level
     fam = clifford.make_gammas(nu)
     basis = clifford.so_n_basis(fam)
     dim = 1 << nu
     rng = np.random.default_rng(40 + nu)
     vectors = [random_state(dim, rng) for _ in range(2)]
-    samples = _bracket_samples(basis, dim, rng, 6)
+    keys = sorted(basis)
+    samples = [
+        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))]) for _ in range(6)
+    ]
 
     square = anti = closure = 0.0
     for i, gi in enumerate(fam.gammas):
@@ -106,16 +99,16 @@ def test_relation_residuals_equal_state_vector_formulas(nu):
         for gj in fam.gammas[i + 1:]:
             for xi in vectors:
                 anti = max(anti, anticommutator_apply(gi, gj, xi).norm())
-    for (i, j), (k, l), xi in samples:
-        lhs = commutator_apply(basis[(i, j)], basis[(k, l)], xi).components
-        rhs = np.zeros(dim, dtype=complex)
-        for a, b, c in clifford.bracket_expansion(i, j, k, l):
-            rhs += c * basis[(a, b)].apply(xi).components
-        closure = max(closure, StateVector(dim, lhs - rhs).norm())
+    for (i, j), (k, l) in samples:
+        for xi in vectors:
+            lhs = commutator_apply(basis[(i, j)], basis[(k, l)], xi).components
+            rhs = np.zeros(dim, dtype=complex)
+            for a, b, c in clifford.bracket_expansion(i, j, k, l):
+                rhs += c * basis[(a, b)].apply(xi).components
+            closure = max(closure, StateVector(dim, lhs - rhs).norm())
 
-    got = clifford.relation_residuals(fam, basis, vectors, samples)
-    assert got == (square, anti, closure)
-    assert closure <= 1e-10 and anti <= 1e-12
+    assert clifford.relation_residuals(fam, basis, samples) == (0.0, 0.0, 0.0)
+    assert max(square, anti, closure) <= 1e-12
 
 
 def test_relation_residuals_raise_on_an_infinite_coefficient():
@@ -125,33 +118,18 @@ def test_relation_residuals_raise_on_an_infinite_coefficient():
         3,
         (PauliSumOperator([PauliString(np.inf, first.sites, 3)]),) + fam.gammas[1:],
     )
-    rng = np.random.default_rng(0)
-    vectors = [random_state(8, rng)]
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
-        clifford.relation_residuals(broken, clifford.so_n_basis(fam), vectors, [])
+    with pytest.raises(ValueError, match="not finite"):
+        clifford.relation_residuals(broken, clifford.so_n_basis(fam), [])
 
 
-def test_relation_residuals_allocate_only_their_work_vectors():
-    # three work vectors per call and no temporary the size of a vector.
-    # numpy's ufunc iterator also buffers a reversed or broadcast operand in
-    # chunks of at most getbufsize() amplitudes, two operands per call; at
-    # 14 sites a chunk is half a vector, so the bound is 4 vectors plus 64 KB
-    # for the loop's Python objects (an allocating loop peaks above 5)
-    nu = 14
-    fam = clifford.make_gammas(nu)
+def test_a_perturbed_structure_constant_leaves_a_closure_residual(monkeypatch):
+    fam = clifford.make_gammas(3)
     basis = clifford.so_n_basis(fam)
-    dim = 1 << nu
-    rng = np.random.default_rng(14)
-    vectors = [random_state(dim, rng)]
-    samples = _bracket_samples(basis, dim, rng, 2)
-    clifford.relation_residuals(fam, basis, vectors, samples)  # warm the caches
-    tracemalloc.start()
-    try:
-        clifford.relation_residuals(fam, basis, vectors, samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 16 * dim + 2 * 16 * np.getbufsize() + 65536
+    sample = [((1, 2), (2, 3))]
+    assert clifford.relation_residuals(fam, basis, sample)[2] == 0.0
+    ((a, b, c),) = clifford.bracket_expansion(1, 2, 2, 3)
+    monkeypatch.setattr(clifford, "bracket_expansion", lambda *_: ((a, b, c * (1 + 2**-20)),))
+    assert clifford.relation_residuals(fam, basis, sample)[2] == abs(c) * 2**-20
 
 
 def test_gamma_relations_sampled_at_twenty_sites():

@@ -244,39 +244,14 @@ def _pauli_sums(draw):
 
 @given(_pauli_sums(), st.integers(0, 2**32 - 1))
 def test_sum_apply_into_overwrites_stale_buffers(op, seed):
+    # the sum's output starts as np.empty: every entry, reached by a string
+    # or not, must come out as the reference sum
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     want = np.zeros(op.dim, dtype=complex)
     for s in op.strings:
         _reference_apply_into(s, x, want)
-    out = np.full(op.dim, np.nan, dtype=complex)
-    op.apply_into(x, out, np.full(op.dim, np.nan, dtype=complex))
-    assert np.array_equal(out, want)
     assert np.array_equal(op._apply_array(x), want)
-
-
-@st.composite
-def _pauli_sum_pairs(draw):
-    m = draw(st.integers(1, 5))
-    a, b = (draw(st.lists(_pauli_strings(m), min_size=1, max_size=3)) for _ in range(2))
-    return PauliSumOperator(a, m), PauliSumOperator(b, m)
-
-
-@given(_pauli_sum_pairs(), st.integers(0, 2**32 - 1))
-def test_bracket_into_equals_public_helpers(pair, seed):
-    a, b = pair
-    xi = random_state(a.dim, np.random.default_rng(seed))
-    for sign, helper in ((+1, anticommutator_apply), (-1, commutator_apply)):
-        out, work, scratch = (np.full(a.dim, np.nan, dtype=complex) for _ in range(3))
-        linalg.bracket_into(a, b, xi.components, out, work, scratch, sign)
-        assert np.array_equal(out, helper(a, b, xi).components)
-
-
-def test_finite_norm_refuses_non_finite_residuals():
-    assert linalg.finite_norm(np.array([3.0, 4.0j])) == 5.0
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="not finite"):
-            linalg.finite_norm(np.array([0.0, bad], dtype=complex))
 
 
 def test_pauli_string_validation():
@@ -459,6 +434,89 @@ def test_kron_string_route_matches_dense_route():
 def test_kron_rejects_mixed_realizations():
     with pytest.raises(TypeError):
         kron(DenseOperator(np.eye(2)), identity(2))
+
+
+# ---------------------------------------------------------------------------
+# exact Pauli algebra, against Kronecker-built dense matrices
+
+
+def _labeled_strings(m, coeff):
+    for labels in itertools.product(_KERNEL_LABELS, repeat=m):
+        sites = [(k, lab) for k, lab in enumerate(labels, start=1) if lab != "I"]
+        yield PauliString(coeff, sites, m)
+
+
+def _dyadic(rng):
+    # (a + ib) / 8 with small integers: every product and sum below is exact
+    return complex(*rng.integers(-8, 9, size=2)) / 8
+
+
+def _dense_of(terms, m):
+    return PauliSumOperator.from_terms(terms, m).dense()
+
+
+def _random_sum(rng, m, n_strings, coeff):
+    strings = []
+    for _ in range(n_strings):
+        picks = rng.integers(0, len(_KERNEL_LABELS), m)
+        sites = [(k, _KERNEL_LABELS[i]) for k, i in enumerate(picks, start=1) if i]
+        strings.append(PauliString(coeff(rng), sites, m))
+    return PauliSumOperator(strings, m)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_terms_product_equals_dense_product_on_every_label_pair(m):
+    strings = list(_labeled_strings(m, 0.5 - 1j))
+    for s in strings:
+        for t in strings:
+            got = _dense_of(s.terms() * t.terms(), m)
+            assert np.array_equal(got, s.dense_matrix() @ t.dense_matrix()), (s, t)
+
+
+def test_terms_product_equals_dense_product_on_random_dyadic_sums():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        a, b = (_random_sum(rng, 3, int(rng.integers(1, 4)), _dyadic) for _ in range(2))
+        want = a.dense() @ b.dense()
+        assert np.array_equal(_dense_of(a.terms() * b.terms(), 3), want)
+        assert np.array_equal(_dense_of(a.terms() + b.terms(), 3), a.dense() + b.dense())
+        assert np.array_equal(_dense_of(a.terms() - b.terms(), 3), a.dense() - b.dense())
+        assert np.array_equal(_dense_of(0.25j * a.terms(), 3), 0.25j * a.dense())
+        comm = _dense_of(linalg.bracket(a.terms(), b.terms(), -1), 3)
+        assert np.array_equal(comm, want - b.dense() @ a.dense())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_from_terms_rebuilds_every_labeled_string(m):
+    for s in _labeled_strings(m, 0.75 + 0.5j):
+        assert np.array_equal(_dense_of(s.terms(), m), s.dense_matrix()), s
+
+
+def test_terms_drop_cancelled_terms_and_keep_the_identity_key():
+    x1 = PauliString(1.0, [(1, "X")], 1).terms()
+    assert x1 == {(1, 0): 1.0}
+    assert x1 * x1 == {(0, 0): 1.0}
+    assert x1 - x1 == {}
+    assert PauliString(2.0, [(1, "+")], 1).terms() == {(1, 0): 1.0, (1, 1): 1j}
+    n2 = PauliString(1.0, [(1, "N"), (2, "N")], 2).terms()
+    assert n2 == {(0, 0): 0.25, (0, 1): 0.25, (0, 2): 0.25, (0, 3): 0.25}
+
+
+def test_terms_norm_refuses_non_finite_coefficients():
+    assert linalg.PauliTerms({(1, 0): 3.0, (0, 1): 4j}).norm() == 5.0
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            linalg.PauliTerms({(0, 0): complex(bad)}).norm()
+
+
+def test_hs_norm_and_trace_are_coefficient_reads_up_to_ten_sites():
+    rng = np.random.default_rng(24)
+    for m in range(1, 11):
+        op = _random_sum(rng, m, 3, lambda r: complex(*r.standard_normal(2)))
+        mat = op.dense()
+        dim = 1 << m
+        assert abs(op.normalized_trace() - np.trace(mat) / dim) <= 1e-12
+        assert abs(op.hs_norm() - np.linalg.norm(mat) / np.sqrt(dim)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

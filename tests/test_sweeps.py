@@ -482,6 +482,46 @@ def test_fuzzed_config_files_reach_a_documented_exit_code(text):
     assert "Traceback" not in err.getvalue(), text
 
 
+# record fields as the batteries write them: int dimension parameters, a
+# float z, "1+1"-style labels, positive bounds, exception texts as skip reasons
+_PARAM_VALUES = {
+    "nu": st.integers(1, 2**40),
+    "p": st.integers(1, 2**40),
+    "k": st.integers(0, 10**6),
+    "modes": st.integers(1, 8),
+    "z": st.floats(-1e15, 1e15),
+    "label": st.lists(st.integers(0, 12), min_size=1, max_size=4).map(
+        lambda occ: "+".join(map(str, occ))
+    ),
+}
+_MEASURED = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_DEFECT_NAMES = (
+    "weyl-relation", "so3-closure", "gamma-anticommutation", "green-relations",
+    "coherent-overlap-error", "normalized-unit-exactness",
+)
+
+
+@st.composite
+def _written_records(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_PARAM_VALUES)), unique=True, max_size=3))
+    params = {key: draw(_PARAM_VALUES[key]) for key in keys}
+    experiment = draw(st.sampled_from(sweeps.EXPERIMENTS))
+    defect = draw(st.sampled_from(_DEFECT_NAMES))
+    if draw(st.booleans()):
+        reason = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1))
+        return DefectRecord(experiment, params, defect, math.nan, None, True, reason)
+    bound = draw(st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return DefectRecord(experiment, params, defect, draw(_MEASURED), bound, draw(st.booleans()))
+
+
+@given(st.lists(_written_records(), max_size=6))
+def test_written_records_round_trip_byte_for_byte(records):
+    csv_text = records_to_csv(records)
+    assert records_to_csv(parse_records_csv(csv_text)) == csv_text
+    json_text = records_to_json(records)
+    assert records_to_json(parse_records_json(json_text)) == json_text
+
+
 def test_config_file_parsing(tmp_path):
     config = _write_config(
         tmp_path,
