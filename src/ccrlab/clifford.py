@@ -77,6 +77,12 @@ def so_n_basis(family: GammaFamily) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
+def _small_basis() -> dict:
+    """E_ab terms of the nu = 2 family (n = 5), built once; read only."""
+    return {key: op.terms() for key, op in so_n_basis(make_gammas(2)).items()}
+
+
+@functools.lru_cache(maxsize=None)
 def _bracket_pattern(pi, pj, pk, pl):
     """Expansion of [E_(pi,pj), E_(pk,pl)] over the E basis at nu=2.
 
@@ -85,7 +91,7 @@ def _bracket_pattern(pi, pj, pk, pl):
     commutator's coefficient on P_ab over c_ab is the structure constant;
     a term left on no E_ab raises AssertionError.
     """
-    basis = {key: op.terms() for key, op in so_n_basis(make_gammas(2)).items()}
+    basis = _small_basis()
     rest = bracket(basis[(pi, pj)], basis[(pk, pl)], -1)
     out = []
     for (a, b), e_ab in sorted(basis.items()):

@@ -603,7 +603,7 @@ class PauliSumOperator(LinearOperator):
 def _clock_table(dim: int) -> np.ndarray:
     """exp(2 pi i j / dim) for j < dim, read only and shared by every element of dim.
 
-    Phases are gathered from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
+    Phases are read from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
     """
     return _freeze(np.exp(2j * np.pi * _indices(dim) / dim))
 
@@ -630,16 +630,29 @@ class PermutationPhaseOperator(LinearOperator):
             object.__setattr__(self, name, int(getattr(self, name)) % self.dim)
 
     def _apply_array(self, x):
+        # out[(j + l) % dim] = table[(s j + m) % dim] x[j] with the signed step
+        # s = k or k - dim, whichever is smaller in size.  j runs in segments
+        # on which neither index wraps, so each phase run is a strided view of
+        # the clock table and each product one slice of out: about |s| + 2
+        # numpy calls and no temporary of length dim.
         dim, k, l, m = self.dim, self.k, self.l, self.m
         table = _clock_table(dim)
-        if k:
-            phase = table[np.arange(m, m + k * dim, k) % dim]  # omega^(k j + m)
-        else:
-            phase = np.broadcast_to(table[m], (dim,))
-        # the shift: the products land in two contiguous slices of out
+        s = k if k <= dim // 2 else k - dim
         out = np.empty(dim, dtype=np.complex128)
-        np.multiply(phase[: dim - l], x[: dim - l], out=out[l:])
-        np.multiply(phase[dim - l :], x[dim - l :], out=out[:l])
+        j, i = 0, m  # i = (s j + m) % dim
+        while j < dim:
+            if s > 0:
+                n = (dim - 1 - i) // s + 1
+            elif s < 0:
+                n = i // -s + 1
+            else:
+                n = dim
+            o = (j + l) % dim
+            n = min(n, dim - j, dim - o)
+            phase = table[i::s][:n] if s else np.broadcast_to(table[m], (n,))
+            np.multiply(phase, x[j : j + n], out=out[o : o + n])
+            j += n
+            i = (i + s * n) % dim
         return out
 
     def adjoint(self):

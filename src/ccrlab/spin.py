@@ -15,6 +15,11 @@ Sign conventions (both verified exactly by the test suite):
 * Rotation covariance reads e^{-i t J3} Q e^{+i t J3} = Q cos t + P sin t,
   which is the ordering implied by [J3, J1] = i J2; writing the conjugation
   with the opposite exponent signs amounts to flipping J3 or t.
+
+scipy is imported by the three functions that call it, not by this module:
+coherent_amplitudes and bose_coherent_amplitude load scipy.special on their
+first call and rotation_operator loads scipy.linalg, so importing ccrlab (or
+running a sweep without spin) does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .linalg import (
     DEFAULT_SITE_CAP,
@@ -145,6 +148,8 @@ def coherent_amplitudes(rep: SpinRep, theta: float, phi: float) -> np.ndarray:
     Magnitudes are assembled in the log domain so that no intermediate
     binomial coefficient overflows, with the phase e^{i k phi} kept apart.
     """
+    from scipy.special import gammaln
+
     params = SpinCoherentParams.from_angles(theta, phi, rep.j)
     p = rep.p
     t = abs(params.mu_c)
@@ -165,6 +170,8 @@ def spin_coherent(rep: SpinRep, theta: float, phi: float) -> StateVector:
 
 def rotation_operator(rep: SpinRep, theta: float, phi: float) -> DenseOperator:
     """Dense exp(i theta (J1 sin phi - J2 cos phi)); cross-check use, small p only."""
+    from scipy.linalg import expm
+
     gen = math.sin(phi) * rep.J1.dense() - math.cos(phi) * rep.J2.dense()
     return DenseOperator(expm(1j * theta * gen))
 
@@ -196,6 +203,8 @@ def rotation_product_form(rep: SpinRep, theta: float, phi: float) -> DenseOperat
 
 def bose_coherent_amplitude(z: complex, k: int) -> complex:
     """e^{-|z|^2/2} z^k / sqrt(k!), the harmonic-oscillator coherent amplitude."""
+    from scipy.special import gammaln
+
     if z == 0:
         return 1.0 + 0j if k == 0 else 0j
     log_mag = -abs(z) ** 2 / 2.0 + k * math.log(abs(z)) - 0.5 * gammaln(k + 1)

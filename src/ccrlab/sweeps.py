@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
 
 from . import clifford, parafermi, spin, weyl
 from .linalg import ResourceLimitError, commutator_apply, random_state

@@ -1,6 +1,7 @@
 """Substrate tests: realizations agree with dense oracles, norms behave."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -639,7 +640,7 @@ def test_permutation_phase_compose_matches_dense():
     np.testing.assert_allclose(a.compose(b).dense(), a.dense() @ b.dense(), atol=1e-14)
 
 
-GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096)
+GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096, 2**16)
 
 
 @pytest.mark.parametrize("nu", GROUP_DIMS)
@@ -653,12 +654,34 @@ def test_group_element_apply_is_bitwise_the_index_formula(nu):
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -3, 0),
         (2, 5, 7), (nu, 0, 0), (0, 0, nu - 1), (3, nu + 2, -4), (nu - 1, nu - 1, nu - 1),
     ]
+    if nu == 2**16:
+        # random elements, and the clock powers around nu/2 where the signed
+        # step of the phase index changes sign
+        triples += [tuple(int(v) for v in rng.integers(0, nu, 3)) for _ in range(20)]
+        triples += [(nu // 2 + d, 7, 11) for d in (-1, 0, 1)]
     for k, l, m in triples:
         expected = np.empty(nu, dtype=complex)
         k_, l_, m_ = k % nu, l % nu, m % nu
         expected[(idx + l_) % nu] = np.exp(2j * np.pi * ((k_ * idx + m_) % nu) / nu) * x
         out = PermutationPhaseOperator(nu, k, l, m)._apply_array(x)
         assert np.array_equal(out, expected), (k, l, m)
+
+
+def test_group_element_apply_allocates_only_its_output():
+    # the phases are strided views of the clock table: an apply with k != 0
+    # builds no index or phase array of length nu besides the output
+    nu = 2**16
+    x = np.ones(nu, dtype=complex)
+    for k, l, m in ((1, 0, 0), (-1, 3, 0), (3, 5, 7)):
+        g = PermutationPhaseOperator(nu, k, l, m)
+        g._apply_array(x)  # the clock table is built once per dim
+        tracemalloc.start()
+        try:
+            g._apply_array(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * nu, (k, l, m, peak)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])

@@ -107,6 +107,30 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sweeps_without_spin_never_load_scipy():
+    # spin imports scipy inside the functions that call it, so the CLI and a
+    # parafermi or clifford sweep start in numpy time; a spin sweep's first
+    # coherent-state amplitude then loads scipy.special
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "\n".join([
+        "import sys",
+        "import ccrlab.cli",
+        "from ccrlab.sweeps import SweepConfig, run_sweep",
+        "def scipy_loaded():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "run_sweep(SweepConfig(experiment='parafermi', parafermi_orders=(1, 2), mode_list=(1, 2)))",
+        "run_sweep(SweepConfig(experiment='clifford', clifford_nu_list=(1, 2, 3)))",
+        "assert not scipy_loaded(), scipy_loaded()",
+        "run_sweep(SweepConfig(experiment='spin', p_list=(10,)))",
+        "assert 'scipy.special' in sys.modules, scipy_loaded()",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_clifford_sweep_all_pass():
     cfg = SweepConfig(experiment="clifford", clifford_nu_list=(1, 2, 3, 4, 5, 6))
     records, status = run_sweep(cfg)
