@@ -17,6 +17,16 @@ Two representations of a sum of Pauli strings share these conventions: a
 PauliSumOperator applies to state vectors, and PauliTerms, its expansion
 over the Hermitian Pauli basis, multiplies exactly, so identities between
 string sums are checked as operator equations at any register size.
+
+Buffer form: every _apply_array(x, out=None) writes A x into a caller-owned
+contiguous vector out (fresh when None) that must not alias x, and returns
+it.  Residuals chain applies through a few work vectors, subtract in place
+and check finiteness once, in residual_norm; only public functions wrap
+arrays in StateVectors.  A scalar stays the left operand,
+np.multiply(c, y, out=w): numpy's SIMD complex multiply is not bitwise
+symmetric, and c * y is the product the records hold.  Residuals write it
+into a free vector w, since numpy multiplies a length-1 vector in place
+through a scalar loop; LinCombOperator, with none free, scales in place.
 """
 
 from __future__ import annotations
@@ -112,6 +122,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite(value: float, what: str) -> float:
+    # a NaN must not reach max(): max(0.0, nan) is 0.0, a false pass
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite ({value})")
+    return value
+
+
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of a complex vector, summed without BLAS.
 
@@ -122,6 +139,11 @@ def vector_norm(v: np.ndarray) -> float:
     """
     f = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
     return math.sqrt(float(np.einsum("i,i->", f, f)))
+
+
+def residual_norm(v: np.ndarray) -> float:
+    """vector_norm of a residual; a non-finite one raises ValueError."""
+    return _finite(vector_norm(v), "residual norm")
 
 
 @dataclass(frozen=True)
@@ -189,10 +211,22 @@ class StateVector:
 
 
 def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> StateVector:
-    comps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    # real then imaginary draws, as a + 1j * b made them, written into one
+    # complex array through one float vector
+    comps = np.empty(dim, dtype=np.complex128)
+    draw = rng.standard_normal(dim)
+    comps.real = draw
+    comps.imag = rng.standard_normal(dim, out=draw)
     if normalize:
         comps /= vector_norm(comps)
     return StateVector(dim, comps)
+
+
+def _components(xi: StateVector, dim: int) -> np.ndarray:
+    """xi's amplitudes, after checking that xi lives on dimension dim."""
+    if xi.dim != dim:
+        raise DimensionMismatchError(f"operator dim {dim}, vector dim {xi.dim}")
+    return xi.components
 
 
 class LinearOperator:
@@ -201,11 +235,9 @@ class LinearOperator:
     dim: int
 
     def apply(self, xi: StateVector) -> StateVector:
-        if xi.dim != self.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim}, vector dim {xi.dim}")
-        return StateVector(self.dim, self._apply_array(xi.components))
+        return StateVector(self.dim, self._apply_array(_components(xi, self.dim)))
 
-    def _apply_array(self, x: np.ndarray) -> np.ndarray:
+    def _apply_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def adjoint(self) -> "LinearOperator":
@@ -237,8 +269,8 @@ class DenseOperator(LinearOperator):
         self.matrix = _freeze(matrix)
         self.dim = matrix.shape[0]
 
-    def _apply_array(self, x):
-        return self.matrix @ x
+    def _apply_array(self, x, out=None):
+        return np.matmul(self.matrix, x, out=out)
 
     def adjoint(self):
         return DenseOperator(self.matrix.conj().T)
@@ -276,13 +308,24 @@ class BandedOperator(LinearOperator):
             cleaned.append((offset, _freeze(values)))
         self.diags = tuple(sorted(cleaned, key=lambda d: d[0]))
 
-    def _apply_array(self, x):
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for offset, values in self.diags:
-            if offset >= 0:
-                out[offset:] += values * x[: self.dim - offset]
+    def _apply_array(self, x, out=None):
+        # the first diagonal writes its products into out, zeroed only where
+        # it does not reach; each later one adds its products through one
+        # scratch vector, in the order of out += values * x[...]
+        if out is None:
+            out = np.empty(self.dim, dtype=np.complex128)
+        if not self.diags:
+            out.fill(0)
+        scratch = np.empty(self.dim, dtype=np.complex128) if len(self.diags) > 1 else None
+        for i, (offset, values) in enumerate(self.diags):
+            n, lo = values.shape[0], max(offset, 0)
+            src, dst = x[lo - offset : lo - offset + n], out[lo : lo + n]
+            if i == 0:
+                np.multiply(values, src, out=dst)
+                out[:lo] = 0
+                out[lo + n :] = 0
             else:
-                out[: self.dim + offset] += values * x[-offset:]
+                np.add(dst, np.multiply(values, src, out=scratch[:n]), out=dst)
         return out
 
     def adjoint(self):
@@ -364,14 +407,8 @@ class PauliTerms(dict):
     __rmul__ = __mul__  # only ever reached with a scalar on the left
 
     def norm(self) -> float:
-        """l2 norm of the coefficients; a non-finite one raises ValueError.
-
-        A NaN must not reach max(): max(0.0, nan) is 0.0, a false pass.
-        """
-        n = math.sqrt(sum(abs(c) ** 2 for c in self.values()))
-        if not math.isfinite(n):
-            raise ValueError(f"coefficient norm is not finite ({n})")
-        return n
+        """l2 norm of the coefficients; a non-finite one raises ValueError."""
+        return _finite(math.sqrt(sum(abs(c) ** 2 for c in self.values())), "coefficient norm")
 
 
 def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
@@ -416,7 +453,8 @@ class PauliString:
     projector sites; with one axis per run, the vector becomes a C-order
     view in which every factor is a slice of its axis and the Y/Z signs a
     broadcast parity table, so application costs O(2**M) with no index
-    arrays.
+    arrays.  That view is laid out on the first application; a string used
+    only for its terms() never builds it.
     """
 
     def __init__(self, coefficient, sites, n_sites: int):
@@ -435,6 +473,9 @@ class PauliString:
         self.sites = tuple(sites)
         self.dim = 1 << self.n_sites
 
+    @functools.cached_property
+    def _layout(self):
+        """(shape, in_idx, out_idx, sign_bits, sign_shape, base, writes_all) of the view."""
         labels = dict(self.sites)
         runs = []  # [label, length], low bit to high bit
         for k in range(1, self.n_sites + 1):
@@ -444,22 +485,20 @@ class PauliString:
             else:
                 runs.append([lab, 1])
         runs.reverse()  # C order puts the high bits first
-        self._shape = tuple(1 << n for _, n in runs)
+        shape = tuple(1 << n for _, n in runs)
         # the trailing Ellipsis keeps an all-integer index a view
-        self._in_idx = tuple(_RUN_INDEX[lab][0] for lab, _ in runs) + (Ellipsis,)
-        self._out_idx = tuple(_RUN_INDEX[lab][1] for lab, _ in runs) + (Ellipsis,)
+        in_idx = tuple(_RUN_INDEX[lab][0] for lab, _ in runs) + (Ellipsis,)
+        out_idx = tuple(_RUN_INDEX[lab][1] for lab, _ in runs) + (Ellipsis,)
         # parity factorizes over axes, so one table over all Y/Z bits,
         # reshaped with size 1 on the I/X axes, broadcasts over the view
-        self._sign_bits = sum(n for lab, n in runs if lab in "YZ")
-        self._sign_shape = tuple(
-            1 << n if lab in "YZ" else 1 for lab, n in runs if lab in "IXYZ"
-        )
+        sign_bits = sum(n for lab, n in runs if lab in "YZ")
+        sign_shape = tuple(1 << n if lab in "YZ" else 1 for lab, n in runs if lab in "IXYZ")
         # Y|b> = i(-1)^b |1-b> = -i(-1)^b' |b'> with b' the output bit: a
         # global -i per Y site, and a sign read off the view like Z's
-        n_y = sum(n for lab, n in runs if lab == "Y")
-        self._base = self.coefficient * (-1j) ** n_y
+        base = self.coefficient * (-1j) ** sum(n for lab, n in runs if lab == "Y")
         # a ladder or projector site leaves half of the output unwritten
-        self._writes_all = all(lab in "IXYZ" for lab, _ in runs)
+        writes_all = all(lab in "IXYZ" for lab, _ in runs)
+        return shape, in_idx, out_idx, sign_bits, sign_shape, base, writes_all
 
     def apply_into(self, x: np.ndarray, acc, scratch=None) -> None:
         """acc += (this string applied to x); x is left untouched.
@@ -473,18 +512,19 @@ class PauliString:
         their reshapes are views; x must alias neither, because its reversed
         axes are read while they are written, and scratch must not alias acc.
         """
-        view = x.reshape(self._shape)[self._in_idx]
-        term = None if scratch is None else scratch.reshape(self._shape, copy=False)[self._out_idx]
-        if self._sign_bits:
+        shape, in_idx, out_idx, sign_bits, sign_shape, base, _ = self._layout
+        view = x.reshape(shape)[in_idx]
+        term = None if scratch is None else scratch.reshape(shape, copy=False)[out_idx]
+        if sign_bits:
             # one pass reads the strided view; the coefficient then scales
             # the result in place
-            signs = _parity_signs(self._sign_bits).reshape(self._sign_shape)
+            signs = _parity_signs(sign_bits).reshape(sign_shape)
             term = np.multiply(view, signs, out=term)
-            term *= self._base
+            term *= base
         else:
-            term = np.multiply(view, self._base, out=term)
+            term = np.multiply(view, base, out=term)
         if acc is not None:
-            out = acc.reshape(self._shape, copy=False)[self._out_idx]
+            out = acc.reshape(shape, copy=False)[out_idx]
             np.add(out, term, out=out)
 
     def apply_to(self, x: np.ndarray) -> np.ndarray:
@@ -564,12 +604,13 @@ class PauliSumOperator(LinearOperator):
             self._terms = total
         return self._terms
 
-    def _apply_array(self, x):
+    def _apply_array(self, x, out=None):
         # the first string writes its term straight into out (zeroed first
         # if it leaves entries unwritten); every later string adds a term
         # formed in a fresh array
-        out = np.empty(self.dim, dtype=np.complex128)
-        if not self.strings or not self.strings[0]._writes_all:
+        if out is None:
+            out = np.empty(self.dim, dtype=np.complex128)
+        if not self.strings or not self.strings[0]._layout[-1]:
             out.fill(0)
         if self.strings:
             self.strings[0].apply_into(x, None, out)
@@ -629,30 +670,41 @@ class PermutationPhaseOperator(LinearOperator):
         for name in ("k", "l", "m"):
             object.__setattr__(self, name, int(getattr(self, name)) % self.dim)
 
-    def _apply_array(self, x):
-        # out[(j + l) % dim] = table[(s j + m) % dim] x[j] with the signed step
-        # s = k or k - dim, whichever is smaller in size.  j runs in segments
-        # on which neither index wraps, so each phase run is a strided view of
-        # the clock table and each product one slice of out: about |s| + 2
-        # numpy calls and no temporary of length dim.
+    def _apply_array(self, x, out=None):
+        # out[(j + l) % dim] = table[(k j + m) % dim] x[j].  j runs in t
+        # interleaved classes j = r + t q; along a class the phase index
+        # steps by s = t k mod dim, signed, and the output index by t, so
+        # each class splits into runs on which neither index wraps, and each
+        # run is one product of a strided clock-table view with strided views
+        # of x and out: about |s| + 2 t numpy calls and no temporary of
+        # length dim.  t = 1 is the plain walk; t = 2 turns k = dim/2 into
+        # broadcasts.
         dim, k, l, m = self.dim, self.k, self.l, self.m
         table = _clock_table(dim)
-        s = k if k <= dim // 2 else k - dim
-        out = np.empty(dim, dtype=np.complex128)
-        j, i = 0, m  # i = (s j + m) % dim
-        while j < dim:
-            if s > 0:
-                n = (dim - 1 - i) // s + 1
-            elif s < 0:
-                n = i // -s + 1
-            else:
-                n = dim
-            o = (j + l) % dim
-            n = min(n, dim - j, dim - o)
-            phase = table[i::s][:n] if s else np.broadcast_to(table[m], (n,))
-            np.multiply(phase, x[j : j + n], out=out[o : o + n])
-            j += n
-            i = (i + s * n) % dim
+        if out is None:
+            out = np.empty(dim, dtype=np.complex128)
+
+        def calls(t):
+            s = t * k % dim
+            return min(s, dim - s) + 2 * t
+
+        # calls(t) >= 2 t, and by Dirichlet some t <= sqrt(2 dim) makes at
+        # most 2 sqrt(2 dim) calls, so no larger t can be the cheapest
+        t = min(range(1, min(calls(1), math.isqrt(8 * dim)) // 2 + 1), key=calls)
+        s = t * k % dim
+        s = s if s <= dim // 2 else s - dim
+        for r in range(t):
+            q, count, i = 0, (dim - 1 - r) // t + 1, (k * r + m) % dim  # i = phase index of j
+            while q < count:
+                j = r + t * q
+                o = (j + l) % dim
+                n = min(count - q, (dim - 1 - o) // t + 1)
+                if s:
+                    n = min(n, (dim - 1 - i if s > 0 else i) // abs(s) + 1)
+                phase = table[i::s][:n] if s else np.broadcast_to(table[i], (n,))
+                np.multiply(phase, x[j::t][:n], out=out[o::t][:n])
+                q += n
+                i = (i + s * n) % dim
         return out
 
     def adjoint(self):
@@ -696,10 +748,16 @@ class LinCombOperator(LinearOperator):
         self.terms = tuple(terms)
         self.dim = dim
 
-    def _apply_array(self, x):
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for c, op in self.terms:
-            out += c * op._apply_array(x)
+    def _apply_array(self, x, out=None):
+        # the first term is applied into out and scaled there; each later
+        # one is applied into one scratch vector, scaled and added
+        (c, op), rest = self.terms[0], self.terms[1:]
+        out = op._apply_array(x, out)
+        np.multiply(c, out, out=out)
+        scratch = np.empty(self.dim, dtype=np.complex128) if rest else None
+        for c, op in rest:
+            term = op._apply_array(x, scratch)
+            np.add(out, np.multiply(c, term, out=term), out=out)
         return out
 
     def adjoint(self):
@@ -719,20 +777,32 @@ def identity(dim: int) -> BandedOperator:
     return BandedOperator(dim, [(0, np.ones(dim, dtype=np.complex128))])
 
 
-def commutator_apply(a: LinearOperator, b: LinearOperator, xi: StateVector) -> StateVector:
-    """(AB - BA) xi without forming the product operator."""
+def _bracket_into(a: LinearOperator, b: LinearOperator, x, sign: int, out, w1, w2) -> np.ndarray:
+    """out = A(Bx) + sign B(Ax) through the work vectors w1 and w2; returns out.
+
+    sign -1 gives the commutator, +1 the anticommutator.  x, out, w1 and w2
+    are distinct contiguous vectors of the operators' dimension.
+    """
+    a._apply_array(b._apply_array(x, w1), out)
+    b._apply_array(a._apply_array(x, w1), w2)
+    return (np.subtract if sign < 0 else np.add)(out, w2, out=out)
+
+
+def _bracket_apply(a: LinearOperator, b: LinearOperator, xi: StateVector, sign: int) -> StateVector:
     if not (a.dim == b.dim == xi.dim):
         raise DimensionMismatchError(f"dims {a.dim}, {b.dim}, {xi.dim} differ")
-    x = xi.components
-    return StateVector(xi.dim, a._apply_array(b._apply_array(x)) - b._apply_array(a._apply_array(x)))
+    out, w1, w2 = np.empty((3, xi.dim), dtype=np.complex128)
+    return StateVector(xi.dim, _bracket_into(a, b, xi.components, sign, out, w1, w2))
+
+
+def commutator_apply(a: LinearOperator, b: LinearOperator, xi: StateVector) -> StateVector:
+    """(AB - BA) xi without forming the product operator."""
+    return _bracket_apply(a, b, xi, -1)
 
 
 def anticommutator_apply(a: LinearOperator, b: LinearOperator, xi: StateVector) -> StateVector:
     """(AB + BA) xi without forming the product operator."""
-    if not (a.dim == b.dim == xi.dim):
-        raise DimensionMismatchError(f"dims {a.dim}, {b.dim}, {xi.dim} differ")
-    x = xi.components
-    return StateVector(xi.dim, a._apply_array(b._apply_array(x)) + b._apply_array(a._apply_array(x)))
+    return _bracket_apply(a, b, xi, +1)
 
 
 def kron(a: LinearOperator, b: LinearOperator) -> LinearOperator:

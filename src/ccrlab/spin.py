@@ -7,6 +7,9 @@ J3 eigenvector with eigenvalue j - k.
 
 Q = J1 / sqrt(j) and P = J2 / sqrt(j) satisfy [Q, P] = i J3 / j, so on the
 k-th weight state the CCR defect ||([Q,P] - i)|k>|| equals k/j exactly.
+make_spin_rep builds Q and P once, as SpinRep.Q and SpinRep.P, and the
+residuals apply them into three work vectors of length p + 1 (the linalg
+buffer form), raising ValueError on a non-finite residual norm.
 
 Sign conventions (both verified exactly by the test suite):
 
@@ -36,9 +39,10 @@ from .linalg import (
     DenseOperator,
     LinCombOperator,
     StateVector,
-    commutator_apply,
+    _bracket_into,
     random_state,
     require_dim,
+    residual_norm,
 )
 
 COVARIANCE_SEED = 0x5EED
@@ -46,7 +50,10 @@ COVARIANCE_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Ladder operators of the (p+1)-dimensional so(3) irrep, j = p/2."""
+    """Ladder operators of the (p+1)-dimensional so(3) irrep, j = p/2.
+
+    Q = J1 / sqrt(j) and P = J2 / sqrt(j) are the Hermitian CCR pair.
+    """
 
     p: int
     j: float
@@ -54,6 +61,8 @@ class SpinRep:
     J2: BandedOperator
     J3: BandedOperator
     Jminus: BandedOperator
+    Q: BandedOperator
+    P: BandedOperator
 
 
 def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
@@ -64,10 +73,15 @@ def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
     k = np.arange(p, dtype=np.float64)
     lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)  # J- |k> -> |k+1>
     jminus = BandedOperator(p + 1, [(1, lowering)])
-    j1 = BandedOperator(p + 1, [(1, lowering / 2.0), (-1, lowering / 2.0)])
+    half = lowering / 2.0  # J1 is symmetric: its two diagonals share one array
+    j1 = BandedOperator(p + 1, [(1, half), (-1, half)])
     j2 = BandedOperator(p + 1, [(1, 1j * lowering / 2.0), (-1, -1j * lowering / 2.0)])
     j3 = BandedOperator(p + 1, [(0, (j - np.arange(p + 1)).astype(np.complex128))])
-    return SpinRep(p, j, j1, j2, j3, jminus)
+    s = 1.0 / math.sqrt(j)
+    q_half = s * half
+    q = BandedOperator(p + 1, [(1, q_half), (-1, q_half)])
+    pp = BandedOperator(p + 1, [(o, s * v) for o, v in j2.diags])
+    return SpinRep(p, j, j1, j2, j3, jminus, q, pp)
 
 
 def weight_state(rep: SpinRep, k: int) -> StateVector:
@@ -78,18 +92,16 @@ def weight_state(rep: SpinRep, k: int) -> StateVector:
 
 
 def qp_from_spin(rep: SpinRep):
-    """Hermitian pair Q = J1/sqrt(j), P = J2/sqrt(j)."""
-    s = 1.0 / math.sqrt(rep.j)
-    q = BandedOperator(rep.p + 1, [(o, s * v) for o, v in rep.J1.diags])
-    p = BandedOperator(rep.p + 1, [(o, s * v) for o, v in rep.J2.diags])
-    return q, p
+    """Hermitian pair Q = J1/sqrt(j), P = J2/sqrt(j), built with the representation."""
+    return rep.Q, rep.P
 
 
 def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
     """||([Q, P] - i) |k>||, which equals k/j exactly at every p."""
-    xi = weight_state(rep, k)
-    q, p = qp_from_spin(rep)
-    return (commutator_apply(q, p, xi) - 1j * xi).norm()
+    x = weight_state(rep, k).components
+    out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
+    _bracket_into(rep.Q, rep.P, x, -1, out, w1, w2)
+    return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out))
 
 
 def rotation_about_axis3(rep: SpinRep, theta: float) -> BandedOperator:
@@ -106,15 +118,15 @@ def covariance_defect(rep: SpinRep, theta: float, n_vectors: int = 10, rng=None)
     """
     if rng is None:
         rng = np.random.default_rng(COVARIANCE_SEED)
-    q, p = qp_from_spin(rep)
     fwd = rotation_about_axis3(rep, theta)
     bwd = rotation_about_axis3(rep, -theta)
-    rotated = LinCombOperator([(math.cos(theta), q), (math.sin(theta), p)])
+    rotated = LinCombOperator([(math.cos(theta), rep.Q), (math.sin(theta), rep.P)])
+    out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
     worst = 0.0
     for _ in range(n_vectors):
-        xi = random_state(rep.p + 1, rng)
-        lhs = bwd.apply(q.apply(fwd.apply(xi)))
-        worst = max(worst, (lhs - rotated.apply(xi)).norm())
+        x = random_state(rep.p + 1, rng).components
+        bwd._apply_array(rep.Q._apply_array(fwd._apply_array(x, w1), w2), out)
+        worst = max(worst, residual_norm(np.subtract(out, rotated._apply_array(x, w1), out=out)))
     return worst
 
 

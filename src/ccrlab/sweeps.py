@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
 
 from . import clifford, parafermi, spin, weyl
-from .linalg import ResourceLimitError, commutator_apply, random_state
+from .linalg import ResourceLimitError, _bracket_into, random_state, residual_norm
 
 EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
 
@@ -131,24 +131,36 @@ def _fmt_number(value) -> str:
 # that yields (extra params, defect, measured, bound) in the order it draws
 # from rng.  Builders and residuals are looked up through their modules at
 # call time, so wrappers installed on those modules are the ones called.
+# Residuals run on arrays in the linalg buffer form: operators apply into
+# work vectors, differences are taken in place, and residual_norm raises
+# ValueError on a non-finite norm rather than let a NaN pass.
+
+
+def _moved(op, x) -> float:
+    """||A x - x||, through one fresh vector."""
+    out = op._apply_array(x)
+    return residual_norm(np.subtract(out, x, out=out))
+
+
+def _weyl_relation(pair, rng) -> float:
+    """max over three random xi of ||U V xi - omega V U xi||."""
+    worst = 0.0
+    omega = np.exp(2j * np.pi / pair.nu)
+    lhs, w, rhs = np.empty((3, pair.nu), dtype=np.complex128)
+    for _ in range(3):
+        x = random_state(pair.nu, rng).components
+        pair.U._apply_array(pair.V._apply_array(x, w), lhs)
+        pair.V._apply_array(pair.U._apply_array(x, w), rhs)
+        worst = max(worst, residual_norm(np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)))
+    return worst
 
 
 def _weyl_checks(cfg, rng, pair, nu):
     mu = weyl.default_window(nu)
-    worst = 0.0
-    omega = np.exp(2j * np.pi / nu)
-    for _ in range(3):
-        xi = random_state(nu, rng)
-        lhs = pair.U.apply(pair.V.apply(xi))
-        rhs = omega * pair.V.apply(pair.U.apply(xi))
-        worst = max(worst, (lhs - rhs).norm())
-    yield {}, "weyl-relation", worst, cfg.tol_exact
+    yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
 
-    xi = random_state(nu, rng)
-    period = max(
-        (pair.power_op(k=nu).apply(xi) - xi).norm(),
-        (pair.power_op(l=nu).apply(xi) - xi).norm(),
-    )
+    x = random_state(nu, rng).components
+    period = max(_moved(pair.power_op(k=nu), x), _moved(pair.power_op(l=nu), x))
     yield {}, "clock-shift-period", period, cfg.tol_exact
 
     for m, n in ((1, 1), (2, 3)):
@@ -161,11 +173,11 @@ def _weyl_checks(cfg, rng, pair, nu):
             continue
         params = {"mu": mu, "l": l}
         window = weyl.plateau_vector(pair, l, mu)
-        shift_defect = (pair.V.apply(window) - window).norm()
+        shift_defect = _moved(pair.V, window.components)
         # a window that fills the whole cycle (nu = 1) is V-invariant
         exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
         yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
-        clock_defect = (pair.U.apply(window) - window).norm()
+        clock_defect = _moved(pair.U, window.components)
         yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
         defects = weyl.ccr_defect(pair, 1, 1, window)
         yield params, "group-ccr-defect", defects.group, None
@@ -177,10 +189,9 @@ def _weyl_checks(cfg, rng, pair, nu):
         for _ in range(100):
             g = pair.power_op(*rng.integers(0, nu, 3))
             h = pair.power_op(*rng.integers(0, nu, 3))
-            xi = random_state(nu, rng)
-            lhs = g.apply(h.apply(xi))
-            rhs = g.compose(h).apply(xi)
-            worst = max(worst, (lhs - rhs).norm())
+            x = random_state(nu, rng).components
+            lhs = g._apply_array(h._apply_array(x))
+            worst = max(worst, residual_norm(np.subtract(lhs, g.compose(h)._apply_array(x), out=lhs)))
         yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
 
 
@@ -195,13 +206,21 @@ def _weyl_checks(cfg, rng, pair, nu):
 SO3_ROUNDING = 32 * 2.0**-53
 
 
-def _spin_checks(cfg, rng, rep, p):
+def _so3_closure(rep, rng):
+    """max over the cyclic (a, b, c) of ||[J_a, J_b] xi - i J_c xi||, one random xi each."""
     worst = 0.0
     ops = (rep.J1, rep.J2, rep.J3)
+    out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
     for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        xi = random_state(p + 1, rng)
-        res = commutator_apply(ops[a], ops[b], xi) - 1j * ops[c].apply(xi)
-        worst = max(worst, res.norm())
+        x = random_state(rep.p + 1, rng).components
+        _bracket_into(ops[a], ops[b], x, -1, out, w1, w2)
+        rhs = np.multiply(1j, ops[c]._apply_array(x, w1), out=w2)
+        worst = max(worst, residual_norm(np.subtract(out, rhs, out=out)))
+    return worst
+
+
+def _spin_checks(cfg, rng, rep, p):
+    worst = _so3_closure(rep, rng)
     yield {}, "so3-closure", worst, max(cfg.tol_relation, SO3_ROUNDING * rep.j**2)
 
     for k in sorted(set(cfg.k_list)):

@@ -10,6 +10,10 @@ Every operator exp(2 pi i m / nu) V^l U^k is the Heisenberg group element
 inverses are integer arithmetic mod nu, never matrix multiplication, so
 every identity checked here is exact up to floating-point rounding at any
 dimension that fits in memory.
+
+The residuals apply the elements into three work vectors of length nu (the
+linalg buffer form), subtract in place and raise ValueError on a non-finite
+residual norm.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from .linalg import (
     LinCombOperator,
     PermutationPhaseOperator,
     StateVector,
-    commutator_apply,
+    _bracket_into,
+    _components,
     _indices,
     require_dim,
+    residual_norm,
 )
 
 
@@ -129,13 +135,15 @@ def ccr_defect(pair: WeylPair, m: int, n: int, xi: StateVector) -> CcrDefect:
     norm = xi.norm()
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("need a nonzero finite-norm vector")
+    x = _components(xi, pair.nu)
+    out, w1, w2 = np.empty((3, pair.nu), dtype=np.complex128)
     p_op, q_op = quadrature_ops(pair, m, n)
-    quad = commutator_apply(q_op, p_op, xi) - 1j * xi
-    u_m = pair.power_op(k=m)
-    v_n = pair.power_op(l=n)
-    scale = pair.nu / (2.0 * math.pi * m * n)
-    group = scale * commutator_apply(u_m, v_n, xi) - 1j * xi
-    return CcrDefect(quad.norm() / norm, group.norm() / norm)
+    _bracket_into(q_op, p_op, x, -1, out, w1, w2)
+    quad = residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out))
+    _bracket_into(pair.power_op(k=m), pair.power_op(l=n), x, -1, out, w1, w2)
+    np.multiply(pair.nu / (2.0 * math.pi * m * n), out, out=w2)
+    group = residual_norm(np.subtract(w2, np.multiply(1j, x, out=w1), out=out))
+    return CcrDefect(quad / norm, group / norm)
 
 
 def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateVector) -> float:
@@ -144,9 +152,11 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
     This factorization is exact at every dimension, so the residual is
     pure floating-point noise.
     """
+    x = _components(xi, pair.nu)
+    out, w1, w2 = np.empty((3, pair.nu), dtype=np.complex128)
     u_m = pair.power_op(k=m)
     v_n = pair.power_op(l=n)
-    lhs = commutator_apply(u_m, v_n, xi)
+    _bracket_into(u_m, v_n, x, -1, out, w1, w2)
     factor = np.exp(2j * np.pi * ((m * n) % pair.nu) / pair.nu) - 1.0
-    rhs = factor * v_n.compose(u_m).apply(xi)
-    return (lhs - rhs).norm()
+    rhs = np.multiply(factor, v_n.compose(u_m)._apply_array(x, w1), out=w2)
+    return residual_norm(np.subtract(out, rhs, out=out))

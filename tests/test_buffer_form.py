@@ -1,0 +1,356 @@
+"""Buffer form: operators apply into caller-owned vectors, residuals run on arrays.
+
+The oracles are the formulas the buffer form replaced, written out here:
+zero-filled applies with one temporary per term, and residuals in StateVector
+arithmetic.  Every new path must equal them bitwise (== on values,
+np.array_equal on vectors), not merely to rounding.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ccrlab import clifford, linalg, spin, sweeps, weyl
+from ccrlab.linalg import (
+    BandedOperator,
+    DenseOperator,
+    LinCombOperator,
+    PauliString,
+    PermutationPhaseOperator,
+    StateVector,
+    anticommutator_apply,
+    commutator_apply,
+    random_state,
+)
+from ccrlab.sweeps import SweepConfig
+
+DIMS = (1, 2, 7, 64, 2**16)
+
+
+def _old_apply(op, x):
+    """A x as the realizations computed it before the buffer form."""
+    if isinstance(op, BandedOperator):
+        out = np.zeros(op.dim, dtype=complex)
+        for offset, values in op.diags:
+            if offset >= 0:
+                out[offset:] += values * x[: op.dim - offset]
+            else:
+                out[: op.dim + offset] += values * x[-offset:]
+        return out
+    if isinstance(op, LinCombOperator):
+        # y is bound to a name: out += c * _old_apply(...) would let numpy
+        # elide the temporary above 256 KiB and compute y * c in its place
+        out = np.zeros(op.dim, dtype=complex)
+        for c, term in op.terms:
+            y = _old_apply(term, x)
+            out += c * y
+        return out
+    if isinstance(op, PermutationPhaseOperator):
+        idx = np.arange(op.dim)
+        out = np.empty(op.dim, dtype=complex)
+        out[(idx + op.l) % op.dim] = np.exp(2j * np.pi * ((op.k * idx + op.m) % op.dim) / op.dim) * x
+        return out
+    return op.matrix @ x
+
+
+def _old_bracket(a, b, xi, sign):
+    x = xi.components
+    ab, ba = _old_apply(a, _old_apply(b, x)), _old_apply(b, _old_apply(a, x))
+    return StateVector(xi.dim, ab - ba if sign < 0 else ab + ba)
+
+
+def _old_vec(op, xi):
+    return StateVector(xi.dim, _old_apply(op, xi.components))
+
+
+def _complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _offset_sets(dim):
+    top = dim - 1
+    sets = [(0,), (top,), (-top,), (-top, top), (-1, 1), (-top, 0, top), (-1, 0, 2), (-2, 1, top)]
+    return sorted({s for s in sets if len(set(s)) == len(s) and all(abs(o) < dim for o in s)})
+
+
+def _assert_applies_like_the_old_formula(op, x, same=np.array_equal):
+    want = _old_apply(op, x)
+    before = x.copy()
+    assert same(op._apply_array(x), want)
+    stale = np.full(op.dim, np.nan, dtype=complex)
+    assert op._apply_array(x, stale) is stale
+    assert same(stale, want)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_banded_apply_is_bitwise_the_zero_filled_formula(dim):
+    # 1 to 3 diagonals, among them the corner offsets +-(dim - 1), written
+    # into a fresh vector and into a stale NaN-filled one
+    rng = np.random.default_rng(dim)
+    x = _complex(rng, dim)
+    for offsets in _offset_sets(dim):
+        op = BandedOperator(dim, [(o, _complex(rng, dim - abs(o))) for o in offsets])
+        _assert_applies_like_the_old_formula(op, x)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_lincomb_apply_is_bitwise_the_zero_filled_formula(dim):
+    # a combination scales its terms in place; numpy multiplies a length-1
+    # vector in place through its scalar loop, whose last bit can differ
+    # from c * y for a general complex c, so dimension 1 agrees to rounding
+    same = np.array_equal if dim > 1 else lambda a, b: np.allclose(a, b, rtol=1e-15, atol=0)
+    rng = np.random.default_rng(dim + 1)
+    x = _complex(rng, dim)
+    banded = BandedOperator(dim, [(o, _complex(rng, dim - abs(o))) for o in _offset_sets(dim)[-1]])
+    group = PermutationPhaseOperator(dim, 3, 1, 2)
+    terms = [(0.3 + 0.7j, banded), (-1.1 + 0.2j, group), (2.5, PermutationPhaseOperator(dim, -1))]
+    if dim <= 64:
+        terms.append((1j, DenseOperator(_complex(rng, dim * dim).reshape(dim, dim))))
+    for n_terms in range(1, len(terms) + 1):
+        _assert_applies_like_the_old_formula(LinCombOperator(terms[:n_terms]), x, same)
+    nested = LinCombOperator([(0.5 - 0.25j, LinCombOperator(terms)), (-2j, banded)])
+    _assert_applies_like_the_old_formula(nested, x, same)
+
+
+def test_scaling_keeps_the_scalar_on_the_left():
+    # numpy's SIMD complex multiply is not bitwise symmetric in its operands,
+    # so y * c can differ from c * y in the last bit; the records were written
+    # with c * y, and an in-place y *= c would compute y * c
+    rng = np.random.default_rng(11)
+    dim = 4096
+    x = _complex(rng, dim)
+    one = PermutationPhaseOperator(dim)  # multiplies by table[0] = 1 exactly
+    for c in (0.3 + 0.7j, -1.7 + 0.1j, complex(math.pi, -math.e)):
+        assert np.array_equal(LinCombOperator([(c, one)])._apply_array(x), np.multiply(c, x))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_commutator_and_anticommutator_are_bitwise_the_old_formula(dim):
+    rng = np.random.default_rng(dim + 3)
+    xi = random_state(dim, rng)
+    banded = BandedOperator(dim, [(o, _complex(rng, dim - abs(o))) for o in _offset_sets(dim)[-1]])
+    lincomb = LinCombOperator([(0.5j, banded), (1.5, PermutationPhaseOperator(dim, 1, 1))])
+    ops = [banded, lincomb, PermutationPhaseOperator(dim, 2, 3, 1)]
+    for a in ops:
+        for b in ops:
+            got_c = commutator_apply(a, b, xi).components
+            got_a = anticommutator_apply(a, b, xi).components
+            assert np.array_equal(got_c, _old_bracket(a, b, xi, -1).components)
+            assert np.array_equal(got_a, _old_bracket(a, b, xi, +1).components)
+
+
+def test_random_state_is_bitwise_the_old_draw():
+    for dim in DIMS:
+        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        comps = a.standard_normal(dim) + 1j * a.standard_normal(dim)
+        comps /= linalg.vector_norm(comps)
+        assert np.array_equal(random_state(dim, b).components, comps)
+        assert a.standard_normal() == b.standard_normal()  # same draws consumed
+
+
+def _old_ccr_defect(pair, m, n, xi):
+    p_op, q_op = weyl.quadrature_ops(pair, m, n)
+    quad = _old_bracket(q_op, p_op, xi, -1) - 1j * xi
+    scale = pair.nu / (2.0 * math.pi * m * n)
+    group = scale * _old_bracket(pair.power_op(k=m), pair.power_op(l=n), xi, -1) - 1j * xi
+    return quad.norm() / xi.norm(), group.norm() / xi.norm()
+
+
+def _old_factorization(pair, m, n, xi):
+    u_m, v_n = pair.power_op(k=m), pair.power_op(l=n)
+    factor = np.exp(2j * np.pi * ((m * n) % pair.nu) / pair.nu) - 1.0
+    return (_old_bracket(u_m, v_n, xi, -1) - factor * _old_vec(v_n.compose(u_m), xi)).norm()
+
+
+def _old_weyl_checks(cfg, rng, pair, nu):
+    mu = weyl.default_window(nu)
+    worst = 0.0
+    omega = np.exp(2j * np.pi / nu)
+    for _ in range(3):
+        xi = random_state(nu, rng)
+        lhs = _old_vec(pair.U, _old_vec(pair.V, xi))
+        rhs = omega * _old_vec(pair.V, _old_vec(pair.U, xi))
+        worst = max(worst, (lhs - rhs).norm())
+    yield {}, "weyl-relation", worst, cfg.tol_exact
+    xi = random_state(nu, rng)
+    period = max((_old_vec(pair.power_op(k=nu), xi) - xi).norm(), (_old_vec(pair.power_op(l=nu), xi) - xi).norm())
+    yield {}, "clock-shift-period", period, cfg.tol_exact
+    for m, n in ((1, 1), (2, 3)):
+        xi = random_state(nu, rng)
+        yield {"m": m, "n": n}, "commutator-factorization", _old_factorization(pair, m, n, xi), cfg.tol_exact
+    for l in range(3):
+        if (l + 1) * mu > nu:
+            continue
+        params = {"mu": mu, "l": l}
+        window = weyl.plateau_vector(pair, l, mu)
+        exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
+        shift = (_old_vec(pair.V, window) - window).norm()
+        yield params, "plateau-shift-exact", abs(shift - exact), cfg.tol_exact
+        clock = (_old_vec(pair.U, window) - window).norm()
+        yield params, "plateau-clock-bound", clock, 2.0 * math.pi * (l + 1) * mu / nu
+        quad, group = _old_ccr_defect(pair, 1, 1, window)
+        yield params, "group-ccr-defect", group, None
+        if l == 0:
+            yield params, "quadrature-ccr-defect", quad, None
+    if nu <= 64:
+        worst = 0.0
+        for _ in range(100):
+            g = pair.power_op(*rng.integers(0, nu, 3))
+            h = pair.power_op(*rng.integers(0, nu, 3))
+            xi = random_state(nu, rng)
+            worst = max(worst, (_old_vec(g, _old_vec(h, xi)) - _old_vec(g.compose(h), xi)).norm())
+        yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
+
+
+@pytest.mark.parametrize("nu", DIMS)
+def test_weyl_residuals_are_bitwise_the_state_vector_formulas(nu):
+    pair = weyl.make_canonical_pair(nu)
+    rng = np.random.default_rng(nu + 4)
+    for m, n in ((1, 1), (2, 3), (5, 1)):
+        for xi in (random_state(nu, rng), weyl.plateau_vector(pair, 0, weyl.default_window(nu))):
+            got = weyl.ccr_defect(pair, m, n, xi)
+            assert (got.quadrature, got.group) == _old_ccr_defect(pair, m, n, xi)
+            assert weyl.commutator_factorization_residual(pair, m, n, xi) == _old_factorization(pair, m, n, xi)
+    cfg = SweepConfig()
+    got = list(sweeps._weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
+    assert got == list(_old_weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
+
+
+def _old_qp(rep):
+    s = 1.0 / math.sqrt(rep.j)
+    q = BandedOperator(rep.p + 1, [(o, s * v) for o, v in rep.J1.diags])
+    p = BandedOperator(rep.p + 1, [(o, s * v) for o, v in rep.J2.diags])
+    return q, p
+
+
+@pytest.mark.parametrize("dim", [d for d in DIMS if d > 1])
+def test_spin_residuals_are_bitwise_the_state_vector_formulas(dim):
+    p = dim - 1
+    rep = spin.make_spin_rep(p)
+    q, pp = _old_qp(rep)
+    for built, old in ((rep.Q, q), (rep.P, pp)):
+        assert [o for o, _ in built.diags] == [o for o, _ in old.diags]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(built.diags, old.diags))
+    assert spin.qp_from_spin(rep) == (rep.Q, rep.P)
+
+    for k in sorted({0, 1, p // 2, p}):
+        xi = spin.weight_state(rep, k)
+        assert spin.weight_state_ccr_defect(rep, k) == (_old_bracket(q, pp, xi, -1) - 1j * xi).norm()
+
+    theta = 0.7
+    fwd, bwd = spin.rotation_about_axis3(rep, theta), spin.rotation_about_axis3(rep, -theta)
+    rotated = LinCombOperator([(math.cos(theta), q), (math.sin(theta), pp)])
+    rng = np.random.default_rng(dim)
+    worst = 0.0
+    for _ in range(3):
+        xi = random_state(dim, rng)
+        worst = max(worst, (_old_vec(bwd, _old_vec(q, _old_vec(fwd, xi))) - _old_vec(rotated, xi)).norm())
+    assert spin.covariance_defect(rep, theta, n_vectors=3, rng=np.random.default_rng(dim)) == worst
+
+    ops = (rep.J1, rep.J2, rep.J3)
+    rng = np.random.default_rng(dim + 5)
+    worst = 0.0
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        xi = random_state(dim, rng)
+        worst = max(worst, (_old_bracket(ops[a], ops[b], xi, -1) - 1j * _old_vec(ops[c], xi)).norm())
+    assert sweeps._so3_closure(rep, np.random.default_rng(dim + 5)) == worst
+
+
+def _peak_vectors(fn, dim):
+    fn()  # clock tables and imports are built on the first call
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (16 * dim)
+    finally:
+        tracemalloc.stop()
+
+
+def test_residuals_allocate_only_their_work_vectors():
+    dim = 2**16
+    rep = spin.make_spin_rep(dim - 1)
+    # out, w1, w2; the random state, one more while the next is drawn with
+    # its float draw; the banded apply's scratch vector comes after the draw
+    peak = _peak_vectors(lambda: sweeps._so3_closure(rep, np.random.default_rng(0)), dim)
+    assert peak < 5.75, peak
+    pair = weyl.make_canonical_pair(dim)
+    window = weyl.plateau_vector(pair, 0, weyl.default_window(dim))
+    # out, w1, w2 and the quadrature combination's scratch vector
+    peak = _peak_vectors(lambda: weyl.ccr_defect(pair, 1, 1, window), dim)
+    assert peak < 4.1, peak
+
+
+def _poisoned(op, value):
+    return BandedOperator(op.dim, [(o, np.full(v.shape, value, dtype=complex)) for o, v in op.diags])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
+    # max(0.0, nan) is 0.0: a NaN that reached the running max would read
+    # as a pass, so every residual must raise instead
+    rep = spin.make_spin_rep(12)
+    rng = np.random.default_rng(1)
+    calls = [
+        lambda: spin.weight_state_ccr_defect(dataclasses.replace(rep, Q=_poisoned(rep.Q, value)), 3),
+        lambda: spin.covariance_defect(dataclasses.replace(rep, Q=_poisoned(rep.Q, value)), 0.3),
+        lambda: sweeps._so3_closure(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), rng),
+        lambda: list(sweeps._spin_checks(SweepConfig(), rng, dataclasses.replace(rep, J2=_poisoned(rep.J2, value)), 12)),
+    ]
+    nu = 16
+    pair = weyl.make_canonical_pair(nu)
+    xi = random_state(nu, rng)
+    calls += [
+        lambda: weyl.ccr_defect(pair, 1, 1, xi),
+        lambda: weyl.commutator_factorization_residual(pair, 1, 1, xi),
+        lambda: list(sweeps._weyl_checks(SweepConfig(), rng, pair, nu)),
+    ]
+    table = linalg._clock_table(nu).copy()
+    table[1:] = value  # every clock phase but omega^0
+    monkeypatch.setattr(linalg, "_clock_table", lambda dim: table)
+    for call in calls:
+        with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+            call()
+
+
+def test_group_element_apply_takes_few_numpy_calls_at_any_clock_power(monkeypatch):
+    # the residue-class walk makes about |s| + 2 t products; some t <=
+    # sqrt(2 nu) has |s| <= sqrt(2 nu) (Dirichlet), so at most 2 sqrt(3 nu)
+    # + 3 calls for any k, and a handful near 0 and nu/2
+    nu = 2**16
+    rng = np.random.default_rng(8)
+    ks = [int(k) for k in rng.integers(0, nu, 20)]
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, *args, **kwargs):
+            calls.append(1)
+            return np.multiply(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "np", Counting())
+    x = np.ones(nu, dtype=complex)
+    for k, bound in [(1, 3), (3, 5), (nu - 1, 3), (nu // 2 - 1, 7), (nu // 2, 5), (nu // 2 + 1, 7)]:
+        calls.clear()
+        PermutationPhaseOperator(nu, k, 5, 9)._apply_array(x)
+        assert len(calls) <= bound, (k, len(calls))
+    for k in ks:
+        calls.clear()
+        PermutationPhaseOperator(nu, k, 5, 9)._apply_array(x)
+        assert len(calls) <= 2 * math.sqrt(3 * nu) + 3, (k, len(calls))
+
+
+def test_pauli_string_lays_out_its_view_on_first_apply():
+    s = PauliString(1j, [(1, "Y"), (3, "+"), (4, "Z")], 4)
+    s.terms()
+    assert "_layout" not in vars(s)
+    s.apply_to(np.ones(16, dtype=complex))
+    assert "_layout" in vars(s)
+    basis = clifford.so_n_basis(clifford.make_gammas(4))
+    assert not any("_layout" in vars(t) for op in basis.values() for t in op.strings)
+

@@ -663,8 +663,11 @@ def test_group_element_apply_is_bitwise_the_index_formula(nu):
         expected = np.empty(nu, dtype=complex)
         k_, l_, m_ = k % nu, l % nu, m % nu
         expected[(idx + l_) % nu] = np.exp(2j * np.pi * ((k_ * idx + m_) % nu) / nu) * x
-        out = PermutationPhaseOperator(nu, k, l, m)._apply_array(x)
-        assert np.array_equal(out, expected), (k, l, m)
+        g = PermutationPhaseOperator(nu, k, l, m)
+        assert np.array_equal(g._apply_array(x), expected), (k, l, m)
+        # into a caller-owned buffer, every stale entry overwritten
+        stale = np.full(nu, np.nan, dtype=complex)
+        assert g._apply_array(x, stale) is stale and np.array_equal(stale, expected), (k, l, m)
 
 
 def test_group_element_apply_allocates_only_its_output():

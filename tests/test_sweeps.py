@@ -97,14 +97,31 @@ def test_a_repeated_z_writes_each_record_once():
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps package functions and methods by name, among
     # them PermutationPhaseOperator._apply_array and WeylPair.power_op; a
-    # rename fails here instead of in every traced benchmark run
+    # rename fails here instead of in every traced benchmark run.  Its
+    # wrappers forward *args, **kwargs, so the applies' out= buffers pass
+    # through them: a traced weyl and spin sweep writes the untraced bytes
+    configs = [
+        dict(experiment="weyl", nu_list=(1, 7, 64, 4096), seed=5),
+        dict(experiment="spin", p_list=(1, 10, 200, 1000), k_list=(0, 2, 7), seed=5),
+    ]
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys; sys.path.insert(0, 'perfbench'); from tracing import Tracer; Tracer('t').install()"
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, 'perfbench')",
+        "from tracing import Tracer",
+        "tracer = Tracer('t')",
+        "tracer.install()",
+        "from ccrlab.sweeps import SweepConfig, records_to_csv, run_sweep",
+        *(f"sys.stdout.write(records_to_csv(run_sweep(SweepConfig(**{c!r}))[0]))" for c in configs),
+        "assert {'linalg.banded_apply', 'linalg.permphase_apply'} <= set(tracer.names)",
+    ])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    untraced = "".join(records_to_csv(run_sweep(SweepConfig(**c))[0]) for c in configs)
+    assert proc.stdout == untraced
 
 
 def test_sweeps_without_spin_never_load_scipy():
