@@ -5,8 +5,8 @@ as the dimension grows.
 
 Subpackages
 -----------
-linalg     state vectors, operator realizations, the exact Pauli algebra,
-           commutators, norms
+linalg     state vectors and their support windows, operator realizations,
+           the exact Pauli algebra, commutators, norms
 weyl       clock/shift pairs whose powers are Heisenberg group elements, plateaus
 spin       so(3) ladder representation, rotation covariance, coherent states
 clifford   anticommuting generator families and the so(n) they span
@@ -25,6 +25,7 @@ from .linalg import (
     PauliTerms,
     PermutationPhaseOperator,
     StateVector,
+    Window,
     anticommutator_apply,
     commutator_apply,
     hs_norm,
@@ -45,6 +46,7 @@ __all__ = [
     "PauliTerms",
     "PermutationPhaseOperator",
     "StateVector",
+    "Window",
     "anticommutator_apply",
     "clifford",
     "commutator_apply",

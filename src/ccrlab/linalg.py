@@ -129,21 +129,60 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def vector_norm(v: np.ndarray) -> float:
+# in amplitudes: a multiple of the doubles einsum's SIMD loop takes per step
+# (4 vectors of up to 8 lanes), and a divisor of its chunk
+_NORM_BLOCK = 32
+
+
+def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     """Euclidean norm of a complex vector, summed without BLAS.
 
     np.linalg.norm calls BLAS ddot, whose rounding depends on the BLAS
     thread count and whose worker threads keep spinning after the call;
     einsum sums the squares of the real and imaginary parts in its own
     single-threaded loop, so the result is the same on every host setting.
+
+    With dim, v is a window: the amplitudes at indices (start + i) % dim of
+    a vector of dim amplitudes that is zero elsewhere, and the result is
+    that vector's norm, bitwise.  einsum sums a long vector in chunks of
+    np.getbufsize() doubles (4096 amplitudes by default) and adds each
+    chunk's sum to the running total in chunk order; within a chunk, its
+    SIMD loop takes the doubles a few vectors at a time, each lane summing
+    the doubles at its positions, so zeros change no lane.  So each chunk
+    the window touches is summed from the window's first block of
+    _NORM_BLOCK amplitudes there to its last, cut where the chunk ends,
+    and the sums are added in chunk order; the other chunks add exact
+    zeros.  Summing the window as one array changes the last bits when it
+    straddles a chunk boundary or sits at another offset in its chunk.
     """
-    f = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    return math.sqrt(float(np.einsum("i,i->", f, f)))
+    x = np.ascontiguousarray(v, dtype=np.complex128)
+    n = x.shape[0]
+    if dim is None or (n == dim and start == 0):
+        f = x.view(np.float64)
+        return math.sqrt(float(np.einsum("i,i->", f, f)))
+    chunk = np.getbufsize() // 2
+    first = min(n, dim - start)  # amplitudes before the window wraps to index 0
+    # (global begin, global end, global index minus window index) of each run
+    runs = ((start, start + first, start), (0, n - first, start - dim))
+    chunks = set(range(start // chunk, (start + first - 1) // chunk + 1))
+    chunks.update(range((n - first - 1) // chunk + 1))
+    total = 0.0
+    for c in sorted(chunks):
+        lo, hi = c * chunk, min((c + 1) * chunk, dim)
+        cuts = [(max(lo, b), min(hi, e), s) for b, e, s in runs if max(lo, b) < min(hi, e)]
+        lo = min(a for a, _, _ in cuts) // _NORM_BLOCK * _NORM_BLOCK
+        hi = min(hi, -(-max(b for _, b, _ in cuts) // _NORM_BLOCK) * _NORM_BLOCK)
+        part = np.zeros(hi - lo, dtype=np.complex128)
+        for a, b, shift in cuts:
+            part[a - lo : b - lo] = x[a - shift : b - shift]
+        f = part.view(np.float64)
+        total += float(np.einsum("i,i->", f, f))
+    return math.sqrt(total)
 
 
-def residual_norm(v: np.ndarray) -> float:
+def residual_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     """vector_norm of a residual; a non-finite one raises ValueError."""
-    return _finite(vector_norm(v), "residual norm")
+    return _finite(vector_norm(v, dim, start), "residual norm")
 
 
 @dataclass(frozen=True)
@@ -222,6 +261,47 @@ def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> 
     return StateVector(dim, comps)
 
 
+@dataclass(frozen=True)
+class Window:
+    """The vector of C^dim holding components at indices (start + i) % dim, zero elsewhere.
+
+    A check whose operators move a vector's support by at most `reach`
+    indices runs on a window that extends `reach` zero amplitudes past the
+    support at each end: operators apply as compress(op) and norms are
+    vector_norm(v, dim, start), so every figure equals the full vector's
+    bitwise at the cost of the window's length.  A window covering C^dim
+    starts at 0 and is the vector itself.
+    """
+
+    dim: int
+    start: int
+    components: np.ndarray
+
+    def __post_init__(self):
+        n = self.components.shape[0]
+        if not (0 <= self.start < self.dim and 1 <= n <= self.dim) or (n == self.dim and self.start):
+            raise ValueError(f"window of {n} from {self.start} does not fit dim {self.dim}")
+
+    @classmethod
+    def of(cls, xi: "StateVector | Window") -> "Window":
+        """xi itself if a Window; a StateVector as the window over all of C^dim."""
+        return xi if isinstance(xi, Window) else cls(xi.dim, 0, xi.components)
+
+    def require_margin(self, reach: int) -> None:
+        """Refuse a window without reach zero amplitudes at each end."""
+        x, n = self.components, self.components.shape[0]
+        if n < self.dim and (n <= 2 * reach or x[:reach].any() or x[n - reach :].any()):
+            raise ValueError(f"window needs {reach} zero amplitudes at each end")
+
+    def compress(self, op: "LinearOperator") -> "LinearOperator":
+        if op.dim != self.dim:
+            raise DimensionMismatchError(f"operator dim {op.dim}, window dim {self.dim}")
+        return op.compressed(self.start, self.components.shape[0])
+
+    def norm(self) -> float:
+        return vector_norm(self.components, self.dim, self.start)
+
+
 def _components(xi: StateVector, dim: int) -> np.ndarray:
     """xi's amplitudes, after checking that xi lives on dimension dim."""
     if xi.dim != dim:
@@ -241,6 +321,23 @@ class LinearOperator:
         raise NotImplementedError
 
     def adjoint(self) -> "LinearOperator":
+        raise NotImplementedError
+
+    def compressed(self, start: int, n: int) -> "LinearOperator":
+        """P A P on the n indices (start + i) % dim, as an operator on C^n.
+
+        A itself when the indices cover C^dim from start 0.  On a vector
+        that vanishes within A's reach of the window's ends, its apply forms
+        each of the window's entries of A x by the same operations, in the
+        same operand order, as the full apply, so bitwise equal to them.
+        """
+        if n >= self.dim:
+            if n > self.dim or start % self.dim:
+                raise ValueError(f"window of {n} from {start} does not tile dim {self.dim}")
+            return self
+        return self._compressed(start % self.dim, n)
+
+    def _compressed(self, start: int, n: int) -> "LinearOperator":
         raise NotImplementedError
 
     def dense(self, cap: int = DENSIFICATION_CAP) -> np.ndarray:
@@ -330,6 +427,12 @@ class BandedOperator(LinearOperator):
 
     def adjoint(self):
         return BandedOperator(self.dim, [(-o, np.conj(v)) for o, v in self.diags])
+
+    def _compressed(self, start, n):
+        # the window's column start + i, i >= max(0, -o), holds values[start + i - max(0, -o)]
+        if start + n > self.dim:
+            raise ValueError(f"window [{start}, {start + n}) wraps; a banded operator does not")
+        return BandedOperator(n, [(o, v[start : start + n - abs(o)]) for o, v in self.diags if abs(o) < n])
 
     def _dense(self):
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -707,6 +810,24 @@ class PermutationPhaseOperator(LinearOperator):
                 i = (i + s * n) % dim
         return out
 
+    def _compressed(self, start, n):
+        # the window keeps A[i + o, i] for the signed shifts o = l and l - dim
+        # shorter than n, a banded operator of one diagonal when n + |o| <= dim.
+        # Its phases are the clock table's expression evaluated at the
+        # window's own phase indices w0 + k i mod dim, in Python ints where
+        # k i could pass int64, so no table of length dim is built; without a
+        # clock power they are one phase
+        dim, k, diags = self.dim, self.k, []
+        for o in (self.l, self.l - dim):
+            if abs(o) < n:
+                first, count = max(0, -o), n - abs(o)
+                w0 = (k * (start + first) + self.m) % dim
+                exact = np.int64 if k * n + dim < 2**63 else object
+                w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
+                phases = np.exp(2j * np.pi * w.astype(np.int64) / dim)
+                diags.append((o, np.broadcast_to(phases, (count,))))
+        return BandedOperator(n, diags)
+
     def adjoint(self):
         """The group inverse (-k, -l, k l - m)."""
         return PermutationPhaseOperator(self.dim, -self.k, -self.l, self.k * self.l - self.m)
@@ -762,6 +883,9 @@ class LinCombOperator(LinearOperator):
 
     def adjoint(self):
         return LinCombOperator([(np.conj(c), op.adjoint()) for c, op in self.terms])
+
+    def _compressed(self, start, n):
+        return LinCombOperator([(c, op.compressed(start, n)) for c, op in self.terms])
 
     def _dense(self):
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)

@@ -19,10 +19,15 @@ Sign conventions (both verified exactly by the test suite):
   which is the ordering implied by [J3, J1] = i J2; writing the conjugation
   with the opposite exponent signs amounts to flipping J3 or t.
 
-scipy is imported by the three functions that call it, not by this module:
-coherent_amplitudes and bose_coherent_amplitude load scipy.special on their
-first call and rotation_operator loads scipy.linalg, so importing ccrlab (or
-running a sweep without spin) does not pay for scipy.
+The convergence checks run on their support.  weight_state_ccr_defect runs
+on the weights k - 2..k + 2 as a linalg.Window, bitwise equal to the full
+vector's figure, and coherent_limit_error forms only the kmax + 1 amplitudes
+it reads, in stdlib math (coherent_head_error), so both cost O(1) in p.
+
+scipy is imported by the two functions that call it, not by this module:
+coherent_amplitudes loads scipy.special on its first call and
+rotation_operator loads scipy.linalg, so importing ccrlab or running any
+sweep does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .linalg import (
     DenseOperator,
     LinCombOperator,
     StateVector,
+    Window,
     _bracket_into,
     random_state,
     require_dim,
@@ -97,11 +103,20 @@ def qp_from_spin(rep: SpinRep):
 
 
 def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
-    """||([Q, P] - i) |k>||, which equals k/j exactly at every p."""
-    x = weight_state(rep, k).components
-    out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
-    _bracket_into(rep.Q, rep.P, x, -1, out, w1, w2)
-    return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out))
+    """||([Q, P] - i) |k>||, which equals k/j exactly at every p.
+
+    Q and P are tridiagonal, so the residual lives on the weights k - 2..k + 2
+    and the check runs on that window alone.
+    """
+    if not 0 <= k <= rep.p:
+        raise ValueError(f"k={k} outside 0..{rep.p}")
+    lo, hi = max(0, k - 2), min(rep.p + 1, k + 3)
+    x = np.zeros(hi - lo, dtype=np.complex128)
+    x[k - lo] = 1.0
+    win = Window(rep.p + 1, lo, x)
+    out, w1, w2 = np.empty((3, hi - lo), dtype=np.complex128)
+    _bracket_into(win.compress(rep.Q), win.compress(rep.P), x, -1, out, w1, w2)
+    return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), win.dim, lo)
 
 
 def rotation_about_axis3(rep: SpinRep, theta: float) -> BandedOperator:
@@ -213,26 +228,63 @@ def rotation_product_form(rep: SpinRep, theta: float, phi: float) -> DenseOperat
     return DenseOperator(left @ middle @ right)
 
 
+def _bose_log_magnitude(r: float, k: int) -> float:
+    """log(e^{-r^2/2} r^k / sqrt(k!)) for r > 0."""
+    return -r * r / 2.0 + k * math.log(r) - 0.5 * math.lgamma(k + 1)
+
+
 def bose_coherent_amplitude(z: complex, k: int) -> complex:
     """e^{-|z|^2/2} z^k / sqrt(k!), the harmonic-oscillator coherent amplitude."""
-    from scipy.special import gammaln
-
     if z == 0:
         return 1.0 + 0j if k == 0 else 0j
-    log_mag = -abs(z) ** 2 / 2.0 + k * math.log(abs(z)) - 0.5 * gammaln(k + 1)
-    return math.exp(log_mag) * cmath.exp(1j * k * cmath.phase(z))
+    return math.exp(_bose_log_magnitude(abs(z), k)) * cmath.exp(1j * k * cmath.phase(z))
+
+
+def _x_minus_log1p(x: float) -> float:
+    """x - log1p(x) for x >= 0; below 1/2, where the difference cancels, by its series.
+
+    x - log1p(x) = sum_{n >= 2} (-1)^n x^n / n, summed exactly by fsum up to
+    the first term under 2**-60 times the leading one.
+    """
+    if x >= 0.5:
+        return x - math.log1p(x)
+    if x == 0.0:
+        return 0.0
+    terms = math.ceil(60.0 / -math.log2(x)) + 1
+    return math.fsum((-1) ** n * x**n / n for n in range(2, terms + 2))
+
+
+def coherent_head_error(p: int, z: complex, kmax: int) -> np.ndarray:
+    """coherent_limit_error at order p for k = 0..kmax, in O(kmax) stdlib arithmetic.
+
+    With x = |z|^2 / p the spin amplitude of weight k is the Bose amplitude
+    b_k times e^{delta_k}, delta_k = 1/2 sum_{i<k} log1p(-i/p) + (p/2)(x - log1p x),
+    and both carry the phase e^{i k arg z}.  So the error is
+    |b_k| |expm1(delta_k)|, taken as e^{max log magnitude} (1 - e^{-|delta_k|})
+    so that neither factor overflows.  Unlike a difference of log-gammas
+    at p, nothing here cancels: the result is accurate to a few ulps at any p.
+    """
+    if kmax > p:
+        raise ValueError(f"kmax={kmax} exceeds p={p}")
+    r = abs(z)
+    if r == 0.0:
+        return np.zeros(kmax + 1)  # both states are the k = 0 basis vector
+    tail = 0.5 * p * _x_minus_log1p(r * r / p)
+    errors, head = [], 0.0  # head = sum_{i<k} log1p(-i/p)
+    for k in range(kmax + 1):
+        if k:
+            head += math.log1p(-(k - 1) / p)
+        delta = 0.5 * head + tail
+        log_bose = _bose_log_magnitude(r, k)
+        errors.append(math.exp(max(log_bose, log_bose + delta)) * -math.expm1(-abs(delta)))
+    return np.array(errors)
 
 
 def coherent_limit_error(rep: SpinRep, z: complex, kmax: int) -> np.ndarray:
     """|<k-th weight | theta,phi> - e^{-|z|^2/2} z^k / sqrt(k!)| for k = 0..kmax.
 
     The sqrt(k!) normalization is the one the amplitudes actually converge
-    to; see the convention notes in the sweep report.
+    to; see the convention notes in the sweep report.  Only the kmax + 1
+    amplitudes read are formed, by coherent_head_error.
     """
-    if kmax > rep.p:
-        raise ValueError(f"kmax={kmax} exceeds p={rep.p}")
-    params = SpinCoherentParams.from_z(z, rep.j)
-    amps = coherent_amplitudes(rep, params.theta, params.phi)
-    return np.array(
-        [abs(amps[k] - bose_coherent_amplitude(z, k)) for k in range(kmax + 1)]
-    )
+    return coherent_head_error(rep.p, z, kmax)

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
 
 from . import clifford, parafermi, spin, weyl
-from .linalg import ResourceLimitError, _bracket_into, random_state, residual_norm
+from .linalg import ResourceLimitError, Window, _bracket_into, random_state, residual_norm
 
 EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
 
@@ -136,10 +136,11 @@ def _fmt_number(value) -> str:
 # ValueError on a non-finite norm rather than let a NaN pass.
 
 
-def _moved(op, x) -> float:
-    """||A x - x||, through one fresh vector."""
-    out = op._apply_array(x)
-    return residual_norm(np.subtract(out, x, out=out))
+def _moved(op, win) -> float:
+    """||A x - x|| for the vector x of a linalg.Window, through one fresh vector."""
+    x = win.components
+    out = win.compress(op)._apply_array(x)
+    return residual_norm(np.subtract(out, x, out=out), win.dim, win.start)
 
 
 def _weyl_relation(pair, rng) -> float:
@@ -159,8 +160,8 @@ def _weyl_checks(cfg, rng, pair, nu):
     mu = weyl.default_window(nu)
     yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
 
-    x = random_state(nu, rng).components
-    period = max(_moved(pair.power_op(k=nu), x), _moved(pair.power_op(l=nu), x))
+    xi = Window.of(random_state(nu, rng))
+    period = max(_moved(pair.power_op(k=nu), xi), _moved(pair.power_op(l=nu), xi))
     yield {}, "clock-shift-period", period, cfg.tol_exact
 
     for m, n in ((1, 1), (2, 3)):
@@ -172,12 +173,12 @@ def _weyl_checks(cfg, rng, pair, nu):
         if (l + 1) * mu > nu:
             continue
         params = {"mu": mu, "l": l}
-        window = weyl.plateau_vector(pair, l, mu)
-        shift_defect = _moved(pair.V, window.components)
+        window = weyl.plateau_window(pair, l, mu)
+        shift_defect = _moved(pair.V, window)
         # a window that fills the whole cycle (nu = 1) is V-invariant
         exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
         yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
-        clock_defect = _moved(pair.U, window.components)
+        clock_defect = _moved(pair.U, window)
         yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
         defects = weyl.ccr_defect(pair, 1, 1, window)
         yield params, "group-ccr-defect", defects.group, None
@@ -396,24 +397,23 @@ def records_to_json(records) -> str:
 
 
 def _parse_params(text: str) -> dict:
+    """Parameters from params_key() text; a value stays text unless it is a
+    number that _fmt_number writes back as the same text (so 1e3 stays 1e3)."""
     params = {}
     if not text:
         return params
     for item in text.split(";"):
         key, value = item.split("=", 1)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = float(value) if _is_float(value) else value
+        params[key] = value
+        for parse in (int, float):
+            try:
+                number = parse(value)
+            except ValueError:
+                continue
+            if _fmt_number(number) == value:
+                params[key] = number
+                break
     return params
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _parse_pass(passed):

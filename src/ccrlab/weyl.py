@@ -11,9 +11,14 @@ inverses are integer arithmetic mod nu, never matrix multiplication, so
 every identity checked here is exact up to floating-point rounding at any
 dimension that fits in memory.
 
-The residuals apply the elements into three work vectors of length nu (the
-linalg buffer form), subtract in place and raise ValueError on a non-finite
-residual norm.
+The residuals apply the elements into three work vectors (the linalg buffer
+form), subtract in place and raise ValueError on a non-finite residual norm.
+A random vector is checked at length nu.  A plateau vector has mu = sqrt(nu)
+nonzero amplitudes, and U, V and the quadratures move an index by at most
+one, so its checks run on plateau_window, a linalg.Window of mu + 2
+amplitudes: the same records, bitwise, in O(mu) time and memory, up to
+nu = 2**40 and beyond.  A window that would cover the whole cycle is the
+plateau vector itself.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .linalg import (
     LinCombOperator,
     PermutationPhaseOperator,
     StateVector,
+    Window,
     _bracket_into,
     _components,
     _indices,
@@ -77,6 +83,14 @@ def fourier_basis_vector(pair: WeylPair, n: int) -> StateVector:
     return StateVector(nu, comps)
 
 
+def _plateau_start(pair: WeylPair, l: int, mu: int) -> int:
+    if mu < 1:
+        raise ValueError("window size mu must be >= 1")
+    if (l + 1) * mu > pair.nu:
+        raise ValueError(f"window [{l * mu}, {(l + 1) * mu}) overflows dimension {pair.nu}")
+    return l * mu
+
+
 def plateau_vector(pair: WeylPair, l: int, mu: int) -> StateVector:
     """Uniform window over mu consecutive clock eigenvectors starting at l*mu.
 
@@ -84,14 +98,24 @@ def plateau_vector(pair: WeylPair, l: int, mu: int) -> StateVector:
     || V |l> - |l> || = sqrt(2/mu) exactly for mu < nu (0 for mu = nu) and
     || U |l> - |l> || <= 2 pi (l+1) mu / nu.
     """
-    nu = pair.nu
-    if mu < 1:
-        raise ValueError("window size mu must be >= 1")
-    if (l + 1) * mu > nu:
-        raise ValueError(f"window [{l * mu}, {(l + 1) * mu}) overflows dimension {nu}")
-    comps = np.zeros(nu, dtype=np.complex128)
-    comps[l * mu : (l + 1) * mu] = 1.0 / math.sqrt(mu)
-    return StateVector(nu, comps)
+    start = _plateau_start(pair, l, mu)
+    comps = np.zeros(pair.nu, dtype=np.complex128)
+    comps[start : start + mu] = 1.0 / math.sqrt(mu)
+    return StateVector(pair.nu, comps)
+
+
+def plateau_window(pair: WeylPair, l: int, mu: int, reach: int = 1) -> Window:
+    """plateau_vector(pair, l, mu) as a Window with reach zeros at each end.
+
+    The window starts at l mu - reach mod nu, so the l = 0 window wraps to
+    nu - reach; one that would cover the cycle is the whole vector.
+    """
+    start, n = _plateau_start(pair, l, mu) - reach, mu + 2 * reach
+    if n >= pair.nu:
+        return Window.of(plateau_vector(pair, l, mu))
+    comps = np.zeros(n, dtype=np.complex128)
+    comps[reach : reach + mu] = 1.0 / math.sqrt(mu)
+    return Window(pair.nu, start % pair.nu, comps)
 
 
 def default_window(nu: int) -> int:
@@ -126,23 +150,28 @@ class CcrDefect:
     group: float
 
 
-def ccr_defect(pair: WeylPair, m: int, n: int, xi: StateVector) -> CcrDefect:
+def ccr_defect(pair: WeylPair, m: int, n: int, xi: StateVector | Window) -> CcrDefect:
     """Measure ||([Q, P] - i) xi|| / ||xi|| for both CCR surrogates.
 
     quadrature: commutator of the Hermitian quadrature pair;
     group: (nu / 2 pi m n) [U^m, V^n] acting as the approximate i.
+    xi is a StateVector or a Window with n zero amplitudes at each end (V^n
+    moves an index by n); the check runs on the window alone.
     """
-    norm = xi.norm()
+    win = Window.of(xi)
+    win.require_margin(n)
+    norm = win.norm()
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("need a nonzero finite-norm vector")
-    x = _components(xi, pair.nu)
-    out, w1, w2 = np.empty((3, pair.nu), dtype=np.complex128)
-    p_op, q_op = quadrature_ops(pair, m, n)
+    x = win.components
+    out, w1, w2 = np.empty((3, x.shape[0]), dtype=np.complex128)
+    p_op, q_op = (win.compress(op) for op in quadrature_ops(pair, m, n))
     _bracket_into(q_op, p_op, x, -1, out, w1, w2)
-    quad = residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out))
-    _bracket_into(pair.power_op(k=m), pair.power_op(l=n), x, -1, out, w1, w2)
+    quad = residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), win.dim, win.start)
+    u_m, v_n = win.compress(pair.power_op(k=m)), win.compress(pair.power_op(l=n))
+    _bracket_into(u_m, v_n, x, -1, out, w1, w2)
     np.multiply(pair.nu / (2.0 * math.pi * m * n), out, out=w2)
-    group = residual_norm(np.subtract(w2, np.multiply(1j, x, out=w1), out=out))
+    group = residual_norm(np.subtract(w2, np.multiply(1j, x, out=w1), out=out), win.dim, win.start)
     return CcrDefect(quad / norm, group / norm)
 
 

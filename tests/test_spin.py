@@ -240,6 +240,48 @@ def test_coherent_limit_monotone_along_grid():
         assert np.all(np.diff(column) < 1e-12)
 
 
+def _coherent_oracle(p, z, k):
+    """|spin - Bose| amplitude of weight k in 60-digit arithmetic; the phases agree."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        r = mpmath.mpf(abs(z))
+        x = r**2 / p
+        spin_amp = (1 + x) ** (-mpmath.mpf(p) / 2) * mpmath.sqrt(mpmath.binomial(p, k) * x**k)
+        bose_amp = mpmath.exp(-(r**2) / 2) * r**k / mpmath.sqrt(mpmath.factorial(k))
+        return abs(spin_amp - bose_amp)
+
+
+@pytest.mark.parametrize("z", [1.0, 0.5, 2.0, 0.3 - 0.4j])
+def test_coherent_limit_error_matches_a_60_digit_oracle(z):
+    # a difference of log-gammas at p cancels (5.6e-4 relative at p = 1e6,
+    # k = 2); the head is formed from log1p terms and a series for
+    # x - log1p(x), so it stays within a few ulps up to p = 1e12
+    for p in [10**e for e in range(1, 7)]:
+        got = spin.coherent_limit_error(spin.make_spin_rep(p), z, 3)
+        for k in range(4):
+            want = _coherent_oracle(p, z, k)
+            assert abs(got[k] - want) <= 1e-13 * want, (p, k, got[k], want)
+    for p in (10**9, 10**12):
+        got = spin.coherent_head_error(p, z, 3)
+        for k in range(4):
+            want = _coherent_oracle(p, z, k)
+            assert abs(got[k] - want) <= 1e-13 * want, (p, k, got[k], want)
+
+
+def test_coherent_head_error_stays_finite_at_any_z_and_k():
+    # neither factor of |b_k| |expm1(delta)| overflows, not even where the
+    # spin and Bose amplitudes underflow; k may run up to p
+    for p, z in ((10, 1e14), (10, 30.0), (10**6, 1e3), (7, 2.0)):
+        errors = spin.coherent_head_error(p, z, min(p, 5))
+        assert np.all(np.isfinite(errors)) and np.all((errors >= 0) & (errors <= 1)), errors
+    # at small p the full amplitude vector is accurate and agrees
+    rep = spin.make_spin_rep(7)
+    params = spin.SpinCoherentParams.from_z(2.0, rep.j)
+    amps = spin.coherent_amplitudes(rep, params.theta, params.phi)
+    want = [abs(amps[k] - spin.bose_coherent_amplitude(2.0, k)) for k in range(8)]
+    np.testing.assert_allclose(spin.coherent_head_error(7, 2.0, 7), want, rtol=1e-12, atol=0)
+
+
 def test_coherent_limit_kmax_validated():
     rep = spin.make_spin_rep(4)
     with pytest.raises(ValueError):

@@ -125,21 +125,23 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
 
 
 def test_sweeps_without_spin_never_load_scipy():
-    # spin imports scipy inside the functions that call it, so the CLI and a
-    # parafermi or clifford sweep start in numpy time; a spin sweep's first
-    # coherent-state amplitude then loads scipy.special
+    # spin imports scipy inside the functions that call it and the sweep
+    # calls none of them, so the CLI and a default sweep of all four
+    # experiments start and run in numpy time; a coherent-state amplitude
+    # vector then loads scipy.special
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = "\n".join([
         "import sys",
         "import ccrlab.cli",
+        "from ccrlab import spin",
         "from ccrlab.sweeps import SweepConfig, run_sweep",
         "def scipy_loaded():",
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
-        "run_sweep(SweepConfig(experiment='parafermi', parafermi_orders=(1, 2), mode_list=(1, 2)))",
-        "run_sweep(SweepConfig(experiment='clifford', clifford_nu_list=(1, 2, 3)))",
+        "records, _ = run_sweep(SweepConfig())",
+        "assert {r.experiment for r in records} == {'weyl', 'spin', 'clifford', 'parafermi'}",
         "assert not scipy_loaded(), scipy_loaded()",
-        "run_sweep(SweepConfig(experiment='spin', p_list=(10,)))",
+        "spin.coherent_amplitudes(spin.make_spin_rep(10), 0.3, 0.1)",
         "assert 'scipy.special' in sys.modules, scipy_loaded()",
     ])
     proc = subprocess.run(
@@ -561,6 +563,37 @@ def test_written_records_round_trip_byte_for_byte(records):
     assert records_to_csv(parse_records_csv(csv_text)) == csv_text
     json_text = records_to_json(records)
     assert records_to_json(parse_records_json(json_text)) == json_text
+
+
+_PARAM_TEXT = st.text(st.sampled_from("0123456789+-.eEinfatrux_ "), max_size=8)
+
+
+@given(
+    st.dictionaries(
+        st.from_regex(r"[a-z]{1,4}", fullmatch=True),
+        st.integers() | st.floats() | st.booleans() | _PARAM_TEXT,
+        max_size=4,
+    )
+)
+def test_params_key_survives_the_csv_and_json_round_trips(params):
+    record = DefectRecord("weyl", params, "weyl-relation", 0.5, None, True)
+    key = record.params_key()
+    written = dict(item.split("=", 1) for item in key.split(";")) if key else {}
+    for text, parse in ((records_to_csv([record]), parse_records_csv), (records_to_json([record]), parse_records_json)):
+        (back,) = parse(text)
+        assert back.params_key() == key
+        # a value comes back as a number only where it writes back as the same text
+        assert {k: sweeps._fmt_number(v) for k, v in back.params.items()} == written
+
+
+def test_parsed_params_keep_text_that_is_not_a_written_number():
+    parsed = sweeps._parse_params("a=1e3;b=007;c=-0;d=1_000;e=7;f=1.0;g=1e+16;h=-0.0;i=nan;j=")
+    assert parsed == {
+        "a": "1e3", "b": "007", "c": "-0", "d": "1_000", "e": 7, "f": 1.0, "g": 1e16, "h": -0.0,
+        "i": parsed["i"], "j": "",
+    }
+    assert math.isnan(parsed["i"]) and math.copysign(1.0, parsed["h"]) == -1.0
+    assert [type(parsed[k]) for k in "efg"] == [int, float, float]
 
 
 def test_config_file_parsing(tmp_path):
