@@ -129,11 +129,6 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-# in amplitudes: a multiple of the doubles einsum's SIMD loop takes per step
-# (4 vectors of up to 8 lanes), and a divisor of its chunk
-_NORM_BLOCK = 32
-
-
 def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     """Euclidean norm of a complex vector, summed without BLAS.
 
@@ -146,14 +141,12 @@ def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     a vector of dim amplitudes that is zero elsewhere, and the result is
     that vector's norm, bitwise.  einsum sums a long vector in chunks of
     np.getbufsize() doubles (4096 amplitudes by default) and adds each
-    chunk's sum to the running total in chunk order; within a chunk, its
-    SIMD loop takes the doubles a few vectors at a time, each lane summing
-    the doubles at its positions, so zeros change no lane.  So each chunk
-    the window touches is summed from the window's first block of
-    _NORM_BLOCK amplitudes there to its last, cut where the chunk ends,
-    and the sums are added in chunk order; the other chunks add exact
-    zeros.  Summing the window as one array changes the last bits when it
-    straddles a chunk boundary or sits at another offset in its chunk.
+    chunk's sum to the running total in chunk order.  So each chunk the
+    window touches is rebuilt whole, zero-filled outside the window, and
+    summed by the same einsum, and the sums are added in chunk order; the
+    other chunks add exact zeros.  Summing the window as one array changes
+    the last bits when it straddles a chunk boundary or sits at another
+    offset in its chunk.
     """
     x = np.ascontiguousarray(v, dtype=np.complex128)
     n = x.shape[0]
@@ -166,16 +159,17 @@ def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     runs = ((start, start + first, start), (0, n - first, start - dim))
     chunks = set(range(start // chunk, (start + first - 1) // chunk + 1))
     chunks.update(range((n - first - 1) // chunk + 1))
+    part = np.empty(min(chunk, dim), dtype=np.complex128)
     total = 0.0
     for c in sorted(chunks):
         lo, hi = c * chunk, min((c + 1) * chunk, dim)
-        cuts = [(max(lo, b), min(hi, e), s) for b, e, s in runs if max(lo, b) < min(hi, e)]
-        lo = min(a for a, _, _ in cuts) // _NORM_BLOCK * _NORM_BLOCK
-        hi = min(hi, -(-max(b for _, b, _ in cuts) // _NORM_BLOCK) * _NORM_BLOCK)
-        part = np.zeros(hi - lo, dtype=np.complex128)
-        for a, b, shift in cuts:
-            part[a - lo : b - lo] = x[a - shift : b - shift]
-        f = part.view(np.float64)
+        seg = part[: hi - lo]
+        seg.fill(0)
+        for begin, end, shift in runs:
+            a, b = max(lo, begin), min(hi, end)
+            if a < b:
+                seg[a - lo : b - lo] = x[a - shift : b - shift]
+        f = seg.view(np.float64)
         total += float(np.einsum("i,i->", f, f))
     return math.sqrt(total)
 
@@ -749,7 +743,12 @@ def _clock_table(dim: int) -> np.ndarray:
 
     Phases are read from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
     """
-    return _freeze(np.exp(2j * np.pi * _indices(dim) / dim))
+    return _freeze(_clock_phases(_indices(dim), dim))
+
+
+def _clock_phases(w: np.ndarray, dim: int) -> np.ndarray:
+    """exp(2 pi i w / dim) for an int64 index array w: the one expression of a clock phase."""
+    return np.exp(2j * np.pi * w / dim)
 
 
 @dataclass(frozen=True)
@@ -813,10 +812,10 @@ class PermutationPhaseOperator(LinearOperator):
     def _compressed(self, start, n):
         # the window keeps A[i + o, i] for the signed shifts o = l and l - dim
         # shorter than n, a banded operator of one diagonal when n + |o| <= dim.
-        # Its phases are the clock table's expression evaluated at the
-        # window's own phase indices w0 + k i mod dim, in Python ints where
-        # k i could pass int64, so no table of length dim is built; without a
-        # clock power they are one phase
+        # Its phases are _clock_phases at the window's own phase indices
+        # w0 + k i mod dim, formed in Python ints where k i could pass int64,
+        # so no table of length dim is built; without a clock power they are
+        # one phase
         dim, k, diags = self.dim, self.k, []
         for o in (self.l, self.l - dim):
             if abs(o) < n:
@@ -824,7 +823,7 @@ class PermutationPhaseOperator(LinearOperator):
                 w0 = (k * (start + first) + self.m) % dim
                 exact = np.int64 if k * n + dim < 2**63 else object
                 w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
-                phases = np.exp(2j * np.pi * w.astype(np.int64) / dim)
+                phases = _clock_phases(w.astype(np.int64), dim)
                 diags.append((o, np.broadcast_to(phases, (count,))))
         return BandedOperator(n, diags)
 

@@ -104,17 +104,18 @@ def plateau_vector(pair: WeylPair, l: int, mu: int) -> StateVector:
     return StateVector(pair.nu, comps)
 
 
-def plateau_window(pair: WeylPair, l: int, mu: int, reach: int = 1) -> Window:
-    """plateau_vector(pair, l, mu) as a Window with reach zeros at each end.
+def plateau_window(pair: WeylPair, l: int, mu: int) -> Window:
+    """plateau_vector(pair, l, mu) as a Window with one zero at each end.
 
-    The window starts at l mu - reach mod nu, so the l = 0 window wraps to
-    nu - reach; one that would cover the cycle is the whole vector.
+    One zero is the reach of U, V and the quadratures at order 1.  The
+    window starts at l mu - 1 mod nu, so the l = 0 window wraps to nu - 1;
+    one that would cover the cycle is the whole vector.
     """
-    start, n = _plateau_start(pair, l, mu) - reach, mu + 2 * reach
+    start, n = _plateau_start(pair, l, mu) - 1, mu + 2
     if n >= pair.nu:
         return Window.of(plateau_vector(pair, l, mu))
     comps = np.zeros(n, dtype=np.complex128)
-    comps[reach : reach + mu] = 1.0 / math.sqrt(mu)
+    comps[1 : 1 + mu] = 1.0 / math.sqrt(mu)
     return Window(pair.nu, start % pair.nu, comps)
 
 
@@ -168,7 +169,8 @@ def ccr_defect(pair: WeylPair, m: int, n: int, xi: StateVector | Window) -> CcrD
     p_op, q_op = (win.compress(op) for op in quadrature_ops(pair, m, n))
     _bracket_into(q_op, p_op, x, -1, out, w1, w2)
     quad = residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), win.dim, win.start)
-    u_m, v_n = win.compress(pair.power_op(k=m)), win.compress(pair.power_op(l=n))
+    # the quadratures' first terms are U^m and V^n, already compressed
+    u_m, v_n = p_op.terms[0][1], q_op.terms[0][1]
     _bracket_into(u_m, v_n, x, -1, out, w1, w2)
     np.multiply(pair.nu / (2.0 * math.pi * m * n), out, out=w2)
     group = residual_norm(np.subtract(w2, np.multiply(1j, x, out=w1), out=out), win.dim, win.start)

@@ -282,8 +282,9 @@ def test_residuals_allocate_only_their_work_vectors():
     # out, w1, w2 and the quadrature combination's scratch vector
     peak = _peak_vectors(lambda: weyl.ccr_defect(pair, 1, 1, window), dim)
     assert peak < 4.1, peak
-    # on the plateau window of mu + 2 = 258 amplitudes: its work vectors and
-    # compressed phases, and no vector of length dim
+    # on the plateau window of mu + 2 = 258 amplitudes: its work vectors,
+    # compressed phases and the norm's one einsum chunk of 4096 amplitudes,
+    # and no vector of length dim
     window = weyl.plateau_window(pair, 0, weyl.default_window(dim))
     peak = _peak_vectors(lambda: weyl.ccr_defect(pair, 1, 1, window), dim)
     assert peak < 0.1, peak

@@ -180,3 +180,20 @@ def test_group_ccr_defect_reaches_nu_two_to_the_forty():
     elapsed = time.perf_counter() - begin
     assert abs(got.group * nu**0.25 - math.sqrt(2.0)) < 1e-4, got
     assert elapsed < 1.0, elapsed
+
+
+def test_ccr_defect_compresses_each_group_element_once(monkeypatch):
+    # the group pair reuses the quadratures' compressed U^m and V^n: at
+    # nu = 2**40 each compression evaluates 2**20 clock phases
+    compressed = []
+    inner = PermutationPhaseOperator._compressed
+
+    def counting(self, start, n):
+        compressed.append((self.k, self.l, self.m))
+        return inner(self, start, n)
+
+    monkeypatch.setattr(PermutationPhaseOperator, "_compressed", counting)
+    nu = 2**16
+    pair = weyl.make_canonical_pair(nu)
+    weyl.ccr_defect(pair, 1, 1, weyl.plateau_window(pair, 1, weyl.default_window(nu)))
+    assert sorted(compressed) == sorted([(1, 0, 0), (nu - 1, 0, 0), (0, 1, 0), (0, nu - 1, 0)])
