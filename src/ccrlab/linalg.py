@@ -109,13 +109,6 @@ def require_dim(dim: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
         )
 
 
-@functools.lru_cache(maxsize=8)
-def _indices(dim: int) -> np.ndarray:
-    idx = np.arange(dim, dtype=np.int64)
-    idx.flags.writeable = False
-    return idx
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -193,11 +186,6 @@ class StateVector:
         if not np.all(np.isfinite(comps.view(np.float64))):
             raise ValueError("components must be finite")
         object.__setattr__(self, "components", _freeze(comps))
-
-    @classmethod
-    def from_array(cls, comps) -> "StateVector":
-        comps = np.asarray(comps, dtype=np.complex128)
-        return cls(comps.shape[0], comps)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
@@ -743,7 +731,7 @@ def _clock_table(dim: int) -> np.ndarray:
 
     Phases are read from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
     """
-    return _freeze(_clock_phases(_indices(dim), dim))
+    return _freeze(_clock_phases(np.arange(dim, dtype=np.int64), dim))
 
 
 def _clock_phases(w: np.ndarray, dim: int) -> np.ndarray:
@@ -840,7 +828,7 @@ class PermutationPhaseOperator(LinearOperator):
         )
 
     def _dense(self):
-        dim, idx = self.dim, _indices(self.dim)
+        dim, idx = self.dim, np.arange(self.dim, dtype=np.int64)
         mat = np.zeros((dim, dim), dtype=np.complex128)
         mat[(idx + self.l) % dim, idx] = _clock_table(dim)[(self.k * idx + self.m) % dim]
         return mat

@@ -323,15 +323,20 @@ def _unnormalized_beta_power_vacuum(sys: GreenSystem, occ) -> StateVector:
     return vec
 
 
+def fock_norm_error(sys: GreenSystem, label) -> float:
+    """| ||beta^dag powers on vacuum|| - sqrt(prod n_k!) |, the norm_error of one label."""
+    occ = (label if isinstance(label, FockLabel) else FockLabel(tuple(label))).occupations
+    raw = _unnormalized_beta_power_vacuum(sys, occ)
+    return abs(raw.norm() - math.sqrt(float(np.prod([math.factorial(n) for n in occ]))))
+
+
 def fock_ladder_checks(
     sys: GreenSystem, label, excitation_cap: int = DEFAULT_EXCITATION_CAP
 ) -> FockLadderReport:
     if not isinstance(label, FockLabel):
         label = FockLabel(tuple(label))
     occ = label.occupations
-    raw = _unnormalized_beta_power_vacuum(sys, occ)
-    target = math.sqrt(float(np.prod([math.factorial(n) for n in occ])))
-    norm_error = abs(raw.norm() - target)
+    norm_error = fock_norm_error(sys, label)
 
     xi = fock_state(sys, label, excitation_cap)
     number_def, inverse_def, raise_def, lower_def = [], [], [], []

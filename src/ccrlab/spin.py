@@ -7,9 +7,9 @@ J3 eigenvector with eigenvalue j - k.
 
 Q = J1 / sqrt(j) and P = J2 / sqrt(j) satisfy [Q, P] = i J3 / j, so on the
 k-th weight state the CCR defect ||([Q,P] - i)|k>|| equals k/j exactly.
-make_spin_rep builds Q and P once, as SpinRep.Q and SpinRep.P, and the
-residuals apply them into three work vectors of length p + 1 (the linalg
-buffer form), raising ValueError on a non-finite residual norm.
+SpinRep holds the generators; a check scales J1 and J2 into Q and P, and the
+residuals apply them into three work vectors (the linalg buffer form),
+raising ValueError on a non-finite residual norm.
 
 Sign conventions (both verified exactly by the test suite):
 
@@ -58,7 +58,8 @@ COVARIANCE_SEED = 0x5EED
 class SpinRep:
     """Ladder operators of the (p+1)-dimensional so(3) irrep, j = p/2.
 
-    Q = J1 / sqrt(j) and P = J2 / sqrt(j) are the Hermitian CCR pair.
+    J1's two diagonals share one array.  qp_from_spin scales J1 and J2 into
+    the Hermitian CCR pair Q = J1 / sqrt(j), P = J2 / sqrt(j).
     """
 
     p: int
@@ -67,8 +68,6 @@ class SpinRep:
     J2: BandedOperator
     J3: BandedOperator
     Jminus: BandedOperator
-    Q: BandedOperator
-    P: BandedOperator
 
 
 def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
@@ -83,11 +82,7 @@ def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
     j1 = BandedOperator(p + 1, [(1, half), (-1, half)])
     j2 = BandedOperator(p + 1, [(1, 1j * lowering / 2.0), (-1, -1j * lowering / 2.0)])
     j3 = BandedOperator(p + 1, [(0, (j - np.arange(p + 1)).astype(np.complex128))])
-    s = 1.0 / math.sqrt(j)
-    q_half = s * half
-    q = BandedOperator(p + 1, [(1, q_half), (-1, q_half)])
-    pp = BandedOperator(p + 1, [(o, s * v) for o, v in j2.diags])
-    return SpinRep(p, j, j1, j2, j3, jminus, q, pp)
+    return SpinRep(p, j, j1, j2, j3, jminus)
 
 
 def weight_state(rep: SpinRep, k: int) -> StateVector:
@@ -97,16 +92,22 @@ def weight_state(rep: SpinRep, k: int) -> StateVector:
     return StateVector.basis(rep.p + 1, k)
 
 
+def _over_sqrt_j(j: float, j1: BandedOperator, j2: BandedOperator):
+    """(j1 / sqrt(j), j2 / sqrt(j)), each diagonal scaled by the one factor 1/sqrt(j)."""
+    s = 1.0 / math.sqrt(j)
+    return tuple(BandedOperator(op.dim, [(o, s * v) for o, v in op.diags]) for op in (j1, j2))
+
+
 def qp_from_spin(rep: SpinRep):
-    """Hermitian pair Q = J1/sqrt(j), P = J2/sqrt(j), built with the representation."""
-    return rep.Q, rep.P
+    """Hermitian pair Q = J1/sqrt(j), P = J2/sqrt(j) on the full space."""
+    return _over_sqrt_j(rep.j, rep.J1, rep.J2)
 
 
 def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
     """||([Q, P] - i) |k>||, which equals k/j exactly at every p.
 
     Q and P are tridiagonal, so the residual lives on the weights k - 2..k + 2
-    and the check runs on that window alone.
+    and the check runs on that window alone, scaling the window's J1 and J2.
     """
     if not 0 <= k <= rep.p:
         raise ValueError(f"k={k} outside 0..{rep.p}")
@@ -115,7 +116,8 @@ def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
     x[k - lo] = 1.0
     win = Window(rep.p + 1, lo, x)
     out, w1, w2 = np.empty((3, hi - lo), dtype=np.complex128)
-    _bracket_into(win.compress(rep.Q), win.compress(rep.P), x, -1, out, w1, w2)
+    q, pp = _over_sqrt_j(rep.j, win.compress(rep.J1), win.compress(rep.J2))
+    _bracket_into(q, pp, x, -1, out, w1, w2)
     return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), win.dim, lo)
 
 
@@ -135,12 +137,13 @@ def covariance_defect(rep: SpinRep, theta: float, n_vectors: int = 10, rng=None)
         rng = np.random.default_rng(COVARIANCE_SEED)
     fwd = rotation_about_axis3(rep, theta)
     bwd = rotation_about_axis3(rep, -theta)
-    rotated = LinCombOperator([(math.cos(theta), rep.Q), (math.sin(theta), rep.P)])
+    q, pp = qp_from_spin(rep)
+    rotated = LinCombOperator([(math.cos(theta), q), (math.sin(theta), pp)])
     out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
     worst = 0.0
     for _ in range(n_vectors):
         x = random_state(rep.p + 1, rng).components
-        bwd._apply_array(rep.Q._apply_array(fwd._apply_array(x, w1), w2), out)
+        bwd._apply_array(q._apply_array(fwd._apply_array(x, w1), w2), out)
         worst = max(worst, residual_norm(np.subtract(out, rotated._apply_array(x, w1), out=out)))
     return worst
 

@@ -36,7 +36,6 @@ from .linalg import (
     Window,
     _bracket_into,
     _components,
-    _indices,
     require_dim,
     residual_norm,
 )
@@ -78,7 +77,7 @@ def fourier_basis_vector(pair: WeylPair, n: int) -> StateVector:
     nu = pair.nu
     if not 0 <= n < nu:
         raise ValueError(f"index {n} out of range for nu={nu}")
-    idx = _indices(nu)
+    idx = np.arange(nu, dtype=np.int64)
     comps = np.exp(2j * np.pi * ((n * idx) % nu) / nu) / np.sqrt(nu)
     return StateVector(nu, comps)
 

@@ -232,10 +232,9 @@ def test_spin_residuals_are_bitwise_the_state_vector_formulas(dim):
     p = dim - 1
     rep = spin.make_spin_rep(p)
     q, pp = _old_qp(rep)
-    for built, old in ((rep.Q, q), (rep.P, pp)):
+    for built, old in zip(spin.qp_from_spin(rep), (q, pp)):
         assert [o for o, _ in built.diags] == [o for o, _ in old.diags]
         assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(built.diags, old.diags))
-    assert spin.qp_from_spin(rep) == (rep.Q, rep.P)
 
     for k in sorted({0, 1, p // 2, p}):
         xi = spin.weight_state(rep, k)
@@ -301,8 +300,8 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
     rep = spin.make_spin_rep(12)
     rng = np.random.default_rng(1)
     calls = [
-        lambda: spin.weight_state_ccr_defect(dataclasses.replace(rep, Q=_poisoned(rep.Q, value)), 3),
-        lambda: spin.covariance_defect(dataclasses.replace(rep, Q=_poisoned(rep.Q, value)), 0.3),
+        lambda: spin.weight_state_ccr_defect(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), 3),
+        lambda: spin.covariance_defect(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), 0.3),
         lambda: sweeps._so3_closure(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), rng),
         lambda: list(sweeps._spin_checks(SweepConfig(), rng, dataclasses.replace(rep, J2=_poisoned(rep.J2, value)), 12)),
     ]

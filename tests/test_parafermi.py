@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -425,8 +426,28 @@ def test_cross_defects_shrink_with_order():
     assert large.cross_dagger_defect <= small.cross_dagger_defect + 1e-12
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+def test_unit_defect_does_not_depend_on_the_second_mode(p):
+    # the sweep asks for l = k, which forms no cross figure
+    sys = parafermi.make_green_system(p, 2)
+    xi = parafermi.fock_state(sys, (1, 1))
+    for state in (sys.vacuum, xi, random_state(1 << sys.total_sites, np.random.default_rng(p))):
+        same = parafermi.normalized_ccr_checks(sys, 1, 1, state)
+        other = parafermi.normalized_ccr_checks(sys, 1, 2, state)
+        assert same.unit_defect == other.unit_defect
+
+
 # ---------------------------------------------------------------------------
 # Fock ladder behavior
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_fock_norm_error_is_the_ladder_report_figure(p, modes):
+    sys = parafermi.make_green_system(p, modes)
+    for label in product(range(min(p, 2) + 1), repeat=modes):
+        report = parafermi.fock_ladder_checks(sys, label)
+        assert parafermi.fock_norm_error(sys, label) == report.norm_error
 
 
 def test_single_excitation_norm_exact():

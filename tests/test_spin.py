@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccrlab import spin
-from ccrlab.linalg import StateVector, commutator_apply, random_state
+from ccrlab.linalg import BandedOperator, StateVector, commutator_apply, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -120,6 +120,15 @@ def test_qp_support_and_coefficients():
             expected_p[k - 1] = -1j * up
         np.testing.assert_allclose(q_out, expected_q, atol=1e-12)
         np.testing.assert_allclose(p_out, expected_p, atol=1e-12)
+
+
+def test_rep_holds_the_generators_only():
+    # Q and P are scaled from J1 and J2 when a check needs them: the
+    # representation keeps five arrays, J1's two diagonals sharing one
+    rep = spin.make_spin_rep(10**5)
+    assert not hasattr(rep, "Q") and not hasattr(rep, "P")
+    ops = [v for v in vars(rep).values() if isinstance(v, BandedOperator)]
+    assert len({id(values) for op in ops for _, values in op.diags}) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrlab import cli, sweeps
+from ccrlab import cli, parafermi, sweeps
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -197,6 +197,26 @@ def test_identity_failure_sets_exit_code(monkeypatch):
     assert status == EXIT_IDENTITY_FAILURE
     assert not records[0].passed
     assert "FAIL" in report(records)
+
+
+def test_parafermi_battery_forms_only_the_figures_it_writes(monkeypatch):
+    # the unit defect is read at l = k, where no cross commutator is formed,
+    # and the Fock norm error without the rest of the ladder report
+    checks = parafermi.normalized_ccr_checks
+
+    def same_mode_only(sys, k, l, xi, ladder_order=1):
+        assert k == l
+        return checks(sys, k, l, xi, ladder_order)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed the whole Fock ladder report")
+
+    monkeypatch.setattr(parafermi, "normalized_ccr_checks", same_mode_only)
+    monkeypatch.setattr(parafermi, "fock_ladder_checks", refuse)
+    cfg = SweepConfig(experiment="parafermi", parafermi_orders=(1, 2, 3), mode_list=(1, 2))
+    records, status = run_sweep(cfg)
+    assert status == EXIT_OK
+    assert {"normalized-unit-defect", "fock-norm-error"} <= {r.defect for r in records}
 
 
 def test_report_contents():

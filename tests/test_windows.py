@@ -155,7 +155,7 @@ def _full_weight_state_defect(rep, k):
     # the buffer-form route on the whole vector, as the sweep ran it before windows
     x = spin.weight_state(rep, k).components
     out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
-    _bracket_into(rep.Q, rep.P, x, -1, out, w1, w2)
+    _bracket_into(*spin.qp_from_spin(rep), x, -1, out, w1, w2)
     return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out))
 
 
@@ -167,7 +167,7 @@ def test_weight_state_check_on_the_window_is_bitwise_the_full_vector(p):
         assert got == _full_weight_state_defect(rep, k)
         if p <= 10**3 or k <= 3:
             xi = spin.weight_state(rep, k)
-            assert got == (_old_bracket(rep.Q, rep.P, xi, -1) - 1j * xi).norm()
+            assert got == (_old_bracket(*spin.qp_from_spin(rep), xi, -1) - 1j * xi).norm()
 
 
 def test_group_ccr_defect_reaches_nu_two_to_the_forty():
