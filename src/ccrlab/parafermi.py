@@ -15,8 +15,12 @@ deviation on a number eigenstate is not just bounded but exactly
 
 Green's component relations, the number identity and the trilinear
 relations hold exactly at every order, so they are multiplied out exactly
-over the Pauli basis (PauliTerms) and read 0.0 when they hold; the vacuum,
-Fock and normalized-mode checks act on state vectors.
+over the Pauli basis (PauliTerms) and read 0.0 when they hold.  The vacuum
+condition, the Fock norms and the unit defect act with PauliTerms.act on
+sparse states {basis index: coeff}: from the vacuum, b^dag powers have
+Gaussian-integer coefficients, so their squared norms are exact ints and
+no figure depends on the 2**(p*nu) register.  The state-vector routes
+(fock_state, normalized_ccr_checks, fock_ladder_checks) stay as oracles.
 """
 
 from __future__ import annotations
@@ -133,8 +137,9 @@ class FockLabel:
             raise ValueError("occupations must be nonnegative")
         object.__setattr__(self, "occupations", occ)
 
-    def total(self) -> int:
-        return sum(self.occupations)
+
+def _occupations(label) -> tuple:
+    return (label if isinstance(label, FockLabel) else FockLabel(tuple(label))).occupations
 
 
 def fock_state(
@@ -146,13 +151,11 @@ def fock_state(
     n_k > p the raw vector vanishes (order-p exclusion) and a
     ModeExclusionError names the offending mode.
     """
-    if not isinstance(label, FockLabel):
-        label = FockLabel(tuple(label))
-    occ = label.occupations
+    occ = _occupations(label)
     if len(occ) > sys.nu:
         raise ValueError(f"label has {len(occ)} modes, system has {sys.nu}")
-    if label.total() > excitation_cap:
-        raise ValueError(f"total excitation {label.total()} exceeds cap {excitation_cap}")
+    if sum(occ) > excitation_cap:
+        raise ValueError(f"total excitation {sum(occ)} exceeds cap {excitation_cap}")
     vec = sys.vacuum
     # rightmost factor acts first: apply creation ops for mode nu first
     for k in range(len(occ), 0, -1):
@@ -203,6 +206,36 @@ def number_identity_residual(sys: GreenSystem) -> float:
         b_k = parafermi_op(sys, k)
         lhs = 0.5 * (bracket(b_k.adjoint().terms(), b_k.terms(), -1) + p_one)
         worst = max(worst, (lhs - per_mode[k - 1].terms()).norm())
+    return worst
+
+
+def _vacuum(sys: GreenSystem) -> dict:
+    return {(1 << sys.total_sites) - 1: 1}
+
+
+def _squared_norm(state: dict) -> int:
+    """||state||**2 as an exact int; every coefficient must be a Gaussian integer."""
+    total = 0
+    for c in state.values():
+        re, im = int(c.real), int(c.imag)
+        if re != c.real or im != c.imag:
+            raise ValueError(f"coefficient {c} is not a Gaussian integer")
+        total += re * re + im * im
+    return total
+
+
+def vacuum_condition_residual(sys: GreenSystem) -> float:
+    """Worst exact ||b_k b_l^dag |0> - p delta_kl |0>|| over every mode pair."""
+    vacuum = _vacuum(sys)
+    (index,) = vacuum
+    worst = 0.0
+    for l in range(1, sys.nu + 1):
+        raised = parafermi_op(sys, l).adjoint().terms().act(vacuum)
+        for k in range(1, sys.nu + 1):
+            out = parafermi_op(sys, k).terms().act(raised)
+            if k == l:
+                out[index] = out.get(index, 0) - sys.p
+            worst = max(worst, math.sqrt(_squared_norm(out)))
     return worst
 
 
@@ -323,20 +356,59 @@ def _unnormalized_beta_power_vacuum(sys: GreenSystem, occ) -> StateVector:
     return vec
 
 
+def _creation_power_vacuum(sys: GreenSystem, occ) -> dict:
+    """b_1^dag^n_1 ... b_nu^dag^n_nu |0>, unnormalized, as a sparse state.
+
+    Its coefficients are Gaussian integers; it is empty when some n_k > p.
+    """
+    state = _vacuum(sys)
+    for k in range(len(occ), 0, -1):
+        creator = parafermi_op(sys, k).adjoint().terms()
+        for _ in range(occ[k - 1]):
+            state = creator.act(state)
+    return state
+
+
 def fock_norm_error(sys: GreenSystem, label) -> float:
-    """| ||beta^dag powers on vacuum|| - sqrt(prod n_k!) |, the norm_error of one label."""
-    occ = (label if isinstance(label, FockLabel) else FockLabel(tuple(label))).occupations
-    raw = _unnormalized_beta_power_vacuum(sys, occ)
-    return abs(raw.norm() - math.sqrt(float(np.prod([math.factorial(n) for n in occ]))))
+    """| ||beta^dag powers on vacuum|| - sqrt(prod n_k!) |, the norm_error of one label.
+
+    With S the exact squared norm of b^dag powers on the vacuum, N = sum n_k
+    and F = prod n_k!, the two norms are a = sqrt(S / p**N) and b = sqrt(F),
+    and |a - b| = |S - p**N F| / (sqrt(S p**N) + p**N sqrt(F)).  The
+    numerator is an exact int and both roots are integer square roots
+    carried 64 bits past the point, so nothing cancels and the quotient
+    rounds once.
+    """
+    occ = _occupations(label)
+    s = _squared_norm(_creation_power_vacuum(sys, occ))
+    pn = sys.p ** sum(occ)
+    f = math.prod(math.factorial(n) for n in occ)
+    scale = 1 << 128
+    den = math.isqrt(s * pn * scale) + math.isqrt(f * pn * pn * scale)
+    return abs(s - pn * f) * (1 << 64) / den
+
+
+def unit_defect(sys: GreenSystem, label) -> float:
+    """||([beta_1, beta_1^dag] - 1) xi|| on the normalized Fock state xi of `label`.
+
+    With psi = b^dag powers on the vacuum, unnormalized, this is
+    sqrt(||([b_1, b_1^dag] - p) psi||**2 / ||psi||**2) / p, and both squared
+    norms are exact ints.  A label past the order raises ModeExclusionError.
+    """
+    occ = _occupations(label)
+    psi = _creation_power_vacuum(sys, occ)
+    if not psi:
+        raise ModeExclusionError(f"label {occ} exceeds order {sys.p}")
+    b_1 = parafermi_op(sys, 1)
+    shifted = bracket(b_1.terms(), b_1.adjoint().terms(), -1) - PauliTerms({(0, 0): sys.p})
+    return math.sqrt(_squared_norm(shifted.act(psi)) / _squared_norm(psi)) / sys.p
 
 
 def fock_ladder_checks(
     sys: GreenSystem, label, excitation_cap: int = DEFAULT_EXCITATION_CAP
 ) -> FockLadderReport:
-    if not isinstance(label, FockLabel):
-        label = FockLabel(tuple(label))
-    occ = label.occupations
-    norm_error = fock_norm_error(sys, label)
+    occ = _occupations(label)
+    norm_error = fock_norm_error(sys, occ)
 
     xi = fock_state(sys, label, excitation_cap)
     number_def, inverse_def, raise_def, lower_def = [], [], [], []

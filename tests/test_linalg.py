@@ -510,6 +510,76 @@ def test_terms_norm_refuses_non_finite_coefficients():
             linalg.PauliTerms({(0, 0): complex(bad)}).norm()
 
 
+_DYADIC_PARTS = st.integers(-8, 8)
+
+
+@st.composite
+def _dyadic_terms(draw, m):
+    # (a + ib) / 4 coefficients: every product, sum and doubling is exact
+    keys = st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1))
+    items = draw(st.dictionaries(keys, st.tuples(_DYADIC_PARTS, _DYADIC_PARTS), max_size=5))
+    return linalg.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
+
+
+@st.composite
+def _terms_and_sparse_state(draw):
+    m = draw(st.integers(1, 10))
+    entries = st.tuples(_DYADIC_PARTS, _DYADIC_PARTS)
+    state = draw(st.dictionaries(st.integers(0, (1 << m) - 1), entries, min_size=1, max_size=3))
+    return m, draw(_dyadic_terms(m)), {n: complex(a, b) / 4 for n, (a, b) in state.items()}
+
+
+@given(_terms_and_sparse_state())
+def test_sparse_action_equals_the_vector_route(case):
+    m, terms, state = case
+    x = np.zeros(1 << m, dtype=complex)
+    for n, a in state.items():
+        x[n] = a
+    want = PauliSumOperator.from_terms(terms, m)._apply_array(x)
+    got = np.zeros(1 << m, dtype=complex)
+    out = terms.act(state)
+    for n, a in out.items():
+        got[n] = a
+    assert np.array_equal(got, want)
+    assert 0 not in out.values()
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(_dyadic_terms(m), _dyadic_terms(m))))
+def test_one_pass_bracket_is_the_two_product_dict(pair):
+    a, b = pair
+    for sign in (+1, -1):
+        assert linalg.bracket(a, b, sign) == a * b + sign * (b * a)
+
+
+def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkeypatch):
+    one_pass = linalg.bracket
+    seen = []
+
+    def checked(a, b, sign):
+        out = one_pass(a, b, sign)
+        assert out == a * b + sign * (b * a)
+        seen.append(sign)
+        return out
+
+    monkeypatch.setattr(parafermi, "bracket", checked)
+    monkeypatch.setattr(clifford, "bracket", checked)
+    for p in (1, 2, 3):
+        for nu in (1, 2):
+            sys = parafermi.make_green_system(p, nu)
+            parafermi.green_relation_residual(sys)
+            parafermi.number_identity_residual(sys)
+            parafermi.trilinear_defect(sys)
+            parafermi.unit_defect(sys, (1,) * nu)
+    clifford._bracket_pattern.cache_clear()
+    for nu in (1, 2, 3):
+        family = clifford.make_gammas(nu)
+        basis = clifford.so_n_basis(family)
+        pairs = list(itertools.product(sorted(basis), repeat=2))
+        clifford.relation_residuals(family, basis, pairs)
+    clifford._bracket_pattern.cache_clear()
+    assert {+1, -1} <= set(seen)
+
+
 def test_hs_norm_and_trace_are_coefficient_reads_up_to_ten_sites():
     rng = np.random.default_rng(24)
     for m in range(1, 11):

@@ -428,7 +428,7 @@ def test_cross_defects_shrink_with_order():
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
 def test_unit_defect_does_not_depend_on_the_second_mode(p):
-    # the sweep asks for l = k, which forms no cross figure
+    # the unit figure of the vector route reads mode k alone
     sys = parafermi.make_green_system(p, 2)
     xi = parafermi.fock_state(sys, (1, 1))
     for state in (sys.vacuum, xi, random_state(1 << sys.total_sites, np.random.default_rng(p))):
@@ -448,6 +448,84 @@ def test_fock_norm_error_is_the_ladder_report_figure(p, modes):
     for label in product(range(min(p, 2) + 1), repeat=modes):
         report = parafermi.fock_ladder_checks(sys, label)
         assert parafermi.fock_norm_error(sys, label) == report.norm_error
+
+
+def _dense(state, dim):
+    vec = np.zeros(dim, dtype=complex)
+    for n, a in state.items():
+        vec[n] = a
+    return vec
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_sparse_creation_powers_are_the_register_vectors(p, modes):
+    # b^dag has coefficients +-1 and +-i on basis states, so both routes are exact
+    sys = parafermi.make_green_system(p, modes)
+    for label in product(range(min(p + 1, 3) + 1), repeat=modes):
+        vec = sys.vacuum
+        for k in range(modes, 0, -1):
+            for _ in range(label[k - 1]):
+                vec = parafermi.parafermi_op(sys, k).adjoint().apply(vec)
+        state = parafermi._creation_power_vacuum(sys, label)
+        assert np.array_equal(_dense(state, 1 << sys.total_sites), vec.components)
+        assert parafermi._squared_norm(state) == round(vec.norm() ** 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_vacuum_condition_is_exact_and_matches_the_register(p, modes):
+    sys = parafermi.make_green_system(p, modes)
+    assert parafermi.vacuum_condition_residual(sys) == 0.0
+    for k, l in product(range(1, modes + 1), repeat=2):
+        b_k = parafermi.parafermi_op(sys, k)
+        out = b_k.apply(parafermi.parafermi_op(sys, l).adjoint().apply(sys.vacuum))
+        assert (out - (float(p) if k == l else 0.0) * sys.vacuum).norm() == 0.0
+
+
+def test_a_broken_component_fails_the_vacuum_condition():
+    sys = parafermi.make_green_system(2, 1)
+    components = dict(sys.components)
+    # a raising site where the lowering one belongs
+    components[(1, 2)] = PauliSumOperator([PauliString(1j, [(2, "+")], 2)])
+    broken = dataclasses.replace(sys, components=components)
+    assert parafermi.vacuum_condition_residual(broken) > 0.5
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_sparse_unit_defect_matches_the_register(p, modes):
+    sys = parafermi.make_green_system(p, modes)
+    for label in product(range(min(p, 2) + 1), repeat=modes):
+        want = parafermi.normalized_ccr_checks(sys, 1, 1, parafermi.fock_state(sys, label))
+        # exactly (2/p) n_1, which the register route meets to rounding
+        assert parafermi.unit_defect(sys, label) == 2.0 * label[0] / p
+        assert abs(parafermi.unit_defect(sys, label) - want.unit_defect) <= 1e-14
+
+
+def test_unit_defect_refuses_a_label_past_the_order():
+    sys = parafermi.make_green_system(2, 2)
+    with pytest.raises(parafermi.ModeExclusionError):
+        parafermi.unit_defect(sys, (3, 0))
+
+
+def test_squared_norm_refuses_a_non_integer_coefficient():
+    assert parafermi._squared_norm({0: 3 + 4j, 5: -1.0}) == 26
+    with pytest.raises(ValueError, match="Gaussian integer"):
+        parafermi._squared_norm({0: 0.5})
+
+
+def test_fock_norm_error_is_within_an_ulp_of_the_closed_form():
+    # ||beta^dag^2 |0>|| = sqrt(2 (p - 1) / p), so the error is
+    # sqrt 2 - sqrt(2 (p - 1) / p), about 0.7071 / p: a cancellation the
+    # exact numerator avoids; the oracle carries 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for p in range(1, parafermi.DEFAULT_SITE_CAP + 1):
+        sys = parafermi.make_green_system(p, 1)
+        want = mpmath.sqrt(2) - mpmath.sqrt(mpmath.mpf(2 * (p - 1)) / p)
+        got = parafermi.fock_norm_error(sys, (2,))
+        assert abs(mpmath.mpf(got) - want) <= math.ulp(float(want)), p
 
 
 def test_single_excitation_norm_exact():

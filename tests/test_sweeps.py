@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrlab import cli, parafermi, sweeps
+from ccrlab.linalg import PauliString
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -200,23 +201,20 @@ def test_identity_failure_sets_exit_code(monkeypatch):
 
 
 def test_parafermi_battery_forms_only_the_figures_it_writes(monkeypatch):
-    # the unit defect is read at l = k, where no cross commutator is formed,
-    # and the Fock norm error without the rest of the ladder report
-    checks = parafermi.normalized_ccr_checks
-
-    def same_mode_only(sys, k, l, xi, ladder_order=1):
-        assert k == l
-        return checks(sys, k, l, xi, ladder_order)
-
+    # every record is read off exact Pauli sums and sparse states: no state
+    # vector route and no strided Pauli-kernel apply runs
     def refuse(*args, **kwargs):
-        raise AssertionError("formed the whole Fock ladder report")
+        raise AssertionError("a parafermi record went through a state vector")
 
-    monkeypatch.setattr(parafermi, "normalized_ccr_checks", same_mode_only)
-    monkeypatch.setattr(parafermi, "fock_ladder_checks", refuse)
+    for name in ("normalized_ccr_checks", "fock_ladder_checks", "fock_state"):
+        monkeypatch.setattr(parafermi, name, refuse)
+    monkeypatch.setattr(PauliString, "apply_into", refuse)
     cfg = SweepConfig(experiment="parafermi", parafermi_orders=(1, 2, 3), mode_list=(1, 2))
     records, status = run_sweep(cfg)
     assert status == EXIT_OK
-    assert {"normalized-unit-defect", "fock-norm-error"} <= {r.defect for r in records}
+    assert {"vacuum-condition", "normalized-unit-defect", "fock-norm-error"} <= {
+        r.defect for r in records
+    }
 
 
 def test_report_contents():
