@@ -495,6 +495,10 @@ class PauliTerms(dict):
 
     __rmul__ = __mul__  # only ever reached with a scalar on the left
 
+    def adjoint(self) -> "PauliTerms":
+        """The conjugate coefficients: every basis string is Hermitian."""
+        return PauliTerms({key: c.conjugate() for key, c in self.items()})
+
     def norm(self) -> float:
         """l2 norm of the coefficients; a non-finite one raises ValueError."""
         return _finite(math.sqrt(sum(abs(c) ** 2 for c in self.values())), "coefficient norm")
@@ -539,45 +543,15 @@ def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
     return PauliTerms._nonzero(out.items())
 
 
-# index into one run's axis, (input side, output side): a flipped run reads
-# its axis reversed (XOR with all ones), a ladder or projector site reads and
-# writes one fixed half
-_RUN_INDEX = {
-    "I": (slice(None), slice(None)),
-    "Z": (slice(None), slice(None)),
-    "X": (slice(None, None, -1), slice(None)),
-    "Y": (slice(None, None, -1), slice(None)),
-    "+": (1, 0),
-    "-": (0, 1),
-    "N": (0, 0),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_signs(bits: int) -> np.ndarray:
-    """(-1)**popcount(j) for j < 2**bits, read only and shared by strings.
-
-    Shared rather than kept per string: all tables together take under 32
-    bytes per amplitude of the largest sign region ever applied.
-    """
-    signs = np.ones(1 << bits, dtype=np.complex128)
-    for b in range(bits):
-        signs.reshape(-1, 2, 1 << b)[:, 1] *= -1
-    signs.flags.writeable = False
-    return signs
-
-
 class PauliString:
     """A product of single-site factors on distinct sites, times a scalar.
 
     Site labels: X, Y, Z (Pauli), + and - (raising/lowering in the bit
-    convention above), N (occupation projector).  Sites group, low bit to
-    high bit, into runs of equal I/X/Y/Z labels and single ladder or
-    projector sites; with one axis per run, the vector becomes a C-order
-    view in which every factor is a slice of its axis and the Y/Z signs a
-    broadcast parity table, so application costs O(2**M) with no index
-    arrays.  That view is laid out on the first application; a string used
-    only for its terms() never builds it.
+    convention above), N (occupation projector).  Every factor sends a
+    basis index m to m ^ flip with a factor that depends on m alone, so the
+    string applies as one gather over the 2**M indices times its
+    coefficient, the Y/Z bit parity of m and the keep mask of the + (bit
+    one), - and N (bit zero) sites: the vector form of PauliTerms.act.
     """
 
     def __init__(self, coefficient, sites, n_sites: int):
@@ -596,59 +570,27 @@ class PauliString:
         self.sites = tuple(sites)
         self.dim = 1 << self.n_sites
 
-    @functools.cached_property
-    def _layout(self):
-        """(shape, in_idx, out_idx, sign_bits, sign_shape, base, writes_all) of the view."""
-        labels = dict(self.sites)
-        runs = []  # [label, length], low bit to high bit
-        for k in range(1, self.n_sites + 1):
-            lab = labels.get(k, "I")
-            if runs and runs[-1][0] == lab and lab in "IXYZ":
-                runs[-1][1] += 1
-            else:
-                runs.append([lab, 1])
-        runs.reverse()  # C order puts the high bits first
-        shape = tuple(1 << n for _, n in runs)
-        # the trailing Ellipsis keeps an all-integer index a view
-        in_idx = tuple(_RUN_INDEX[lab][0] for lab, _ in runs) + (Ellipsis,)
-        out_idx = tuple(_RUN_INDEX[lab][1] for lab, _ in runs) + (Ellipsis,)
-        # parity factorizes over axes, so one table over all Y/Z bits,
-        # reshaped with size 1 on the I/X axes, broadcasts over the view
-        sign_bits = sum(n for lab, n in runs if lab in "YZ")
-        sign_shape = tuple(1 << n if lab in "YZ" else 1 for lab, n in runs if lab in "IXYZ")
-        # Y|b> = i(-1)^b |1-b> = -i(-1)^b' |b'> with b' the output bit: a
-        # global -i per Y site, and a sign read off the view like Z's
-        base = self.coefficient * (-1j) ** sum(n for lab, n in runs if lab == "Y")
-        # a ladder or projector site leaves half of the output unwritten
-        writes_all = all(lab in "IXYZ" for lab, _ in runs)
-        return shape, in_idx, out_idx, sign_bits, sign_shape, base, writes_all
-
-    def apply_into(self, x: np.ndarray, acc, scratch=None) -> None:
+    def apply_into(self, x: np.ndarray, acc: np.ndarray) -> None:
         """acc += (this string applied to x); x is left untouched.
 
-        The term, a strided view of x times the sign table and the
-        coefficient, is written through numpy's out= into scratch (a fresh
-        array when scratch is None) at the entries this string reaches, then
-        added into the matching view of acc; with acc None it is only
-        written.  No index arrays: a few passes over the half or whole vector
-        the string touches.  acc and scratch must be contiguous, so that
-        their reshapes are views; x must alias neither, because its reversed
-        axes are read while they are written, and scratch must not alias acc.
+        (A x)[n] = c i**n_Y (-1)**|m & sign| keep(m) x[m] with m = n ^ flip:
+        Y = i X Z, so a Y site flips its bit, carries i and reads the sign
+        of its input bit like Z.  The factors multiply the gathered x in
+        that order, then the result is added into acc.
         """
-        shape, in_idx, out_idx, sign_bits, sign_shape, base, _ = self._layout
-        view = x.reshape(shape)[in_idx]
-        term = None if scratch is None else scratch.reshape(shape, copy=False)[out_idx]
-        if sign_bits:
-            # one pass reads the strided view; the coefficient then scales
-            # the result in place
-            signs = _parity_signs(sign_bits).reshape(sign_shape)
-            term = np.multiply(view, signs, out=term)
-            term *= base
-        else:
-            term = np.multiply(view, base, out=term)
-        if acc is not None:
-            out = acc.reshape(shape, copy=False)[out_idx]
-            np.add(out, term, out=out)
+
+        def mask(labels):
+            return sum(1 << (k - 1) for k, lab in self.sites if lab in labels)
+
+        sign, one, zero = mask("YZ"), mask("+"), mask("-N")
+        m = np.arange(self.dim, dtype=np.int64) ^ mask("XY+-")
+        term = x[m]
+        term *= self.coefficient * (1j ** sum(lab == "Y" for _, lab in self.sites))
+        if sign:
+            term *= 1.0 - 2.0 * (np.bitwise_count(m & sign) & 1)
+        if one | zero:
+            term *= ((m & one) == one) & ((m & zero) == 0)
+        np.add(acc, term, out=acc)
 
     def apply_to(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -692,7 +634,11 @@ class PauliString:
 
 
 class PauliSumOperator(LinearOperator):
-    """Sum of Pauli strings on a common 2**M space; applies term by term."""
+    """Sum of Pauli strings on a common 2**M space.
+
+    Applies by zero-filling the output and adding each string's gather
+    into it; terms() is the exact expansion the identity checks read.
+    """
 
     def __init__(self, strings, n_sites: int | None = None):
         strings = list(strings)
@@ -728,16 +674,10 @@ class PauliSumOperator(LinearOperator):
         return self._terms
 
     def _apply_array(self, x, out=None):
-        # the first string writes its term straight into out (zeroed first
-        # if it leaves entries unwritten); every later string adds a term
-        # formed in a fresh array
         if out is None:
             out = np.empty(self.dim, dtype=np.complex128)
-        if not self.strings or not self.strings[0]._layout[-1]:
-            out.fill(0)
-        if self.strings:
-            self.strings[0].apply_into(x, None, out)
-        for s in self.strings[1:]:
+        out.fill(0)
+        for s in self.strings:
             s.apply_into(x, out)
         return out
 

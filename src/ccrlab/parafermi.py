@@ -25,6 +25,7 @@ no figure depends on the 2**(p*nu) register.  The state-vector routes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -51,13 +52,31 @@ class ModeExclusionError(ValueError):
 
 @dataclass(frozen=True)
 class GreenSystem:
-    """Order p, nu modes, and the p*nu component annihilators."""
+    """Order p, nu modes, and the p*nu component annihilators.
+
+    The exact mode sums and the register's vacuum vector are formed on
+    first use, so a system read only in exact arithmetic holds no vector.
+    """
 
     p: int
     nu: int
     total_sites: int
     components: dict
-    vacuum: StateVector
+
+    @functools.cached_property
+    def modes(self) -> tuple:
+        """((b_k, b_k^dag) as PauliTerms for k = 1..nu): b_k sums its p components."""
+        out = []
+        for k in range(1, self.nu + 1):
+            b = sum((self.component(k, a).terms() for a in range(1, self.p + 1)), PauliTerms())
+            out.append((b, b.adjoint()))
+        return tuple(out)
+
+    @functools.cached_property
+    def vacuum(self) -> StateVector:
+        """Every site unoccupied: the basis vector with all 2**total_sites bits set."""
+        dim = 1 << self.total_sites
+        return StateVector.basis(dim, dim - 1)
 
     def site(self, k: int, alpha: int) -> int:
         return (alpha - 1) * self.nu + k
@@ -83,8 +102,7 @@ def make_green_system(p: int, nu: int, site_cap: int = DEFAULT_SITE_CAP) -> Gree
         for k in range(1, nu + 1)
         for alpha in range(1, p + 1)
     }
-    vacuum = StateVector.basis(1 << total, (1 << total) - 1)
-    return GreenSystem(p, nu, total, comps, vacuum)
+    return GreenSystem(p, nu, total, comps)
 
 
 def parafermi_op(sys: GreenSystem, k: int) -> PauliSumOperator:
@@ -181,7 +199,7 @@ def green_relation_residual(sys: GreenSystem) -> float:
     raises ValueError.
     """
     comps = {key: c.terms() for key, c in sys.components.items()}
-    adjoints = {key: c.adjoint().terms() for key, c in sys.components.items()}
+    adjoints = {key: c.adjoint() for key, c in comps.items()}
     one = PauliTerms({(0, 0): 1.0})
     worst = 0.0
     for (k, a), ck in comps.items():
@@ -202,10 +220,9 @@ def number_identity_residual(sys: GreenSystem) -> float:
     _, per_mode, _ = number_ops(sys)
     p_one = PauliTerms({(0, 0): float(sys.p)})
     worst = 0.0
-    for k in range(1, sys.nu + 1):
-        b_k = parafermi_op(sys, k)
-        lhs = 0.5 * (bracket(b_k.adjoint().terms(), b_k.terms(), -1) + p_one)
-        worst = max(worst, (lhs - per_mode[k - 1].terms()).norm())
+    for (b_k, b_k_dag), n_k in zip(sys.modes, per_mode):
+        lhs = 0.5 * (bracket(b_k_dag, b_k, -1) + p_one)
+        worst = max(worst, (lhs - n_k.terms()).norm())
     return worst
 
 
@@ -229,10 +246,10 @@ def vacuum_condition_residual(sys: GreenSystem) -> float:
     vacuum = _vacuum(sys)
     (index,) = vacuum
     worst = 0.0
-    for l in range(1, sys.nu + 1):
-        raised = parafermi_op(sys, l).adjoint().terms().act(vacuum)
-        for k in range(1, sys.nu + 1):
-            out = parafermi_op(sys, k).terms().act(raised)
+    for l, (_, b_l_dag) in enumerate(sys.modes, start=1):
+        raised = b_l_dag.act(vacuum)
+        for k, (b_k, _) in enumerate(sys.modes, start=1):
+            out = b_k.act(raised)
             if k == l:
                 out[index] = out.get(index, 0) - sys.p
             worst = max(worst, math.sqrt(_squared_norm(out)))
@@ -250,8 +267,7 @@ def trilinear_defect(sys: GreenSystem) -> float:
     the construction is wrong; a non-finite residual raises ValueError.
     """
     modes = range(1, sys.nu + 1)
-    ann = {k: parafermi_op(sys, k).terms() for k in modes}
-    cre = {k: parafermi_op(sys, k).adjoint().terms() for k in modes}
+    ann, cre = (dict(zip(modes, terms)) for terms in zip(*sys.modes))
     worst = 0.0
     for k, l, m in product(modes, repeat=3):
         res = bracket(ann[k], bracket(cre[l], ann[m], -1), -1)
@@ -363,7 +379,7 @@ def _creation_power_vacuum(sys: GreenSystem, occ) -> dict:
     """
     state = _vacuum(sys)
     for k in range(len(occ), 0, -1):
-        creator = parafermi_op(sys, k).adjoint().terms()
+        _, creator = sys.modes[k - 1]
         for _ in range(occ[k - 1]):
             state = creator.act(state)
     return state
@@ -399,8 +415,8 @@ def unit_defect(sys: GreenSystem, label) -> float:
     psi = _creation_power_vacuum(sys, occ)
     if not psi:
         raise ModeExclusionError(f"label {occ} exceeds order {sys.p}")
-    b_1 = parafermi_op(sys, 1)
-    shifted = bracket(b_1.terms(), b_1.adjoint().terms(), -1) - PauliTerms({(0, 0): sys.p})
+    b_1, b_1_dag = sys.modes[0]
+    shifted = bracket(b_1, b_1_dag, -1) - PauliTerms({(0, 0): sys.p})
     return math.sqrt(_squared_norm(shifted.act(psi)) / _squared_norm(psi)) / sys.p
 
 

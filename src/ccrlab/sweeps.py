@@ -291,24 +291,27 @@ def _parafermi_checks(cfg, rng, sys, p, modes):
 def _run_battery(experiment, first_defect, grid, build, checks, cfg, rng) -> list:
     """Build the family at each grid point and record its checks.
 
-    A builder's ResourceLimitError becomes one skip record under the
-    battery's first defect name.
+    A grid point refused by its builder (ResourceLimitError), or one the
+    machine cannot hold (a MemoryError while it is built or checked),
+    becomes one skip record under the battery's first defect name, in place
+    of any records it had written.
     """
     records = []
     for base in grid(cfg):
+        point = []
         try:
             built = build(cfg, **base)
-        except ResourceLimitError as exc:
-            records.append(
-                DefectRecord(experiment, base, first_defect, math.nan, None, True, str(exc))
-            )
-            continue
-        for extra, defect, measured, bound in checks(cfg, rng, built, **base):
-            measured = float(measured)
-            passed = bound is None or bool(measured <= bound)
-            records.append(
-                DefectRecord(experiment, {**base, **extra}, defect, measured, bound, passed)
-            )
+            for extra, defect, measured, bound in checks(cfg, rng, built, **base):
+                measured = float(measured)
+                passed = bound is None or bool(measured <= bound)
+                point.append(
+                    DefectRecord(experiment, {**base, **extra}, defect, measured, bound, passed)
+                )
+        except (ResourceLimitError, MemoryError) as exc:
+            # numpy names the allocation it could not make; a bare MemoryError has no text
+            reason = str(exc) or type(exc).__name__
+            point = [DefectRecord(experiment, base, first_defect, math.nan, None, True, reason)]
+        records.extend(point)
     return records
 
 

@@ -13,12 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccrlab import clifford, linalg, spin, sweeps, weyl
+from ccrlab import linalg, spin, sweeps, weyl
 from ccrlab.linalg import (
     BandedOperator,
     DenseOperator,
     LinCombOperator,
-    PauliString,
     PermutationPhaseOperator,
     StateVector,
     anticommutator_apply,
@@ -348,14 +347,3 @@ def test_group_element_apply_takes_few_numpy_calls_at_any_clock_power(monkeypatc
         calls.clear()
         PermutationPhaseOperator(nu, k, 5, 9)._apply_array(x)
         assert len(calls) <= 2 * math.sqrt(3 * nu) + 3, (k, len(calls))
-
-
-def test_pauli_string_lays_out_its_view_on_first_apply():
-    s = PauliString(1j, [(1, "Y"), (3, "+"), (4, "Z")], 4)
-    s.terms()
-    assert "_layout" not in vars(s)
-    s.apply_to(np.ones(16, dtype=complex))
-    assert "_layout" in vars(s)
-    basis = clifford.so_n_basis(clifford.make_gammas(4))
-    assert not any("_layout" in vars(t) for op in basis.values() for t in op.strings)
-

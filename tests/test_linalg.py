@@ -187,11 +187,6 @@ def _assert_kernel_matches_reference(s, rng):
     got = acc0.copy()
     s.apply_into(x, got)
     assert np.array_equal(got, want), s
-    # the term formed in a caller's scratch: entries the string does not
-    # reach keep their NaN and must not leak into acc
-    got = acc0.copy()
-    s.apply_into(x, got, np.full(s.dim, np.nan, dtype=complex))
-    assert np.array_equal(got, want), s
     assert np.array_equal(x, x_before), s
 
 
@@ -542,6 +537,44 @@ def test_sparse_action_equals_the_vector_route(case):
         got[n] = a
     assert np.array_equal(got, want)
     assert 0 not in out.values()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_equals_the_sparse_action_on_every_basis_vector(m):
+    # an oracle independent of the gather: the exact expansion over the
+    # Hermitian basis acting on |n>, for +, - and N sites as well as X/Y/Z
+    for s in _labeled_strings(m, 0.375 - 0.625j):
+        for t in (s, s.adjoint()):
+            terms = t.terms()
+            for n in range(t.dim):
+                want = np.zeros(t.dim, dtype=complex)
+                for out, a in terms.act({n: 1}).items():
+                    want[out] = a
+                got = t.apply_to(StateVector.basis(t.dim, n).components)
+                assert np.array_equal(got, want), (t, n)
+
+
+def test_terms_adjoint_equals_the_adjoint_strings_expansion():
+    ops = []
+    for nu in range(1, 9):
+        ops.extend(clifford.make_gammas(nu).gammas)
+    for p in range(1, 9):
+        for modes in (1, 2):
+            sys = parafermi.make_green_system(p, modes)
+            ops.extend(sys.components.values())
+            for k, (b, b_dag) in enumerate(sys.modes, start=1):
+                op = parafermi.parafermi_op(sys, k)
+                assert b == op.terms()
+                assert b_dag == op.adjoint().terms()
+                ops.append(op)
+    for op in ops:
+        assert op.terms().adjoint() == op.adjoint().terms(), op
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), _dyadic_terms(m))))
+def test_terms_adjoint_is_the_dense_conjugate_transpose(case):
+    m, terms = case
+    assert np.array_equal(_dense_of(terms.adjoint(), m), _dense_of(terms, m).conj().T)
 
 
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(_dyadic_terms(m), _dyadic_terms(m))))

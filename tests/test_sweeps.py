@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrlab import cli, parafermi, sweeps
-from ccrlab.linalg import PauliString
+from ccrlab import cli, parafermi, spin, sweeps
+from ccrlab.linalg import PauliString, StateVector
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -202,13 +202,15 @@ def test_identity_failure_sets_exit_code(monkeypatch):
 
 def test_parafermi_battery_forms_only_the_figures_it_writes(monkeypatch):
     # every record is read off exact Pauli sums and sparse states: no state
-    # vector route and no strided Pauli-kernel apply runs
+    # vector is formed, no Pauli string applied to one, and the mode sums
+    # are expanded once per system rather than rebuilt as operators
     def refuse(*args, **kwargs):
         raise AssertionError("a parafermi record went through a state vector")
 
-    for name in ("normalized_ccr_checks", "fock_ladder_checks", "fock_state"):
+    for name in ("normalized_ccr_checks", "fock_ladder_checks", "fock_state", "parafermi_op"):
         monkeypatch.setattr(parafermi, name, refuse)
     monkeypatch.setattr(PauliString, "apply_into", refuse)
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
     cfg = SweepConfig(experiment="parafermi", parafermi_orders=(1, 2, 3), mode_list=(1, 2))
     records, status = run_sweep(cfg)
     assert status == EXIT_OK
@@ -447,6 +449,52 @@ def test_cli_resource_exit_code(tmp_path):
     )
     assert code == 3
     assert "skip:" in out.read_text()
+
+
+def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monkeypatch):
+    # the MemoryError is raised, never provoked: nu = 64 fails at its fourth
+    # draw, after its weyl-relation record was formed, and p = 20 in its builder
+    draws = []
+    real_random_state, real_make_spin_rep = sweeps.random_state, spin.make_spin_rep
+
+    def random_state(dim, rng, normalize=True):
+        draws.append(dim)
+        if dim == 64 and draws.count(64) == 4:
+            raise MemoryError("Unable to allocate a vector")
+        return real_random_state(dim, rng, normalize)
+
+    def make_spin_rep(p, site_cap):
+        if p == 20:
+            raise MemoryError
+        return real_make_spin_rep(p, site_cap=site_cap)
+
+    monkeypatch.setattr(sweeps, "random_state", random_state)
+    monkeypatch.setattr(spin, "make_spin_rep", make_spin_rep)
+    config = _write_config(
+        tmp_path, "nu_list = 16, 64\np_list = 10, 20\nk_list = 0, 1\nclifford_nu_list = 1\n"
+        "parafermi_orders = 1\nmode_list = 1"
+    )
+    out = tmp_path / "records.csv"
+    code = cli.main(["run", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_RESOURCE
+    assert "Traceback" not in capsys.readouterr().err
+    records = parse_records_csv(out.read_text())
+
+    def point(experiment, key, value):
+        return [r for r in records if r.experiment == experiment and r.params.get(key) == value]
+
+    # each failed grid point keeps one skip record under the battery's first
+    # defect name, and none of the records it had formed
+    assert [(r.defect, r.skip_reason) for r in point("weyl", "nu", 64)] == [
+        ("weyl-relation", "Unable to allocate a vector")
+    ]
+    assert [(r.defect, r.skip_reason) for r in point("spin", "p", 20)] == [("so3-closure", "MemoryError")]
+    assert sum(1 for r in records if r.skip_reason) == 2
+    assert {"weyl-relation", "clock-shift-period", "heisenberg-homomorphism"} <= {
+        r.defect for r in point("weyl", "nu", 16)
+    }
+    assert point("spin", "p", 10)
+    assert {r.experiment for r in records} == set(sweeps.EXPERIMENTS)
 
 
 @pytest.mark.parametrize(
