@@ -9,16 +9,15 @@ strings with trailing Z factors:
 
 Each is Hermitian, squares to the identity, and distinct generators
 anticommute, so e_i = i g_i satisfies e_i^2 = -1 and e_i e_j = -e_j e_i.
-The pair products E_ij = e_i e_j (i < j) close under commutators; the
-structure constants are never hardcoded but read off the exact commutators
-of the nu = 2 family and reused as the oracle at every size.  Products and
-relations are multiplied out exactly over the Pauli basis (PauliTerms), so
-a relation that holds leaves a residual of exactly zero.
+The pair products E_ij = e_i e_j (i < j) close under commutators with the
+structure constants of so(2*nu + 1), which bracket_expansion writes in
+closed form.  Products and relations are multiplied out exactly over the
+Pauli basis (PauliTerms), so a relation that holds leaves a residual of
+exactly zero.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .linalg import (
@@ -61,6 +60,13 @@ def make_gammas(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> GammaFamily:
     return GammaFamily(nu, ops)
 
 
+def _pair_product(gammas, i: int, j: int) -> PauliTerms:
+    """E_ij = (i g_i)(i g_j) = -g_i g_j from the generators' terms (1-based i, j)."""
+    if not 1 <= i < j <= len(gammas):
+        raise ValueError(f"pair ({i}, {j}) is not 1 <= i < j <= {len(gammas)}")
+    return -(gammas[i - 1] * gammas[j - 1])
+
+
 def so_n_basis(family: GammaFamily) -> dict:
     """Pair products E_ij = (i g_i)(i g_j) = -g_i g_j for i < j.
 
@@ -70,66 +76,41 @@ def so_n_basis(family: GammaFamily) -> dict:
     n = 2 * family.nu + 1
     terms = [g.terms() for g in family.gammas]
     return {
-        (i, j): PauliSumOperator.from_terms(-(terms[i - 1] * terms[j - 1]), family.nu)
+        (i, j): PauliSumOperator.from_terms(_pair_product(terms, i, j), family.nu)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _small_basis() -> dict:
-    """E_ab terms of the nu = 2 family (n = 5), built once; read only."""
-    return {key: op.terms() for key, op in so_n_basis(make_gammas(2)).items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _bracket_pattern(pi, pj, pk, pl):
-    """Expansion of [E_(pi,pj), E_(pk,pl)] over the E basis at nu=2.
-
-    Indices must already be mapped into 1..5; returns ((a, b, coeff), ...)
-    with a < b.  Each E_ab is one basis string c_ab P_ab, so the exact
-    commutator's coefficient on P_ab over c_ab is the structure constant;
-    a term left on no E_ab raises AssertionError.
-    """
-    basis = _small_basis()
-    rest = bracket(basis[(pi, pj)], basis[(pk, pl)], -1)
-    out = []
-    for (a, b), e_ab in sorted(basis.items()):
-        ((string, c_ab),) = e_ab.items()
-        coeff = rest.pop(string, 0) / c_ab
-        if coeff:
-            out.append((a, b, complex(coeff)))
-    if rest:
-        raise AssertionError(f"bracket does not close on the E basis: {len(rest)} terms left")
-    return tuple(out)
-
-
 def bracket_expansion(i: int, j: int, k: int, l: int):
-    """Structure constants of [E_ij, E_kl] as ((a, b, coeff), ...).
+    """Structure constants of [E_ij, E_kl] as ((a, b, coeff), ...) with a < b.
 
-    The constants depend only on the coincidence pattern of the four
-    indices, so arbitrary indices are relabeled into the nu = 2 family
-    (n = 5), expanded there, and mapped back.
+    The so(n) relations
+        [E_ij, E_kl] = -2 (d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk),
+    with E_ba = -E_ab and E_aa = 0.  They follow from e_s^2 = -1 and
+    anticommutation: e_a e_s e_s e_b = -e_a e_b and e_s e_b e_a e_s = e_a e_b,
+    so [e_a e_s, e_s e_b] = -2 e_a e_b, and pairs with no common index commute.
     """
     if not (i < j and k < l):
         raise ValueError("index pairs must be ordered i < j and k < l")
-    distinct = sorted(set((i, j, k, l)))
-    if len(distinct) > 5:
-        raise ValueError("at most five distinct indices are supported")
-    to_small = {v: s + 1 for s, v in enumerate(distinct)}
-    to_big = {s + 1: v for s, v in enumerate(distinct)}
-    pattern = _bracket_pattern(to_small[i], to_small[j], to_small[k], to_small[l])
-    return tuple((to_big[a], to_big[b], c) for a, b, c in pattern)
+    out = {}
+    deltas = ((j == k, i, l, -2), (j == l, i, k, 2), (i == k, j, l, 2), (i == l, j, k, -2))
+    for meets, a, b, c in deltas:
+        if meets and a != b:
+            key, c = ((a, b), c) if a < b else ((b, a), -c)
+            out[key] = out.get(key, 0) + c
+    return tuple((a, b, complex(c)) for (a, b), c in sorted(out.items()) if c)
 
 
-def relation_residuals(family: GammaFamily, basis: dict, bracket_samples) -> tuple:
+def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
     """Worst residuals (square, anticommutation, bracket closure) of the family.
 
     g_i^2 = 1 and {g_i, g_j} = 0 (i < j) are checked for every generator;
     [E_ij, E_kl] = sum c_ab E_ab for each ((i, j), (k, l)) of
-    `bracket_samples`, with E from `basis` (so_n_basis of the family).  Each
-    residual is the Hilbert-Schmidt norm of the exact residual operator, so
-    a relation that holds reads 0.0; a non-finite one raises ValueError.
+    `bracket_samples`, with each E_ab = -g_a g_b formed from the generators'
+    terms.  Each residual is the Hilbert-Schmidt norm of the exact residual
+    operator, so a relation that holds reads 0.0; a non-finite one raises
+    ValueError.
     """
     gammas = [g.terms() for g in family.gammas]
     one = PauliTerms({(0, 0): 1.0})
@@ -140,9 +121,9 @@ def relation_residuals(family: GammaFamily, basis: dict, bracket_samples) -> tup
     )
     closure = 0.0
     for (i, j), (k, l) in bracket_samples:
-        res = bracket(basis[(i, j)].terms(), basis[(k, l)].terms(), -1)
+        res = bracket(_pair_product(gammas, i, j), _pair_product(gammas, k, l), -1)
         for a, b, coeff in bracket_expansion(i, j, k, l):
-            res = res - coeff * basis[(a, b)].terms()
+            res = res - coeff * _pair_product(gammas, a, b)
         closure = max(closure, res.norm())
     return square, anticommutation, closure
 
@@ -161,6 +142,7 @@ def tensor_sum_rep(
     i, j = pair
     total_sites = p * family.nu
     require_sites(total_sites, site_cap)
-    base = so_n_basis(family)[(i, j)].strings[0]
+    terms = _pair_product([g.terms() for g in family.gammas], i, j)
+    (base,) = PauliSumOperator.from_terms(terms, family.nu).strings
     strings = [base.shifted(l * family.nu, total_sites) for l in range(p)]
     return PauliSumOperator(strings, total_sites)

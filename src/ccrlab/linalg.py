@@ -652,7 +652,6 @@ class PauliSumOperator(LinearOperator):
         self.strings = tuple(strings)
         self.n_sites = n_sites
         self.dim = 1 << n_sites
-        self._terms = None
 
     @classmethod
     def from_terms(cls, terms: PauliTerms, n_sites: int) -> "PauliSumOperator":
@@ -665,13 +664,8 @@ class PauliSumOperator(LinearOperator):
         return cls(strings, n_sites)
 
     def terms(self) -> PauliTerms:
-        """Sum of the strings' expansions, computed once and shared: do not mutate."""
-        if self._terms is None:
-            total = PauliTerms()
-            for s in self.strings:
-                total = total + s.terms()
-            self._terms = total
-        return self._terms
+        """Sum of the strings' expansions."""
+        return sum((s.terms() for s in self.strings), PauliTerms())
 
     def _apply_array(self, x, out=None):
         if out is None:

@@ -194,18 +194,20 @@ def green_relation_residual(sys: GreenSystem) -> float:
     different blocks commute:
         {c_ka, c_la^dag} = delta_kl,  {c_ka, c_la} = 0,
         [c_ka, c_lb^dag] = 0,         [c_ka, c_lb] = 0     (a != b),
-    over every ordered pair of components.  Each residual is the
-    Hilbert-Schmidt norm of the exact residual operator; a non-finite one
-    raises ValueError.
+    over every unordered pair of components, a component with itself
+    included: {c_l, c_k^dag} = {c_k, c_l^dag}^dag and [c_l, c_k] = -[c_k, c_l]
+    for any operators, so the other order repeats a norm.  Each residual is
+    the Hilbert-Schmidt norm of the exact residual operator; a non-finite
+    one raises ValueError.
     """
-    comps = {key: c.terms() for key, c in sys.components.items()}
-    adjoints = {key: c.adjoint() for key, c in comps.items()}
+    comps = [(key, c.terms()) for key, c in sys.components.items()]
+    adjoints = [c.adjoint() for _, c in comps]
     one = PauliTerms({(0, 0): 1.0})
     worst = 0.0
-    for (k, a), ck in comps.items():
-        for (l, b), cl in comps.items():
+    for index, ((k, a), ck) in enumerate(comps):
+        for ((l, b), cl), cl_dag in zip(comps[index:], adjoints[index:]):
             sign = +1 if a == b else -1
-            res = bracket(ck, adjoints[(l, b)], sign)
+            res = bracket(ck, cl_dag, sign)
             if a == b and k == l:
                 res = res - one
             worst = max(worst, res.norm(), bracket(ck, cl, sign).norm())
@@ -269,20 +271,24 @@ def trilinear_defect(sys: GreenSystem) -> float:
     modes = range(1, sys.nu + 1)
     ann, cre = (dict(zip(modes, terms)) for terms in zip(*sys.modes))
     worst = 0.0
-    for k, l, m in product(modes, repeat=3):
-        res = bracket(ann[k], bracket(cre[l], ann[m], -1), -1)
-        if k == l:
-            res = res - 2.0 * ann[m]
-        worst = max(worst, res.norm())
+    for l, m in product(modes, repeat=2):
+        cre_ann = bracket(cre[l], ann[m], -1)
+        cre_cre = bracket(cre[l], cre[m], -1)
+        ann_ann = bracket(ann[l], ann[m], -1)
+        for k in modes:
+            res = bracket(ann[k], cre_ann, -1)
+            if k == l:
+                res = res - 2.0 * ann[m]
+            worst = max(worst, res.norm())
 
-        res = bracket(ann[k], bracket(cre[l], cre[m], -1), -1)
-        if k == l:
-            res = res - 2.0 * cre[m]
-        if k == m:
-            res = res + 2.0 * cre[l]
-        worst = max(worst, res.norm())
+            res = bracket(ann[k], cre_cre, -1)
+            if k == l:
+                res = res - 2.0 * cre[m]
+            if k == m:
+                res = res + 2.0 * cre[l]
+            worst = max(worst, res.norm())
 
-        worst = max(worst, bracket(ann[k], bracket(ann[l], ann[m], -1), -1).norm())
+            worst = max(worst, bracket(ann[k], ann_ann, -1).norm())
     return worst
 
 
@@ -377,6 +383,8 @@ def _creation_power_vacuum(sys: GreenSystem, occ) -> dict:
 
     Its coefficients are Gaussian integers; it is empty when some n_k > p.
     """
+    if len(occ) > sys.nu:
+        raise ValueError(f"label has {len(occ)} modes, system has {sys.nu}")
     state = _vacuum(sys)
     for k in range(len(occ), 0, -1):
         _, creator = sys.modes[k - 1]

@@ -1,5 +1,7 @@
 """Generator-family tests: anticommutation, pair products, block sums."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_relation_residuals_equal_state_vector_formulas(nu):
                 rhs += c * basis[(a, b)].apply(xi).components
             closure = max(closure, StateVector(dim, lhs - rhs).norm())
 
-    assert clifford.relation_residuals(fam, basis, samples) == (0.0, 0.0, 0.0)
+    assert clifford.relation_residuals(fam, samples) == (0.0, 0.0, 0.0)
     assert max(square, anti, closure) <= 1e-12
 
 
@@ -119,17 +121,16 @@ def test_relation_residuals_raise_on_an_infinite_coefficient():
         (PauliSumOperator([PauliString(np.inf, first.sites, 3)]),) + fam.gammas[1:],
     )
     with pytest.raises(ValueError, match="not finite"):
-        clifford.relation_residuals(broken, clifford.so_n_basis(fam), [])
+        clifford.relation_residuals(broken, [])
 
 
 def test_a_perturbed_structure_constant_leaves_a_closure_residual(monkeypatch):
     fam = clifford.make_gammas(3)
-    basis = clifford.so_n_basis(fam)
     sample = [((1, 2), (2, 3))]
-    assert clifford.relation_residuals(fam, basis, sample)[2] == 0.0
+    assert clifford.relation_residuals(fam, sample)[2] == 0.0
     ((a, b, c),) = clifford.bracket_expansion(1, 2, 2, 3)
     monkeypatch.setattr(clifford, "bracket_expansion", lambda *_: ((a, b, c * (1 + 2**-20)),))
-    assert clifford.relation_residuals(fam, basis, sample)[2] == abs(c) * 2**-20
+    assert clifford.relation_residuals(fam, sample)[2] == abs(c) * 2**-20
 
 
 def test_gamma_relations_sampled_at_twenty_sites():
@@ -211,20 +212,21 @@ def test_overlapping_pair_bracket_is_multiple_of_third():
 
 
 def test_bracket_expansion_oracle_at_three_sites():
-    # structure constants extracted at the minimal register reproduce dense
-    # brackets at a larger one
+    # the closed-form structure constants reproduce the dense bracket of
+    # every ordered pair at n = 7, so every coincidence pattern of the
+    # indices, and the bracket multiplied out over the Pauli basis exactly
     fam = clifford.make_gammas(3)
     basis = clifford.so_n_basis(fam)
-    rng = np.random.default_rng(3)
-    keys = sorted(basis)
-    for _ in range(25):
-        (i, j) = keys[rng.integers(0, len(keys))]
-        (k, l) = keys[rng.integers(0, len(keys))]
+    terms = {key: op.terms() for key, op in basis.items()}
+    for (i, j), (k, l) in itertools.product(sorted(basis), repeat=2):
         lhs = basis[(i, j)].dense() @ basis[(k, l)].dense() - basis[(k, l)].dense() @ basis[(i, j)].dense()
         rhs = np.zeros_like(lhs)
+        exact = terms[i, j] * terms[k, l] - terms[k, l] * terms[i, j]
         for a, b, c in clifford.bracket_expansion(i, j, k, l):
             rhs += c * basis[(a, b)].dense()
+            exact = exact - c * terms[a, b]
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+        assert exact == {}, ((i, j), (k, l))
 
 
 def test_bracket_expansion_validates_ordering():
@@ -271,6 +273,15 @@ def test_block_sum_brackets_keep_structure_constants():
         for a, b, c in clifford.bracket_expansion(i, j, k, l):
             acc += c * summed[(a, b)].apply(xi).components
         assert np.linalg.norm(lhs.components - acc) <= 1e-10
+
+
+def test_a_pair_outside_the_family_is_refused():
+    fam = clifford.make_gammas(3)
+    for pair in [(0, 1), (2, 1), (3, 3), (7, 8)]:
+        with pytest.raises(ValueError, match="is not 1 <= i < j <= 7"):
+            clifford.tensor_sum_rep(fam, 2, pair)
+    with pytest.raises(ValueError, match="is not 1 <= i < j <= 7"):
+        clifford.relation_residuals(fam, [((1, 2), (2, 9))])
 
 
 def test_block_sum_refuses_oversized_register():

@@ -509,6 +509,16 @@ def test_unit_defect_refuses_a_label_past_the_order():
         parafermi.unit_defect(sys, (3, 0))
 
 
+@pytest.mark.parametrize("check", [parafermi.fock_norm_error, parafermi.unit_defect])
+def test_exact_fock_checks_refuse_a_label_with_more_modes_than_the_system(check):
+    # the same refusal as the state-vector route, not an IndexError
+    sys = parafermi.make_green_system(2, 1)
+    with pytest.raises(ValueError, match="label has 2 modes, system has 1"):
+        parafermi.fock_state(sys, (1, 1))
+    with pytest.raises(ValueError, match="label has 2 modes, system has 1"):
+        check(sys, (1, 1))
+
+
 def test_squared_norm_refuses_a_non_integer_coefficient():
     assert parafermi._squared_norm({0: 3 + 4j, 5: -1.0}) == 26
     with pytest.raises(ValueError, match="Gaussian integer"):

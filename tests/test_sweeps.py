@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrlab import cli, parafermi, spin, sweeps
-from ccrlab.linalg import PauliString, StateVector
+from ccrlab import cli, clifford, parafermi, spin, sweeps
+from ccrlab.linalg import PauliString, PauliSumOperator, StateVector
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -217,6 +217,20 @@ def test_parafermi_battery_forms_only_the_figures_it_writes(monkeypatch):
     assert {"vacuum-condition", "normalized-unit-defect", "fock-norm-error"} <= {
         r.defect for r in records
     }
+
+
+def test_clifford_battery_forms_no_operator_basis(monkeypatch):
+    # the exact checks multiply the generators' terms: no E_ij operator is
+    # built and no Pauli sum is turned back into strings
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clifford battery built an operator basis")
+
+    monkeypatch.setattr(clifford, "so_n_basis", refuse)
+    monkeypatch.setattr(PauliSumOperator, "from_terms", refuse)
+    records, status = run_sweep(SweepConfig(experiment="clifford"))
+    assert status == EXIT_OK
+    closure = [r for r in records if r.defect == "so-bracket-closure"]
+    assert closure and all(r.measured == 0.0 for r in closure)
 
 
 def test_report_contents():
