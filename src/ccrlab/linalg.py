@@ -32,7 +32,6 @@ through a scalar loop; LinCombOperator, with none free, scales in place.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,11 @@ import numpy as np
 
 DENSIFICATION_CAP = 4096
 DEFAULT_SITE_CAP = 22
+
+# einsum chunks per tile of a full-vector check: 8192 amplitudes, so the
+# tile's work vectors and operator diagonals, about ten of 128 KiB, stay in
+# a 2 MiB L2 cache (4 chunks ran no faster on all-large-dim)
+TILE_CHUNKS = 2
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
@@ -122,6 +126,21 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _sum_of_squares(chunks) -> float:
+    """sum |v_i|**2 over a vector given as its einsum chunks, in order.
+
+    einsum sums a long vector in chunks of np.getbufsize() doubles (4096
+    amplitudes by default) and adds each chunk's sum to one running total
+    in chunk order.  Each chunk here goes through the same einsum and is
+    added in the same order, so the total is the whole vector's, bitwise.
+    """
+    total = 0.0
+    for seg in chunks:
+        f = seg.view(np.float64)
+        total += float(np.einsum("i,i->", f, f))
+    return total
+
+
 def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     """Euclidean norm of a complex vector, summed without BLAS.
 
@@ -132,14 +151,11 @@ def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
 
     With dim, v is a window: the amplitudes at indices (start + i) % dim of
     a vector of dim amplitudes that is zero elsewhere, and the result is
-    that vector's norm, bitwise.  einsum sums a long vector in chunks of
-    np.getbufsize() doubles (4096 amplitudes by default) and adds each
-    chunk's sum to the running total in chunk order.  So each chunk the
-    window touches is rebuilt whole, zero-filled outside the window, and
-    summed by the same einsum, and the sums are added in chunk order; the
-    other chunks add exact zeros.  Summing the window as one array changes
-    the last bits when it straddles a chunk boundary or sits at another
-    offset in its chunk.
+    that vector's norm, bitwise.  Each einsum chunk the window touches is
+    rebuilt whole, zero-filled outside the window, and summed in chunk
+    order (_sum_of_squares); the other chunks add exact zeros.  Summing the
+    window as one array changes the last bits when it straddles a chunk
+    boundary or sits at another offset in its chunk.
     """
     x = np.ascontiguousarray(v, dtype=np.complex128)
     n = x.shape[0]
@@ -153,23 +169,69 @@ def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     chunks = set(range(start // chunk, (start + first - 1) // chunk + 1))
     chunks.update(range((n - first - 1) // chunk + 1))
     part = np.empty(min(chunk, dim), dtype=np.complex128)
-    total = 0.0
-    for c in sorted(chunks):
-        lo, hi = c * chunk, min((c + 1) * chunk, dim)
-        seg = part[: hi - lo]
-        seg.fill(0)
-        for begin, end, shift in runs:
-            a, b = max(lo, begin), min(hi, end)
-            if a < b:
-                seg[a - lo : b - lo] = x[a - shift : b - shift]
-        f = seg.view(np.float64)
-        total += float(np.einsum("i,i->", f, f))
-    return math.sqrt(total)
+
+    def rebuilt():
+        for c in sorted(chunks):
+            lo, hi = c * chunk, min((c + 1) * chunk, dim)
+            seg = part[: hi - lo]
+            seg.fill(0)
+            for begin, end, shift in runs:
+                a, b = max(lo, begin), min(hi, end)
+                if a < b:
+                    seg[a - lo : b - lo] = x[a - shift : b - shift]
+            yield seg
+
+    return math.sqrt(_sum_of_squares(rebuilt()))
 
 
 def residual_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
     """vector_norm of a residual; a non-finite one raises ValueError."""
     return _finite(vector_norm(v, dim, start), "residual norm")
+
+
+def tiled_residual_norm(x: np.ndarray, reach: int, residual, cyclic: bool = True) -> float:
+    """residual_norm of r = R x, formed tile by tile; R moves an index by at most reach.
+
+    Tiles are TILE_CHUNKS einsum chunks of r.  Tile [c0, c1) is computed on
+    the window of x at indices c0 - reach .. c1 + reach - 1, taken mod dim
+    when cyclic and cut at the vector's ends otherwise:
+    residual(win, out, w1, w2) writes R x at win's indices into one of
+    three work vectors of win's length, from win's amplitudes alone (through
+    win.compress, say), and returns it.  Rows within reach of a window end
+    inside the vector read amplitudes past it and are dropped.  Every other
+    row is formed by the same operations as on the full vector, the rule of
+    LinearOperator.compressed, and the kept rows' chunks are summed in chunk
+    order (_sum_of_squares): the figure is the full vector's, bitwise.
+
+    Beyond x this holds O(tile) memory: every window is a view of x, except
+    that a cyclic window across index 0 or dim is copied.  A vector no
+    longer than one tile and two reaches is one window, x itself.  A
+    non-finite norm raises ValueError.
+    """
+    dim = x.shape[0]
+    chunk = np.getbufsize() // 2
+    tile = TILE_CHUNKS * chunk
+    if dim <= tile + 2 * reach:
+        tile = dim
+    work = np.empty((3, min(dim, tile + 2 * reach)), dtype=np.complex128)
+
+    def chunks():
+        for c0 in range(0, dim, tile):
+            c1 = min(c0 + tile, dim)
+            lo, hi = c0 - reach, c1 + reach
+            if not cyclic or tile == dim:
+                lo, hi = max(lo, 0), min(hi, dim)
+            if lo < 0:
+                comps = np.concatenate((x[lo:], x[:hi]))
+            elif hi > dim:
+                comps = np.concatenate((x[lo:], x[: hi - dim]))
+            else:
+                comps = x[lo:hi]
+            kept = residual(Window(dim, lo % dim, comps), *work[:, : hi - lo])[c0 - lo : c1 - lo]
+            for a in range(0, c1 - c0, chunk):
+                yield kept[a : a + chunk]
+
+    return _finite(math.sqrt(_sum_of_squares(chunks())), "residual norm")
 
 
 @dataclass(frozen=True)
@@ -238,6 +300,7 @@ def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> 
     draw = rng.standard_normal(dim)
     comps.real = draw
     comps.imag = rng.standard_normal(dim, out=draw)
+    del draw  # freed before the finiteness check allocates its mask
     if normalize:
         # numpy divides complex by real as a multiply by 1/n, so one reciprocal
         # times the float view is bitwise the same at a sixth of the cost
@@ -387,7 +450,9 @@ class BandedOperator(LinearOperator):
                     f"diagonal at offset {offset} needs {dim - abs(offset)} values, "
                     f"got {values.shape}"
                 )
-            cleaned.append((offset, _freeze(values)))
+            # a read-only diagonal (a run of the clock table, a broadcast
+            # phase) stays the view it is, as a group element's products read it
+            cleaned.append((offset, values if not values.flags.writeable else _freeze(values)))
         self.diags = tuple(sorted(cleaned, key=lambda d: d[0]))
 
     def _apply_array(self, x, out=None):
@@ -697,18 +762,38 @@ class PauliSumOperator(LinearOperator):
         return self.terms().norm()
 
 
-@functools.lru_cache(maxsize=8)
+_CLOCK_TABLES: dict = {}  # dim -> _clock_table(dim), at most 8, oldest first
+
+
 def _clock_table(dim: int) -> np.ndarray:
     """exp(2 pi i j / dim) for j < dim, read only and shared by every element of dim.
 
     Phases are read from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
     """
-    return _freeze(_clock_phases(np.arange(dim, dtype=np.int64), dim))
+    table = _CLOCK_TABLES.get(dim)
+    if table is None:
+        table = _CLOCK_TABLES[dim] = _freeze(_clock_phases(np.arange(dim, dtype=np.int64), dim))
+        if len(_CLOCK_TABLES) > 8:
+            del _CLOCK_TABLES[next(iter(_CLOCK_TABLES))]
+    return table
 
 
 def _clock_phases(w: np.ndarray, dim: int) -> np.ndarray:
     """exp(2 pi i w / dim) for an int64 index array w: the one expression of a clock phase."""
     return np.exp(2j * np.pi * w / dim)
+
+
+def _phase_run(table: np.ndarray, i: int, s: int, n: int):
+    """(phases, next index): table[(i + s q) % dim] for q < n, cut where the index wraps.
+
+    A view of the table, strided by s, or a broadcast of one phase for
+    s = 0; the next run starts at the returned index.
+    """
+    dim = table.shape[0]
+    if not s:
+        return np.broadcast_to(table[i], (n,)), i
+    n = min(n, (dim - 1 - i if s > 0 else i) // abs(s) + 1)
+    return table[i::s][:n], (i + s * n) % dim
 
 
 @dataclass(frozen=True)
@@ -760,31 +845,49 @@ class PermutationPhaseOperator(LinearOperator):
             while q < count:
                 j = r + t * q
                 o = (j + l) % dim
-                n = min(count - q, (dim - 1 - o) // t + 1)
-                if s:
-                    n = min(n, (dim - 1 - i if s > 0 else i) // abs(s) + 1)
-                phase = table[i::s][:n] if s else np.broadcast_to(table[i], (n,))
+                phase, i = _phase_run(table, i, s, min(count - q, (dim - 1 - o) // t + 1))
+                n = phase.shape[0]
                 np.multiply(phase, x[j::t][:n], out=out[o::t][:n])
                 q += n
-                i = (i + s * n) % dim
         return out
 
     def _compressed(self, start, n):
-        # the window keeps A[i + o, i] for the signed shifts o = l and l - dim
-        # shorter than n, a banded operator of one diagonal when n + |o| <= dim.
-        # Its phases are _clock_phases at the window's own phase indices
-        # w0 + k i mod dim, formed in Python ints where k i could pass int64,
-        # so no table of length dim is built; without a clock power they are
-        # one phase
+        """P A P: the entries A[i + o, i] for the signed shifts o = l and l - dim shorter than n.
+
+        A banded operator, of one diagonal when n + |o| <= dim, whose phases
+        sit at the phase indices w0 + k i mod dim.  While the clock table of
+        dim is held (a full apply or a tiled full-vector check built it),
+        they are read from it: where the walk wraps past dim at most once,
+        as its runs, the views _apply_array multiplies by (_phase_run),
+        strided for k > 1 and concatenated only where the index wraps, and
+        otherwise, for a clock power far from 0 and dim, as one gather.
+        Without a table (a window on a dimension with no full vector, such
+        as a plateau window at nu = 2**40) _clock_phases evaluates them, and
+        no table of length dim is built.  The table is
+        _clock_phases(arange(dim)), so every route gives the same numbers.
+        The indices are formed in Python ints where k i could pass int64.
+        """
         dim, k, diags = self.dim, self.k, []
+        table = _clock_table(dim) if dim in _CLOCK_TABLES else None
+        s = k if 2 * k <= dim else k - dim
         for o in (self.l, self.l - dim):
             if abs(o) < n:
                 first, count = max(0, -o), n - abs(o)
                 w0 = (k * (start + first) + self.m) % dim
-                exact = np.int64 if k * n + dim < 2**63 else object
-                w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
-                phases = _clock_phases(w.astype(np.int64), dim)
-                diags.append((o, np.broadcast_to(phases, (count,))))
+                if table is not None and abs(s) * (count - 1) < dim:
+                    runs, i = [], w0
+                    while count:
+                        phases, i = _phase_run(table, i, s, count)
+                        runs.append(phases)
+                        count -= phases.shape[0]
+                    phases = runs[0] if len(runs) == 1 else np.concatenate(runs)
+                else:
+                    exact = np.int64 if k * n + dim < 2**63 else object
+                    w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
+                    w = w.astype(np.int64)
+                    phases = _clock_phases(w, dim) if table is None else table[w]
+                    phases = np.broadcast_to(phases, (count,))
+                diags.append((o, phases))
         return BandedOperator(n, diags)
 
     def adjoint(self):

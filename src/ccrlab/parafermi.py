@@ -217,14 +217,18 @@ def green_relation_residual(sys: GreenSystem) -> float:
 def number_identity_residual(sys: GreenSystem) -> float:
     """Worst exact residual of N_k = ([b_k^dag, b_k] + p) / 2.
 
-    A non-finite residual raises ValueError.
+    N_k is formed as the sum of its p N projectors' terms, the expansion
+    number_ops(sys)[1][k - 1].terms() gives.  A non-finite residual raises
+    ValueError.
     """
-    _, per_mode, _ = number_ops(sys)
     p_one = PauliTerms({(0, 0): float(sys.p)})
     worst = 0.0
-    for (b_k, b_k_dag), n_k in zip(sys.modes, per_mode):
+    for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
+        sites = [sys.site(k, a) for a in range(1, sys.p + 1)]
+        projectors = (PauliString(1.0, [(site, "N")], sys.total_sites) for site in sites)
+        n_k = sum((proj.terms() for proj in projectors), PauliTerms())
         lhs = 0.5 * (bracket(b_k_dag, b_k, -1) + p_one)
-        worst = max(worst, (lhs - n_k.terms()).norm())
+        worst = max(worst, (lhs - n_k).norm())
     return worst
 
 

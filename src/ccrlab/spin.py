@@ -7,9 +7,11 @@ J3 eigenvector with eigenvalue j - k.
 
 Q = J1 / sqrt(j) and P = J2 / sqrt(j) satisfy [Q, P] = i J3 / j, so on the
 k-th weight state the CCR defect ||([Q,P] - i)|k>|| equals k/j exactly.
-SpinRep holds the generators; a check scales J1 and J2 into Q and P, and the
-residuals apply them into three work vectors (the linalg buffer form),
-raising ValueError on a non-finite residual norm.
+make_spin_rep forms no arrays: _generators forms the generators' diagonals
+on a window of weights, for the full space on first use of SpinRep.J1 and
+its siblings, and for a check's window or tile otherwise.  A check scales J1
+and J2 into Q and P, and the residuals apply them into three work vectors
+(the linalg buffer form), raising ValueError on a non-finite residual norm.
 
 Sign conventions (both verified exactly by the test suite):
 
@@ -20,9 +22,9 @@ Sign conventions (both verified exactly by the test suite):
   with the opposite exponent signs amounts to flipping J3 or t.
 
 The convergence checks run on their support.  weight_state_ccr_defect runs
-on the weights k - 2..k + 2 as a linalg.Window, bitwise equal to the full
-vector's figure, and coherent_limit_error forms only the kmax + 1 amplitudes
-it reads, in stdlib math (coherent_head_error), so both cost O(1) in p.
+on the weights k - 2..k + 2, bitwise equal to the full vector's figure,
+and coherent_limit_error forms only the kmax + 1 amplitudes it reads, in
+stdlib math (coherent_head_error), so both cost O(1) in p.
 
 scipy is imported by the two functions that call it, not by this module:
 coherent_amplitudes loads scipy.special on its first call and
@@ -33,6 +35,7 @@ sweep does not pay for scipy.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +47,6 @@ from .linalg import (
     DenseOperator,
     LinCombOperator,
     StateVector,
-    Window,
     _bracket_into,
     random_state,
     require_dim,
@@ -54,35 +56,53 @@ from .linalg import (
 COVARIANCE_SEED = 0x5EED
 
 
+def _generators(p: int, lo: int, hi: int) -> tuple:
+    """(J1, J2, J3, J-) on the weights lo..hi - 1, as banded operators on C^(hi - lo).
+
+    The compression P J P to the window [lo, hi) of each generator of the
+    order-p irrep.  Each entry is formed from its own k alone, by
+    sqrt((p - k)(k + 1.0)) for <k+1| J- |k>, halved and times +-1j for J1
+    and J2, and j - k for J3, so a window's entries are the full
+    operators' bitwise.
+    """
+    k = np.arange(lo, hi - 1, dtype=np.float64)
+    lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)  # J- |k> -> |k+1>
+    half = lowering / 2.0  # J1 is symmetric: its two diagonals share one array
+    n = hi - lo
+    j1 = BandedOperator(n, [(1, half), (-1, half)])
+    j2 = BandedOperator(n, [(1, 1j * lowering / 2.0), (-1, -1j * lowering / 2.0)])
+    j3 = BandedOperator(n, [(0, (p / 2.0 - np.arange(lo, hi)).astype(np.complex128))])
+    return j1, j2, j3, BandedOperator(n, [(1, lowering)])
+
+
 @dataclass(frozen=True)
 class SpinRep:
-    """Ladder operators of the (p+1)-dimensional so(3) irrep, j = p/2.
+    """The (p+1)-dimensional so(3) irrep, j = p/2, and its ladder operators.
 
-    J1's two diagonals share one array.  qp_from_spin scales J1 and J2 into
-    the Hermitian CCR pair Q = J1 / sqrt(j), P = J2 / sqrt(j).
+    J1, J2, J3 and Jminus are formed on the full space on first use (by
+    covariance_defect, the dense cross-checks, tests and demos), so a rep
+    read only on windows and tiles holds no array.  qp_from_spin scales J1
+    and J2 into the Hermitian CCR pair Q = J1 / sqrt(j), P = J2 / sqrt(j).
     """
 
     p: int
     j: float
-    J1: BandedOperator
-    J2: BandedOperator
-    J3: BandedOperator
-    Jminus: BandedOperator
+
+    @functools.cached_property
+    def _full(self) -> tuple:
+        return _generators(self.p, 0, self.p + 1)
+
+    J1 = property(lambda self: self._full[0])
+    J2 = property(lambda self: self._full[1])
+    J3 = property(lambda self: self._full[2])
+    Jminus = property(lambda self: self._full[3])
 
 
 def make_spin_rep(p: int, site_cap: int = DEFAULT_SITE_CAP) -> SpinRep:
     if p < 1:
         raise ValueError("p must be a positive integer")
     require_dim(p + 1, site_cap)
-    j = p / 2.0
-    k = np.arange(p, dtype=np.float64)
-    lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)  # J- |k> -> |k+1>
-    jminus = BandedOperator(p + 1, [(1, lowering)])
-    half = lowering / 2.0  # J1 is symmetric: its two diagonals share one array
-    j1 = BandedOperator(p + 1, [(1, half), (-1, half)])
-    j2 = BandedOperator(p + 1, [(1, 1j * lowering / 2.0), (-1, -1j * lowering / 2.0)])
-    j3 = BandedOperator(p + 1, [(0, (j - np.arange(p + 1)).astype(np.complex128))])
-    return SpinRep(p, j, j1, j2, j3, jminus)
+    return SpinRep(p, p / 2.0)
 
 
 def weight_state(rep: SpinRep, k: int) -> StateVector:
@@ -107,18 +127,18 @@ def weight_state_ccr_defect(rep: SpinRep, k: int) -> float:
     """||([Q, P] - i) |k>||, which equals k/j exactly at every p.
 
     Q and P are tridiagonal, so the residual lives on the weights k - 2..k + 2
-    and the check runs on that window alone, scaling the window's J1 and J2.
+    and the check runs on that window alone, scaling the window's J1 and J2
+    (_generators) and summing the norm as the full vector's (vector_norm).
     """
     if not 0 <= k <= rep.p:
         raise ValueError(f"k={k} outside 0..{rep.p}")
     lo, hi = max(0, k - 2), min(rep.p + 1, k + 3)
     x = np.zeros(hi - lo, dtype=np.complex128)
     x[k - lo] = 1.0
-    win = Window(rep.p + 1, lo, x)
     out, w1, w2 = np.empty((3, hi - lo), dtype=np.complex128)
-    q, pp = _over_sqrt_j(rep.j, win.compress(rep.J1), win.compress(rep.J2))
+    q, pp = _over_sqrt_j(rep.j, *_generators(rep.p, lo, hi)[:2])
     _bracket_into(q, pp, x, -1, out, w1, w2)
-    return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), win.dim, lo)
+    return residual_norm(np.subtract(out, np.multiply(1j, x, out=w1), out=out), rep.p + 1, lo)
 
 
 def rotation_about_axis3(rep: SpinRep, theta: float) -> BandedOperator:

@@ -21,12 +21,14 @@ import numpy.random  # numpy 2 loads it on first use; a sweep's time is then onl
 
 from . import clifford, parafermi, spin, weyl
 from .linalg import (
+    _CLOCK_TABLES,
     ResourceLimitError,
     Window,
     _bracket_into,
     _clock_table,
     random_state,
     residual_norm,
+    tiled_residual_norm,
 )
 
 EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
@@ -145,22 +147,38 @@ def _fmt_number(value) -> str:
 
 
 def _moved(op, win) -> float:
-    """||A x - x|| for the vector x of a linalg.Window, through one fresh vector."""
+    """||A x - x|| for the vector x of a linalg.Window and a group element A.
+
+    A window over the whole cycle is checked tile by tile, a shorter one
+    through one fresh vector.
+    """
+
+    def residual(w, out, *_):
+        y = w.components
+        return np.subtract(w.compress(op)._apply_array(y, out), y, out=out)
+
     x = win.components
-    out = win.compress(op)._apply_array(x)
-    return residual_norm(np.subtract(out, x, out=out), win.dim, win.start)
+    if x.shape[0] < win.dim:
+        return residual_norm(residual(win, np.empty_like(x)), win.dim, win.start)
+    _clock_table(win.dim)  # the tiles read their phases from it
+    return tiled_residual_norm(x, min(op.l, op.dim - op.l), residual)
 
 
 def _weyl_relation(pair, rng) -> float:
-    """max over three random xi of ||U V xi - omega V U xi||."""
-    worst = 0.0
+    """max over three random xi of ||U V xi - omega V U xi||, tile by tile (V reaches one index)."""
     omega = np.exp(2j * np.pi / pair.nu)
-    lhs, w, rhs = np.empty((3, pair.nu), dtype=np.complex128)
+
+    def residual(win, lhs, w, rhs):
+        x, u, v = win.components, win.compress(pair.U), win.compress(pair.V)
+        u._apply_array(v._apply_array(x, w), lhs)
+        v._apply_array(u._apply_array(x, w), rhs)
+        return np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)
+
+    _clock_table(pair.nu)  # the tiles read their phases from it
+    worst = 0.0
     for _ in range(3):
         x = random_state(pair.nu, rng).components
-        pair.U._apply_array(pair.V._apply_array(x, w), lhs)
-        pair.V._apply_array(pair.U._apply_array(x, w), rhs)
-        worst = max(worst, residual_norm(np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)))
+        worst = max(worst, tiled_residual_norm(x, 1, residual))
     return worst
 
 
@@ -211,20 +229,34 @@ def _weyl_checks(cfg, rng, pair, nu):
 # and the commutator by 22 u j^2; its subtraction adds u ||J_c xi|| <= u j and
 # J_c xi 2 sqrt 2 u j, while the factor i is exact and the last subtraction
 # second order.  That is under (22 j^2 + 4 j) u <= 30 u j^2 at j >= 1/2, and
-# 32 covers the second-order terms.
+# 32 covers the second-order terms.  The check runs tile by tile, and a tile
+# gives each kept entry the same operations as the full vector, so the model
+# is unchanged.
 SO3_ROUNDING = 32 * 2.0**-53
 
 
 def _so3_closure(rep, rng):
-    """max over the cyclic (a, b, c) of ||[J_a, J_b] xi - i J_c xi||, one random xi each."""
+    """max over the cyclic (a, b, c) of ||[J_a, J_b] xi - i J_c xi||, one random xi each.
+
+    Each runs tile by tile (linalg.tiled_residual_norm): a bracket of the
+    tridiagonal J's reaches two weights, and each tile forms the generators
+    on its own window (spin._generators), so no array of length p + 1 is
+    formed but xi.
+    """
+
+    def residual(triple, win, out, w1, w2):
+        x = win.components
+        gens = spin._generators(rep.p, win.start, win.start + x.shape[0])
+        ja, jb, jc = (gens[i] for i in triple)
+        _bracket_into(ja, jb, x, -1, out, w1, w2)
+        rhs = np.multiply(1j, jc._apply_array(x, w1), out=w2)
+        return np.subtract(out, rhs, out=out)
+
     worst = 0.0
-    ops = (rep.J1, rep.J2, rep.J3)
-    out, w1, w2 = np.empty((3, rep.p + 1), dtype=np.complex128)
-    for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for triple in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         x = random_state(rep.p + 1, rng).components
-        _bracket_into(ops[a], ops[b], x, -1, out, w1, w2)
-        rhs = np.multiply(1j, ops[c]._apply_array(x, w1), out=w2)
-        worst = max(worst, residual_norm(np.subtract(out, rhs, out=out)))
+        tiles = functools.partial(residual, triple)
+        worst = max(worst, tiled_residual_norm(x, 2, tiles, cyclic=False))
     return worst
 
 
@@ -355,7 +387,7 @@ def run_sweep(cfg: SweepConfig):
     for name in names:
         records.extend(_BATTERIES[name](cfg, rng))
         # the next battery's peak memory does not carry this one's clock tables
-        _clock_table.cache_clear()
+        _CLOCK_TABLES.clear()
     records.sort(key=DefectRecord.sort_key)
     status = EXIT_OK
     if any(r.skip_reason for r in records):
@@ -402,7 +434,11 @@ def records_to_json(records) -> str:
 
 def _parse_params(text: str) -> dict:
     """Parameters from params_key() text; a value stays text unless it is a
-    number that _fmt_number writes back as the same text (so 1e3 stays 1e3)."""
+    number that _fmt_number writes back as the same text (so 1e3 stays 1e3).
+
+    A dimension parameter (p, nu, modes) or window size mu that is not a
+    finite number raises ValueError: the report fits slopes against them.
+    """
     params = {}
     if not text:
         return params
@@ -417,6 +453,13 @@ def _parse_params(text: str) -> dict:
             if _fmt_number(number) == value:
                 params[key] = number
                 break
+        if key in _DIM_PARAM + ("mu",):
+            try:
+                finite = math.isfinite(float(value))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ValueError(f"parameter {key}={value} is not a finite number")
     return params
 
 

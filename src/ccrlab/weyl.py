@@ -13,12 +13,14 @@ dimension that fits in memory.
 
 The residuals apply the elements into three work vectors (the linalg buffer
 form), subtract in place and raise ValueError on a non-finite residual norm.
-A random vector is checked at length nu.  A plateau vector has mu = sqrt(nu)
-nonzero amplitudes, and U, V and the quadratures move an index by at most
-one, so its checks run on plateau_window, a linalg.Window of mu + 2
-amplitudes: the same records, bitwise, in O(mu) time and memory, up to
-nu = 2**40 and beyond.  A window that would cover the whole cycle is the
-plateau vector itself.
+A random vector is drawn at length nu, and commutator_factorization_residual
+and the sweep's checks on it run tile by tile (linalg.tiled_residual_norm):
+no other vector of length nu is formed but the shared clock table.  A
+plateau vector has mu = sqrt(nu) nonzero amplitudes, and U, V and the
+quadratures move an index by at most one, so its checks run on
+plateau_window, a linalg.Window of mu + 2 amplitudes: the same records,
+bitwise, in O(mu) time and memory, up to nu = 2**40 and beyond.  A window
+that would cover the whole cycle is the plateau vector itself.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from .linalg import (
     StateVector,
     Window,
     _bracket_into,
+    _clock_table,
     _components,
     require_dim,
     residual_norm,
+    tiled_residual_norm,
 )
 
 
@@ -180,13 +184,23 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
     """|| [U^m, V^n] xi - (exp(2 pi i m n / nu) - 1) V^n U^m xi ||.
 
     This factorization is exact at every dimension, so the residual is
-    pure floating-point noise.
+    pure floating-point noise.  It runs tile by tile
+    (linalg.tiled_residual_norm): V^n moves an index by n, so each tile
+    carries n amplitudes of xi past each end, and U^m, V^n and V^n U^m
+    apply in compressed form, their phases runs of the clock table.  The
+    figure is the full vector's, bitwise, and beyond xi the check holds
+    O(tile) memory.
     """
     x = _components(xi, pair.nu)
-    out, w1, w2 = np.empty((3, pair.nu), dtype=np.complex128)
-    u_m = pair.power_op(k=m)
-    v_n = pair.power_op(l=n)
-    _bracket_into(u_m, v_n, x, -1, out, w1, w2)
+    u_m, v_n = pair.power_op(k=m), pair.power_op(l=n)
+    vu = v_n.compose(u_m)
     factor = np.exp(2j * np.pi * ((m * n) % pair.nu) / pair.nu) - 1.0
-    rhs = np.multiply(factor, v_n.compose(u_m)._apply_array(x, w1), out=w2)
-    return residual_norm(np.subtract(out, rhs, out=out))
+
+    def residual(win, out, w1, w2):
+        y = win.components
+        _bracket_into(win.compress(u_m), win.compress(v_n), y, -1, out, w1, w2)
+        rhs = np.multiply(factor, win.compress(vu)._apply_array(y, w1), out=w2)
+        return np.subtract(out, rhs, out=out)
+
+    _clock_table(pair.nu)  # the tiles read their phases from it
+    return tiled_residual_norm(x, min(v_n.l, pair.nu - v_n.l), residual)

@@ -6,7 +6,7 @@ arithmetic.  Every new path must equal them bitwise (== on values,
 np.array_equal on vectors), not merely to rounding.
 """
 
-import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -268,14 +268,36 @@ def _peak_vectors(fn, dim):
         tracemalloc.stop()
 
 
+def _period(pair, rng):
+    xi = linalg.Window.of(random_state(pair.nu, rng))
+    return max(sweeps._moved(pair.power_op(k=pair.nu), xi), sweeps._moved(pair.power_op(l=pair.nu), xi))
+
+
+def _factorizations(pair, rng):
+    for m, n in ((1, 1), (2, 3)):
+        xi = random_state(pair.nu, rng)
+        weyl.commutator_factorization_residual(pair, m, n, xi)
+
+
 def test_residuals_allocate_only_their_work_vectors():
     dim = 2**16
     rep = spin.make_spin_rep(dim - 1)
-    # out, w1, w2; the random state, one more while the next is drawn with
-    # its float draw; the banded apply's scratch vector comes after the draw
-    peak = _peak_vectors(lambda: sweeps._so3_closure(rep, np.random.default_rng(0)), dim)
-    assert peak < 5.75, peak
     pair = weyl.make_canonical_pair(dim)
+    # the four full-vector checks run tile by tile: the random state, the
+    # previous one while the next is drawn with its float draw buffer, and
+    # O(tile) work, a tile being an eighth of this vector.  Measured: 2.503
+    # for so3-closure, 2.502 for weyl-relation and commutator-factorization,
+    # 1.502 for clock-shift-period, which draws once (full vectors: 5.63,
+    # 5.63, 4.00 and 2.00)
+    checks = [
+        lambda: sweeps._so3_closure(rep, np.random.default_rng(0)),
+        lambda: sweeps._weyl_relation(pair, np.random.default_rng(0)),
+        lambda: _factorizations(pair, np.random.default_rng(0)),
+        lambda: _period(pair, np.random.default_rng(0)),
+    ]
+    for check in checks:
+        peak = _peak_vectors(check, dim)
+        assert peak < 2.55, peak
     window = weyl.plateau_vector(pair, 0, weyl.default_window(dim))
     # out, w1, w2 and the quadrature combination's scratch vector
     peak = _peak_vectors(lambda: weyl.ccr_defect(pair, 1, 1, window), dim)
@@ -295,26 +317,48 @@ def _poisoned(op, value):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
     # max(0.0, nan) is 0.0: a NaN that reached the running max would read
-    # as a pass, so every residual must raise instead
-    rep = spin.make_spin_rep(12)
+    # as a pass, so every residual must raise instead.  The spin generators
+    # are poisoned where they are formed, for the full operators, a window
+    # and each tile; p = 2 T + 3 and nu = 2 T + 3 run the full-vector checks
+    # on three tiles of T amplitudes, nu = 16 on one
+    tiled = 2 * linalg.TILE_CHUNKS * (np.getbufsize() // 2) + 3
+    generators = spin._generators
+
+    def poisoned(which):
+        def gens(p, lo, hi):
+            ops = list(generators(p, lo, hi))
+            ops[which] = _poisoned(ops[which], value)
+            return tuple(ops)
+
+        return gens
+
     rng = np.random.default_rng(1)
-    calls = [
-        lambda: spin.weight_state_ccr_defect(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), 3),
-        lambda: spin.covariance_defect(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), 0.3),
-        lambda: sweeps._so3_closure(dataclasses.replace(rep, J1=_poisoned(rep.J1, value)), rng),
-        lambda: list(sweeps._spin_checks(SweepConfig(), rng, dataclasses.replace(rep, J2=_poisoned(rep.J2, value)), 12)),
+    spin_calls = [
+        (0, lambda: spin.weight_state_ccr_defect(spin.make_spin_rep(12), 3)),
+        (0, lambda: spin.covariance_defect(spin.make_spin_rep(12), 0.3)),
+        (1, lambda: list(sweeps._spin_checks(SweepConfig(), rng, spin.make_spin_rep(12), 12))),
     ]
-    nu = 16
-    pair = weyl.make_canonical_pair(nu)
-    xi = random_state(nu, rng)
-    calls += [
-        lambda: weyl.ccr_defect(pair, 1, 1, xi),
-        lambda: weyl.commutator_factorization_residual(pair, 1, 1, xi),
-        lambda: list(sweeps._weyl_checks(SweepConfig(), rng, pair, nu)),
-    ]
-    table = linalg._clock_table(nu).copy()
-    table[1:] = value  # every clock phase but omega^0
-    monkeypatch.setattr(linalg, "_clock_table", lambda dim: table)
+    for p, which in itertools.product((12, tiled - 1), range(3)):
+        spin_calls.append((which, lambda p=p: sweeps._so3_closure(spin.make_spin_rep(p), rng)))
+    for which, call in spin_calls:
+        monkeypatch.setattr(spin, "_generators", poisoned(which))
+        with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+            call()
+    calls, tables = [], {}
+    for nu in (16, tiled):
+        pair = weyl.make_canonical_pair(nu)
+        xi = random_state(nu, rng)
+        calls += [
+            lambda pair=pair, xi=xi: weyl.ccr_defect(pair, 1, 1, xi),
+            lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 1, 1, xi),
+            lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 2, 3, xi),
+            lambda pair=pair, xi=xi: sweeps._moved(pair.U, linalg.Window.of(xi)),
+            lambda pair=pair, nu=nu: list(sweeps._weyl_checks(SweepConfig(), rng, pair, nu)),
+        ]
+        # every clock phase but omega^0; a held table is what the tiles read
+        tables[nu] = linalg._clock_table(nu).copy()
+        tables[nu][1:] = value
+    monkeypatch.setattr(linalg, "_clock_table", tables.__getitem__)
     for call in calls:
         with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
             call()

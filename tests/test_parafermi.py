@@ -11,6 +11,7 @@ from ccrlab import parafermi
 from ccrlab.linalg import (
     PauliString,
     PauliSumOperator,
+    PauliTerms,
     ResourceLimitError,
     StateVector,
     anticommutator_apply,
@@ -125,6 +126,30 @@ def test_number_identity_residual_equals_state_vector_formula(p, nu):
             want = max(want, (lhs - per_mode[k - 1].apply(xi)).norm())
     assert parafermi.number_identity_residual(sys) == 0.0
     assert want <= 1e-12
+
+
+def test_number_identity_residual_forms_only_the_per_mode_number_operators(monkeypatch):
+    # N_k is the sum of its p projectors' terms, number_ops' per-mode
+    # expansion; N and the per-block N^(alpha) are not formed.  A component
+    # scaled by 2 leaves a residual to compare with the number_ops route
+    sys = parafermi.make_green_system(3, 2)
+    first = sys.components[(2, 1)].strings[0]
+    components = dict(sys.components)
+    components[(2, 1)] = PauliSumOperator([PauliString(2j, first.sites, sys.total_sites)])
+    broken = dataclasses.replace(sys, components=components)
+    _, per_mode, _ = parafermi.number_ops(broken)
+    p_one = PauliTerms({(0, 0): 3.0})
+    want = max(
+        (0.5 * (bracket(b_dag, b, -1) + p_one) - n_k.terms()).norm()
+        for (b, b_dag), n_k in zip(broken.modes, per_mode)
+    )
+
+    def refuse(sys):
+        raise AssertionError("number_ops builds N and every N^(alpha)")
+
+    monkeypatch.setattr(parafermi, "number_ops", refuse)
+    assert parafermi.number_identity_residual(broken) == want > 1.0
+    assert parafermi.number_identity_residual(sys) == 0.0
 
 
 def test_residuals_raise_on_an_infinite_coefficient():

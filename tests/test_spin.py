@@ -123,11 +123,15 @@ def test_qp_support_and_coefficients():
 
 
 def test_rep_holds_the_generators_only():
-    # Q and P are scaled from J1 and J2 when a check needs them: the
-    # representation keeps five arrays, J1's two diagonals sharing one
+    # make_spin_rep forms no array; the first read of a generator forms the
+    # four on the full space, five arrays with J1's two diagonals sharing
+    # one, and Q and P are scaled from J1 and J2 when a check needs them
     rep = spin.make_spin_rep(10**5)
+    assert vars(rep) == {"p": 10**5, "j": 5e4}
     assert not hasattr(rep, "Q") and not hasattr(rep, "P")
-    ops = [v for v in vars(rep).values() if isinstance(v, BandedOperator)]
+    assert rep.J1 is rep.J1
+    ops = [op for v in vars(rep).values() if isinstance(v, tuple) for op in v]
+    assert len(ops) == 4 and all(isinstance(op, BandedOperator) for op in ops)
     assert len({id(values) for op in ops for _, values in op.diags}) == 5
 
 

@@ -398,6 +398,28 @@ _MALFORMED_RECORD_FILES = {
 }
 
 
+def _records_text(fmt, params):
+    if fmt == "csv":
+        return f"{sweeps.CSV_HEADER}\nweyl,nu=4,weyl-relation,1e-16,1e-12,true\nweyl,{params},x,1,,true\n"
+    return json.dumps([_RECORD, {**_RECORD, "params": params}])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_record_whose_size_parameter_is_not_a_number_is_a_usage_error(tmp_path, capsys, fmt):
+    # the report fits slopes against p, nu and modes; a text or infinite one
+    # crashed it with a traceback and exit 1, the identity-failure code
+    parse = parse_records_csv if fmt == "csv" else parse_records_json
+    for params in ("nu=abc", "p=inf", "modes=nan", "k=1;mu=x1"):
+        text = _records_text(fmt, params)
+        with pytest.raises(UsageError, match=f"{params.split(';')[-1]} is not a finite number"):
+            parse(text)
+        path = tmp_path / f"records.{fmt}"
+        path.write_text(text)
+        assert cli.main(["report", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(_MALFORMED_RECORD_FILES))
 def test_malformed_record_files_are_usage_errors(tmp_path, capsys, name):
     text = _MALFORMED_RECORD_FILES[name]
@@ -648,6 +670,13 @@ def test_written_records_round_trip_byte_for_byte(records):
 _PARAM_TEXT = st.text(st.sampled_from("0123456789+-.eEinfatrux_ "), max_size=8)
 
 
+def _finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 @given(
     st.dictionaries(
         st.from_regex(r"[a-z]{1,4}", fullmatch=True),
@@ -659,7 +688,14 @@ def test_params_key_survives_the_csv_and_json_round_trips(params):
     record = DefectRecord("weyl", params, "weyl-relation", 0.5, None, True)
     key = record.params_key()
     written = dict(item.split("=", 1) for item in key.split(";")) if key else {}
+    # a dimension parameter or window size must read as a finite number
+    sizes = [v for k, v in written.items() if k in ("p", "nu", "modes", "mu")]
+    readable = all(_finite_number(v) for v in sizes)
     for text, parse in ((records_to_csv([record]), parse_records_csv), (records_to_json([record]), parse_records_json)):
+        if not readable:
+            with pytest.raises(UsageError, match="not a finite number"):
+                parse(text)
+            continue
         (back,) = parse(text)
         assert back.params_key() == key
         # a value comes back as a number only where it writes back as the same text
