@@ -293,7 +293,7 @@ class StateVector:
         return StateVector(self.dim, -self.components)
 
 
-def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> StateVector:
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     # real then imaginary draws, as a + 1j * b made them, written into one
     # complex array through one float vector
     comps = np.empty(dim, dtype=np.complex128)
@@ -301,11 +301,10 @@ def random_state(dim: int, rng: np.random.Generator, normalize: bool = True) -> 
     comps.real = draw
     comps.imag = rng.standard_normal(dim, out=draw)
     del draw  # freed before the finiteness check allocates its mask
-    if normalize:
-        # numpy divides complex by real as a multiply by 1/n, so one reciprocal
-        # times the float view is bitwise the same at a sixth of the cost
-        floats = comps.view(np.float64)
-        np.multiply(1.0 / vector_norm(comps), floats, out=floats)
+    # numpy divides complex by real as a multiply by 1/n, so one reciprocal
+    # times the float view is bitwise the same at a sixth of the cost
+    floats = comps.view(np.float64)
+    np.multiply(1.0 / vector_norm(comps), floats, out=floats)
     return StateVector(dim, comps)
 
 
@@ -762,19 +761,18 @@ class PauliSumOperator(LinearOperator):
         return self.terms().norm()
 
 
-_CLOCK_TABLES: dict = {}  # dim -> _clock_table(dim), at most 8, oldest first
+_CLOCK_TABLES: dict = {}  # {dim: _clock_table(dim)}, the one table held
 
 
 def _clock_table(dim: int) -> np.ndarray:
-    """exp(2 pi i j / dim) for j < dim, read only and shared by every element of dim.
+    """exp(2 pi i j / dim) for j < dim, read only; the one table held, dropped for a new dim.
 
     Phases are read from it, never multiplied: omega^a omega^b is not bitwise omega^(a+b).
     """
     table = _CLOCK_TABLES.get(dim)
     if table is None:
+        _CLOCK_TABLES.clear()
         table = _CLOCK_TABLES[dim] = _freeze(_clock_phases(np.arange(dim, dtype=np.int64), dim))
-        if len(_CLOCK_TABLES) > 8:
-            del _CLOCK_TABLES[next(iter(_CLOCK_TABLES))]
     return table
 
 
@@ -855,20 +853,18 @@ class PermutationPhaseOperator(LinearOperator):
         """P A P: the entries A[i + o, i] for the signed shifts o = l and l - dim shorter than n.
 
         A banded operator, of one diagonal when n + |o| <= dim, whose phases
-        sit at the phase indices w0 + k i mod dim.  While the clock table of
-        dim is held (a full apply or a tiled full-vector check built it),
-        they are read from it: where the walk wraps past dim at most once,
-        as its runs, the views _apply_array multiplies by (_phase_run),
-        strided for k > 1 and concatenated only where the index wraps, and
-        otherwise, for a clock power far from 0 and dim, as one gather.
-        Without a table (a window on a dimension with no full vector, such
-        as a plateau window at nu = 2**40) _clock_phases evaluates them, and
-        no table of length dim is built.  The table is
-        _clock_phases(arange(dim)), so every route gives the same numbers.
-        The indices are formed in Python ints where k i could pass int64.
+        sit at the phase indices w0 + k i mod dim.  Where dim's clock table
+        is held (a Weyl grid point of the sweep or a full apply built it) and
+        the walk wraps past dim at most once, they are its runs, the views
+        _apply_array multiplies by (_phase_run), concatenated only where the
+        index wraps.  Otherwise _clock_phases evaluates them at their own
+        indices, and no table of length dim is built (a plateau window at
+        nu = 2**40).  The table is _clock_phases(arange(dim)), so both give
+        the same numbers.  Indices are formed in Python ints where k i could
+        pass int64.
         """
         dim, k, diags = self.dim, self.k, []
-        table = _clock_table(dim) if dim in _CLOCK_TABLES else None
+        table = _CLOCK_TABLES.get(dim)
         s = k if 2 * k <= dim else k - dim
         for o in (self.l, self.l - dim):
             if abs(o) < n:
@@ -884,9 +880,7 @@ class PermutationPhaseOperator(LinearOperator):
                 else:
                     exact = np.int64 if k * n + dim < 2**63 else object
                     w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
-                    w = w.astype(np.int64)
-                    phases = _clock_phases(w, dim) if table is None else table[w]
-                    phases = np.broadcast_to(phases, (count,))
+                    phases = np.broadcast_to(_clock_phases(w.astype(np.int64), dim), (count,))
                 diags.append((o, phases))
         return BandedOperator(n, diags)
 

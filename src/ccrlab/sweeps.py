@@ -149,8 +149,8 @@ def _fmt_number(value) -> str:
 def _moved(op, win) -> float:
     """||A x - x|| for the vector x of a linalg.Window and a group element A.
 
-    A window over the whole cycle is checked tile by tile, a shorter one
-    through one fresh vector.
+    A window over the whole cycle is checked tile by tile, on the clock
+    table _weyl_checks holds, a shorter one through one fresh vector.
     """
 
     def residual(w, out, *_):
@@ -160,7 +160,6 @@ def _moved(op, win) -> float:
     x = win.components
     if x.shape[0] < win.dim:
         return residual_norm(residual(win, np.empty_like(x)), win.dim, win.start)
-    _clock_table(win.dim)  # the tiles read their phases from it
     return tiled_residual_norm(x, min(op.l, op.dim - op.l), residual)
 
 
@@ -174,25 +173,26 @@ def _weyl_relation(pair, rng) -> float:
         v._apply_array(u._apply_array(x, w), rhs)
         return np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)
 
-    _clock_table(pair.nu)  # the tiles read their phases from it
     worst = 0.0
     for _ in range(3):
-        x = random_state(pair.nu, rng).components
-        worst = max(worst, tiled_residual_norm(x, 1, residual))
+        worst = max(worst, tiled_residual_norm(random_state(pair.nu, rng).components, 1, residual))
     return worst
 
 
 def _weyl_checks(cfg, rng, pair, nu):
+    # the grid point's one clock table, read by its tiles, built before the
+    # first draw; each draw is consumed before the next is made
+    _clock_table(nu)
     mu = weyl.default_window(nu)
     yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
 
     xi = Window.of(random_state(nu, rng))
     period = max(_moved(pair.power_op(k=nu), xi), _moved(pair.power_op(l=nu), xi))
+    del xi
     yield {}, "clock-shift-period", period, cfg.tol_exact
 
     for m, n in ((1, 1), (2, 3)):
-        xi = random_state(nu, rng)
-        res = weyl.commutator_factorization_residual(pair, m, n, xi)
+        res = weyl.commutator_factorization_residual(pair, m, n, random_state(nu, rng))
         yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
 
     for l in range(3):
@@ -257,6 +257,7 @@ def _so3_closure(rep, rng):
         x = random_state(rep.p + 1, rng).components
         tiles = functools.partial(residual, triple)
         worst = max(worst, tiled_residual_norm(x, 2, tiles, cyclic=False))
+        del x  # the next draw does not hold this one
     return worst
 
 
@@ -386,7 +387,7 @@ def run_sweep(cfg: SweepConfig):
     records = []
     for name in names:
         records.extend(_BATTERIES[name](cfg, rng))
-        # the next battery's peak memory does not carry this one's clock tables
+        # the next battery's peak memory does not carry this one's clock table
         _CLOCK_TABLES.clear()
     records.sort(key=DefectRecord.sort_key)
     status = EXIT_OK

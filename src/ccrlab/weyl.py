@@ -15,7 +15,8 @@ The residuals apply the elements into three work vectors (the linalg buffer
 form), subtract in place and raise ValueError on a non-finite residual norm.
 A random vector is drawn at length nu, and commutator_factorization_residual
 and the sweep's checks on it run tile by tile (linalg.tiled_residual_norm):
-no other vector of length nu is formed but the shared clock table.  A
+no other vector of length nu is formed but nu's clock table, which the
+sweep builds once per grid point (without it the tiles evaluate their phases).  A
 plateau vector has mu = sqrt(nu) nonzero amplitudes, and U, V and the
 quadratures move an index by at most one, so its checks run on
 plateau_window, a linalg.Window of mu + 2 amplitudes: the same records,
@@ -37,7 +38,6 @@ from .linalg import (
     StateVector,
     Window,
     _bracket_into,
-    _clock_table,
     _components,
     require_dim,
     residual_norm,
@@ -187,9 +187,9 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
     pure floating-point noise.  It runs tile by tile
     (linalg.tiled_residual_norm): V^n moves an index by n, so each tile
     carries n amplitudes of xi past each end, and U^m, V^n and V^n U^m
-    apply in compressed form, their phases runs of the clock table.  The
-    figure is the full vector's, bitwise, and beyond xi the check holds
-    O(tile) memory.
+    apply in compressed form, their phases runs of nu's clock table if the
+    caller holds it (the sweep does) and evaluated otherwise.  The figure is
+    the full vector's, bitwise, and beyond xi the check holds O(tile) memory.
     """
     x = _components(xi, pair.nu)
     u_m, v_n = pair.power_op(k=m), pair.power_op(l=n)
@@ -202,5 +202,4 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
         rhs = np.multiply(factor, win.compress(vu)._apply_array(y, w1), out=w2)
         return np.subtract(out, rhs, out=out)
 
-    _clock_table(pair.nu)  # the tiles read their phases from it
     return tiled_residual_norm(x, min(v_n.l, pair.nu - v_n.l), residual)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrlab import cli, clifford, parafermi, spin, sweeps
+from ccrlab import cli, clifford, linalg, parafermi, spin, sweeps, weyl
 from ccrlab.linalg import PauliString, PauliSumOperator, StateVector
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
@@ -493,11 +493,11 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
     draws = []
     real_random_state, real_make_spin_rep = sweeps.random_state, spin.make_spin_rep
 
-    def random_state(dim, rng, normalize=True):
+    def random_state(dim, rng):
         draws.append(dim)
         if dim == 64 and draws.count(64) == 4:
             raise MemoryError("Unable to allocate a vector")
-        return real_random_state(dim, rng, normalize)
+        return real_random_state(dim, rng)
 
     def make_spin_rep(p, site_cap):
         if p == 20:
@@ -531,6 +531,35 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
     }
     assert point("spin", "p", 10)
     assert {r.experiment for r in records} == set(sweeps.EXPERIMENTS)
+
+
+def test_a_weyl_sweep_holds_one_clock_table_that_its_grid_point_builds(monkeypatch):
+    # each grid point builds nu's table before its first draw, which drops
+    # the previous point's; no check builds or primes a table of its own, and
+    # only a full apply (a tile that covers the cycle) reads the held one
+    builds, callers = [], []
+
+    class Tables(dict):
+        def __setitem__(self, dim, table):
+            super().__setitem__(dim, table)
+            builds.append((len(self), callers[-1]))
+
+    tables = Tables()
+    monkeypatch.setattr(linalg, "_CLOCK_TABLES", tables)
+    monkeypatch.setattr(sweeps, "_CLOCK_TABLES", tables)
+    real_clock_table = linalg._clock_table
+
+    def clock_table(dim):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_clock_table(dim)
+
+    for module in (linalg, sweeps, weyl):
+        if hasattr(module, "_clock_table"):
+            monkeypatch.setattr(module, "_clock_table", clock_table)
+    records, status = run_sweep(SweepConfig(experiment="weyl", nu_list=(2**10, 2**12, 2**14)))
+    assert status == EXIT_OK and records
+    assert builds == [(1, "_weyl_checks")] * 3
+    assert set(callers) == {"_weyl_checks", "_apply_array"}
 
 
 @pytest.mark.parametrize(
