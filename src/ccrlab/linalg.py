@@ -113,6 +113,11 @@ def require_dim(dim: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
         )
 
 
+def _tile() -> int:
+    """Amplitudes per tile: TILE_CHUNKS einsum chunks of np.getbufsize() // 2."""
+    return TILE_CHUNKS * (np.getbufsize() // 2)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -210,7 +215,7 @@ def tiled_residual_norm(x: np.ndarray, reach: int, residual, cyclic: bool = True
     """
     dim = x.shape[0]
     chunk = np.getbufsize() // 2
-    tile = TILE_CHUNKS * chunk
+    tile = _tile()
     if dim <= tile + 2 * reach:
         tile = dim
     work = np.empty((3, min(dim, tile + 2 * reach)), dtype=np.complex128)
@@ -245,7 +250,11 @@ class StateVector:
         comps = np.asarray(self.components, dtype=np.complex128)
         if comps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} components, got shape {comps.shape}")
-        if not np.all(np.isfinite(comps.view(np.float64))):
+        # contiguous before the float view, which a strided array refuses;
+        # then one tile's mask at a time, so the check allocates O(tile) bools
+        comps = np.ascontiguousarray(comps)
+        floats, step = comps.view(np.float64), 2 * _tile()
+        if not all(np.isfinite(floats[lo : lo + step]).all() for lo in range(0, 2 * self.dim, step)):
             raise ValueError("components must be finite")
         object.__setattr__(self, "components", _freeze(comps))
 
@@ -294,16 +303,20 @@ class StateVector:
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
-    # real then imaginary draws, as a + 1j * b made them, written into one
-    # complex array through one float vector
+    # the dim real draws, then the dim imaginary ones, as a + 1j * b made
+    # them, drawn a tile at a time into one buffer and written straight into
+    # their slots of the complex array: a Generator's normal draws keep no
+    # state between calls, so the stream is the one-call stream
     comps = np.empty(dim, dtype=np.complex128)
-    draw = rng.standard_normal(dim)
-    comps.real = draw
-    comps.imag = rng.standard_normal(dim, out=draw)
-    del draw  # freed before the finiteness check allocates its mask
+    floats = comps.view(np.float64)
+    step = _tile()
+    buf = np.empty(min(dim, step))
+    for part in (0, 1):
+        for lo in range(0, dim, step):
+            hi = min(lo + step, dim)
+            floats[2 * lo + part : 2 * hi : 2] = rng.standard_normal(hi - lo, out=buf[: hi - lo])
     # numpy divides complex by real as a multiply by 1/n, so one reciprocal
     # times the float view is bitwise the same at a sixth of the cost
-    floats = comps.view(np.float64)
     np.multiply(1.0 / vector_norm(comps), floats, out=floats)
     return StateVector(dim, comps)
 
@@ -772,7 +785,12 @@ def _clock_table(dim: int) -> np.ndarray:
     table = _CLOCK_TABLES.get(dim)
     if table is None:
         _CLOCK_TABLES.clear()
-        table = _CLOCK_TABLES[dim] = _freeze(_clock_phases(np.arange(dim, dtype=np.int64), dim))
+        # filled a tile at a time: each phase is its own index's, so the
+        # table is the one-shot _clock_phases(np.arange(dim), dim) bitwise
+        table, step = np.empty(dim, dtype=np.complex128), _tile()
+        for lo in range(0, dim, step):
+            table[lo : lo + step] = _clock_phases(np.arange(lo, min(lo + step, dim), dtype=np.int64), dim)
+        table = _CLOCK_TABLES[dim] = _freeze(table)
     return table
 
 

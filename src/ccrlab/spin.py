@@ -61,17 +61,24 @@ def _generators(p: int, lo: int, hi: int) -> tuple:
 
     The compression P J P to the window [lo, hi) of each generator of the
     order-p irrep.  Each entry is formed from its own k alone, by
-    sqrt((p - k)(k + 1.0)) for <k+1| J- |k>, halved and times +-1j for J1
-    and J2, and j - k for J3, so a window's entries are the full
-    operators' bitwise.
+    sqrt((p - k)(k + 1.0)) for <k+1| J- |k>, halved for J1 and times +-i
+    for J2, and j - k for J3, so a window's entries are the full
+    operators' bitwise.  The halves are real products, set into zeroed
+    complex arrays: the same bits, signed zeros included, as the complex
+    quotients lowering / 2 and +-1j * lowering / 2, without complex division.
     """
-    k = np.arange(lo, hi - 1, dtype=np.float64)
-    lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)  # J- |k> -> |k+1>
-    half = lowering / 2.0  # J1 is symmetric: its two diagonals share one array
     n = hi - lo
-    j1 = BandedOperator(n, [(1, half), (-1, half)])
-    j2 = BandedOperator(n, [(1, 1j * lowering / 2.0), (-1, -1j * lowering / 2.0)])
     j3 = BandedOperator(n, [(0, (p / 2.0 - np.arange(lo, hi)).astype(np.complex128))])
+    k = np.arange(lo, hi - 1, dtype=np.float64)
+    h = np.sqrt((p - k) * (k + 1.0))
+    lowering = h.astype(np.complex128)  # J- |k> -> |k+1>
+    h *= 0.5
+    half = h.astype(np.complex128)  # J1 is symmetric: its two diagonals share one array
+    up, down = np.zeros_like(half), np.zeros_like(half)
+    up.imag = h
+    np.negative(h, out=down.imag)
+    j1 = BandedOperator(n, [(1, half), (-1, half)])
+    j2 = BandedOperator(n, [(1, up), (-1, down)])
     return j1, j2, j3, BandedOperator(n, [(1, lowering)])
 
 

@@ -88,6 +88,16 @@ def test_state_vector_inner_and_tensor():
     )
 
 
+def test_state_vector_takes_a_strided_array():
+    # the finiteness check reads a float view, which a strided complex array
+    # cannot give before it is made contiguous
+    comps = np.arange(8, dtype=np.complex128)[::2]
+    v = StateVector(4, comps)
+    assert v.components.flags.c_contiguous and np.array_equal(v.components, [0, 2, 4, 6])
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2, np.array([1.0, 0.0, np.inf, 0.0], dtype=np.complex128)[::2])
+
+
 def test_state_vector_is_immutable():
     v = StateVector.basis(4, 0)
     with pytest.raises(ValueError):

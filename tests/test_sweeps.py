@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrlab import cli, clifford, linalg, parafermi, spin, sweeps, weyl
-from ccrlab.linalg import PauliString, PauliSumOperator, StateVector
+from ccrlab.linalg import PauliString, PauliSumOperator, PermutationPhaseOperator, StateVector
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -560,6 +560,19 @@ def test_a_weyl_sweep_holds_one_clock_table_that_its_grid_point_builds(monkeypat
     assert status == EXIT_OK and records
     assert builds == [(1, "_weyl_checks")] * 3
     assert set(callers) == {"_weyl_checks", "_apply_array"}
+
+
+@pytest.mark.parametrize("nu", [1, 5, 2 * linalg.TILE_CHUNKS * (np.getbufsize() // 2) + 3])
+def test_clock_shift_period_reads_its_draw_once(monkeypatch, nu):
+    # U^nu and V^nu are one element, (0, 0, 0): one tiled pass gives the
+    # figure that the max over both passes gave
+    pair = weyl.make_canonical_pair(nu)
+    xi = linalg.Window.of(linalg.random_state(nu, np.random.default_rng(nu)))
+    both = max(sweeps._moved(pair.power_op(k=nu), xi), sweeps._moved(pair.power_op(l=nu), xi))
+    moved, passes = sweeps._moved, []
+    monkeypatch.setattr(sweeps, "_moved", lambda op, win: passes.append(op) or moved(op, win))
+    assert sweeps._clock_shift_period(pair, np.random.default_rng(nu)) == both
+    assert passes == [PermutationPhaseOperator(nu, 0, 0, 0)]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,10 @@
 
 The oracles are the full-vector routes the tiles replaced, written out here:
 every operator applied to the whole drawn vector through three work vectors
-of its length, and one residual_norm of the whole residual.
+of its length, and one residual_norm of the whole residual.  The inputs the
+checks read are formed a tile at a time too (the random draw, the clock
+table, the spin generators' diagonals) and are held bit for bit, through
+int64 views, to the one-shot expressions they replaced.
 """
 
 import math
@@ -153,3 +156,58 @@ def test_both_phase_routes_of_a_compressed_element_are_the_same_numbers(monkeypa
                 read = op.compressed(start, n).diags
                 assert [o for o, _ in read] == [o for o, _ in evaluated]
                 assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(read, evaluated))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dim", [1, T - 1, T, T + 1, 2 * T + 3])
+def test_random_state_is_bitwise_the_one_call_draw(dim):
+    # the old draw: all real parts in one call, then all imaginary parts,
+    # a + 1j * b divided by its norm; the generator ends in the same state
+    rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+    got = random_state(dim, rng).components
+    a = ref.standard_normal(dim)
+    b = ref.standard_normal(dim)
+    v = a + 1j * b
+    assert np.array_equal(_bits(got), _bits(v / linalg.vector_norm(v)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 7, CHUNK + 1, T - 1, T + 1, 3 * T + 5])
+def test_clock_table_is_bitwise_the_one_shot_phases(monkeypatch, dim):
+    monkeypatch.setattr(linalg, "_CLOCK_TABLES", {})
+    table = linalg._clock_table(dim)
+    assert not table.flags.writeable
+    assert np.array_equal(_bits(table), _bits(linalg._clock_phases(np.arange(dim, dtype=np.int64), dim)))
+
+
+@pytest.mark.parametrize("p, lo, hi", [(1, 0, 2), (12, 0, 13), (12, 3, 9), (2 * T + 2, T - 2, 2 * T + 3)])
+def test_generators_are_bitwise_the_complex_quotients(p, lo, hi):
+    # the old diagonals divided complex arrays by 2.0; the signed zeros of
+    # their real parts must survive too, so the bits are compared
+    k = np.arange(lo, hi - 1, dtype=np.float64)
+    lowering = np.sqrt((p - k) * (k + 1.0)).astype(np.complex128)
+    old = {
+        "J1": {1: lowering / 2.0, -1: lowering / 2.0},
+        "J2": {1: 1j * lowering / 2.0, -1: -1j * lowering / 2.0},
+        "J3": {0: (p / 2.0 - np.arange(lo, hi)).astype(np.complex128)},
+        "J-": {1: lowering},
+    }
+    for name, op in zip(old, spin._generators(p, lo, hi)):
+        got = dict(op.diags)
+        assert sorted(got) == sorted(old[name]), name
+        for offset, values in old[name].items():
+            assert np.array_equal(_bits(got[offset]), _bits(values)), (name, offset)
+
+
+@pytest.mark.parametrize("index", [0, T - 1, T, 2 * T + 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_a_non_finite_amplitude_in_any_tile_is_refused(index, value):
+    # the finiteness check runs a tile of the float view at a time, over
+    # real and imaginary parts alike
+    comps = np.ones(2 * T + 3, dtype=np.complex128)
+    comps[index] = value
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2 * T + 3, comps)
