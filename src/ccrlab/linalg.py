@@ -515,6 +515,7 @@ class BandedOperator(LinearOperator):
 
 
 _I_POWERS = (1, 1j, -1, -1j)
+_INT_KEYS = 1 << 60  # sparse-state keys below this are the basis index itself
 _TWICE_I_POWERS = (2, 2j, -2, -2j)
 
 
@@ -581,20 +582,40 @@ class PauliTerms(dict):
         return _finite(math.sqrt(sum(abs(c) ** 2 for c in self.values())), "coefficient norm")
 
     def act(self, state: dict) -> dict:
-        """This sum applied to a sparse state {basis index: coeff}, exactly.
+        """This sum applied to a sparse state {_basis_key(index): coeff}, exactly.
 
         Key (x, z) sends |n> to i**|x & z| (-1)**|z & n| |n ^ x>, so the cost
         is the number of terms times the support, never 2**M; the vacuum of
-        the fermion convention is {2**M - 1: 1}.  Zero coefficients are dropped.
+        the fermion convention is {_basis_key(2**M - 1): 1}.  Zero
+        coefficients are dropped.
         """
+        items = [(_basis_index(key), a) for key, a in state.items()]
         out = {}
         for (x, z), c in self.items():
             c = _I_POWERS[(x & z).bit_count() & 3] * c
-            for n, a in state.items():
+            for n, a in items:
                 term = c * a
                 m = n ^ x
+                m = m if m < _INT_KEYS else _basis_key(m)  # int keys inline
                 out[m] = out.get(m, 0) + (-term if (z & n).bit_count() & 1 else term)
-        return {n: a for n, a in out.items() if a != 0}
+        return {m: a for m, a in out.items() if a != 0}
+
+
+def _basis_key(n: int):
+    """A sparse state's key for basis index n: n itself below 2**60, else its bytes.
+
+    An int hashes as its value mod 2**61 - 1, so the indices of a register
+    past 60 sites would share hash classes (2**a and 2**(a + 61) collide;
+    the 523,776 two-hole states at 1024 sites fall in 1,891 of them), and a
+    dict of them slows to a crawl.  Bytes hash by their content, and both
+    forms are one-to-one, so every coefficient stays exact.
+    """
+    return n if n < _INT_KEYS else n.to_bytes((n.bit_length() + 7) // 8, "little")
+
+
+def _basis_index(key) -> int:
+    """The basis index of a sparse state's key, _basis_key inverted."""
+    return key if isinstance(key, int) else int.from_bytes(key, "little")
 
 
 def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
@@ -799,17 +820,28 @@ def _clock_phases(w: np.ndarray, dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * w / dim)
 
 
-def _phase_run(table: np.ndarray, i: int, s: int, n: int):
-    """(phases, next index): table[(i + s q) % dim] for q < n, cut where the index wraps.
+def _clock_runs(dim: int, k: int, w0: int, n: int) -> list:
+    """The clock phases at the indices (w0 + k i) % dim for i < n, as consecutive runs.
 
-    A view of the table, strided by s, or a broadcast of one phase for
-    s = 0; the next run starts at the returned index.
+    With dim's clock table held, they are at most two views of it strided
+    by the signed step, cut where the index wraps, if it wraps past dim at
+    most once, and one gather from it otherwise.  With no table held,
+    _clock_phases evaluates them at their own indices, so a window builds
+    no table of length dim (nu = 2**40).  The table is
+    _clock_phases(arange(dim)): all three give the same bits.
     """
-    dim = table.shape[0]
-    if not s:
-        return np.broadcast_to(table[i], (n,)), i
-    n = min(n, (dim - 1 - i if s > 0 else i) // abs(s) + 1)
-    return table[i::s][:n], (i + s * n) % dim
+    table = _CLOCK_TABLES.get(dim)
+    s = k if 2 * k <= dim else k - dim
+    if table is not None and s and abs(s) * (n - 1) < dim:
+        run = table[w0::s][:n]
+        rest = n - run.shape[0]
+        return [run, table[(w0 + s * run.shape[0]) % dim :: s][:rest]] if rest else [run]
+    if not k:
+        return [np.broadcast_to(_clock_phases(np.array([w0]), dim) if table is None else table[w0], (n,))]
+    # indices in Python ints where k n could pass int64
+    w = np.arange(w0, w0 + k * n, k, dtype=np.int64 if k * n + dim < 2**63 else object) % dim
+    w = w.astype(np.int64, copy=False)
+    return [_clock_phases(w, dim) if table is None else table[w]]
 
 
 @dataclass(frozen=True)
@@ -834,72 +866,39 @@ class PermutationPhaseOperator(LinearOperator):
             object.__setattr__(self, name, int(getattr(self, name)) % self.dim)
 
     def _apply_array(self, x, out=None):
-        # out[(j + l) % dim] = table[(k j + m) % dim] x[j].  j runs in t
-        # interleaved classes j = r + t q; along a class the phase index
-        # steps by s = t k mod dim, signed, and the output index by t, so
-        # each class splits into runs on which neither index wraps, and each
-        # run is one product of a strided clock-table view with strided views
-        # of x and out: about |s| + 2 t numpy calls and no temporary of
-        # length dim.  t = 1 is the plain walk; t = 2 turns k = dim/2 into
-        # broadcasts.
+        # out[(j + l) % dim] = omega^(k j + m) x[j], a stretch of j at a time:
+        # a tile, or longer while the phase index wraps at most once along
+        # it.  Each phase run multiplies its slice of x into out, split where
+        # j + l passes dim: at most 2 products per tile, plus one
         dim, k, l, m = self.dim, self.k, self.l, self.m
-        table = _clock_table(dim)
+        _clock_table(dim)
         if out is None:
             out = np.empty(dim, dtype=np.complex128)
-
-        def calls(t):
-            s = t * k % dim
-            return min(s, dim - s) + 2 * t
-
-        # calls(t) >= 2 t, and by Dirichlet some t <= sqrt(2 dim) makes at
-        # most 2 sqrt(2 dim) calls, so no larger t can be the cheapest
-        t = min(range(1, min(calls(1), math.isqrt(8 * dim)) // 2 + 1), key=calls)
-        s = t * k % dim
-        s = s if s <= dim // 2 else s - dim
-        for r in range(t):
-            q, count, i = 0, (dim - 1 - r) // t + 1, (k * r + m) % dim  # i = phase index of j
-            while q < count:
-                j = r + t * q
-                o = (j + l) % dim
-                phase, i = _phase_run(table, i, s, min(count - q, (dim - 1 - o) // t + 1))
-                n = phase.shape[0]
-                np.multiply(phase, x[j::t][:n], out=out[o::t][:n])
-                q += n
+        step = max(_tile(), dim // min(k, dim - k) if k else dim)
+        for start in range(0, dim, step):
+            j = start
+            for phases in _clock_runs(dim, k, (k * start + m) % dim, min(step, dim - start)):
+                end = j + phases.shape[0]
+                cut = min(max(j, dim - l), end)
+                for lo, hi, o in ((j, cut, j + l), (cut, end, cut + l - dim)):
+                    if lo < hi:
+                        np.multiply(phases[lo - j : hi - j], x[lo:hi], out=out[o : o + hi - lo])
+                j = end
         return out
 
     def _compressed(self, start, n):
         """P A P: the entries A[i + o, i] for the signed shifts o = l and l - dim shorter than n.
 
         A banded operator, of one diagonal when n + |o| <= dim, whose phases
-        sit at the phase indices w0 + k i mod dim.  Where dim's clock table
-        is held (a Weyl grid point of the sweep or a full apply built it) and
-        the walk wraps past dim at most once, they are its runs, the views
-        _apply_array multiplies by (_phase_run), concatenated only where the
-        index wraps.  Otherwise _clock_phases evaluates them at their own
-        indices, and no table of length dim is built (a plateau window at
-        nu = 2**40).  The table is _clock_phases(arange(dim)), so both give
-        the same numbers.  Indices are formed in Python ints where k i could
-        pass int64.
+        are _clock_runs from the phase index of its first column,
+        concatenated only where the index wraps.
         """
         dim, k, diags = self.dim, self.k, []
-        table = _CLOCK_TABLES.get(dim)
-        s = k if 2 * k <= dim else k - dim
         for o in (self.l, self.l - dim):
             if abs(o) < n:
                 first, count = max(0, -o), n - abs(o)
-                w0 = (k * (start + first) + self.m) % dim
-                if table is not None and abs(s) * (count - 1) < dim:
-                    runs, i = [], w0
-                    while count:
-                        phases, i = _phase_run(table, i, s, count)
-                        runs.append(phases)
-                        count -= phases.shape[0]
-                    phases = runs[0] if len(runs) == 1 else np.concatenate(runs)
-                else:
-                    exact = np.int64 if k * n + dim < 2**63 else object
-                    w = (w0 + k * np.arange(count, dtype=exact)) % dim if k else np.array([w0])
-                    phases = np.broadcast_to(_clock_phases(w.astype(np.int64), dim), (count,))
-                diags.append((o, phases))
+                runs = _clock_runs(dim, k, (k * (start + first) + self.m) % dim, count)
+                diags.append((o, runs[0] if len(runs) == 1 else np.concatenate(runs)))
         return BandedOperator(n, diags)
 
     def adjoint(self):
@@ -917,7 +916,7 @@ class PermutationPhaseOperator(LinearOperator):
     def _dense(self):
         dim, idx = self.dim, np.arange(self.dim, dtype=np.int64)
         mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[(idx + self.l) % dim, idx] = _clock_table(dim)[(self.k * idx + self.m) % dim]
+        mat[(idx + self.l) % dim, idx] = np.concatenate(_clock_runs(dim, self.k, self.m, dim))
         return mat
 
     def normalized_trace(self):

@@ -17,9 +17,10 @@ Green's component relations, the number identity and the trilinear
 relations hold exactly at every order, so they are multiplied out exactly
 over the Pauli basis (PauliTerms) and read 0.0 when they hold.  The vacuum
 condition, the Fock norms and the unit defect act with PauliTerms.act on
-sparse states {basis index: coeff}: from the vacuum, b^dag powers have
-Gaussian-integer coefficients, so their squared norms are exact ints and
-no figure depends on the 2**(p*nu) register.  The state-vector routes
+sparse states {basis key: coeff}, keyed by linalg._basis_key so that the
+indices of a register past 60 sites do not share hash classes: from the
+vacuum, b^dag powers have Gaussian-integer coefficients, so their squared
+norms are exact ints and no figure depends on the 2**(p*nu) register.  The state-vector routes
 (fock_state, normalized_ccr_checks, fock_ladder_checks) stay as oracles.
 """
 
@@ -38,6 +39,7 @@ from .linalg import (
     PauliSumOperator,
     PauliTerms,
     StateVector,
+    _basis_key,
     bracket,
     commutator_apply,
     require_sites,
@@ -233,7 +235,7 @@ def number_identity_residual(sys: GreenSystem) -> float:
 
 
 def _vacuum(sys: GreenSystem) -> dict:
-    return {(1 << sys.total_sites) - 1: 1}
+    return {_basis_key((1 << sys.total_sites) - 1): 1}
 
 
 def _squared_norm(state: dict) -> int:

@@ -16,7 +16,8 @@ form), subtract in place and raise ValueError on a non-finite residual norm.
 A random vector is drawn at length nu, and commutator_factorization_residual
 and the sweep's checks on it run tile by tile (linalg.tiled_residual_norm):
 no other vector of length nu is formed but nu's clock table, which the
-sweep builds once per grid point (without it the tiles evaluate their phases).  A
+sweep builds once per grid point and commutator_factorization_residual
+builds when none is held for nu.  A
 plateau vector has mu = sqrt(nu) nonzero amplitudes, and U, V and the
 quadratures move an index by at most one, so its checks run on
 plateau_window, a linalg.Window of mu + 2 amplitudes: the same records,
@@ -38,6 +39,7 @@ from .linalg import (
     StateVector,
     Window,
     _bracket_into,
+    _clock_table,
     _components,
     require_dim,
     residual_norm,
@@ -187,11 +189,13 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
     pure floating-point noise.  It runs tile by tile
     (linalg.tiled_residual_norm): V^n moves an index by n, so each tile
     carries n amplitudes of xi past each end, and U^m, V^n and V^n U^m
-    apply in compressed form, their phases runs of nu's clock table if the
-    caller holds it (the sweep does) and evaluated otherwise.  The figure is
-    the full vector's, bitwise, and beyond xi the check holds O(tile) memory.
+    apply in compressed form, their phases read from nu's clock table, held
+    as a full apply holds it (the sweep has built it already).  The figure
+    is the full vector's, bitwise, and beyond xi and the table the check
+    holds O(tile) memory.
     """
     x = _components(xi, pair.nu)
+    _clock_table(pair.nu)
     u_m, v_n = pair.power_op(k=m), pair.power_op(l=n)
     vu = v_n.compose(u_m)
     factor = np.exp(2j * np.pi * ((m * n) % pair.nu) / pair.nu) - 1.0

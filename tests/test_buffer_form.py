@@ -399,10 +399,12 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
             call()
 
 
-def test_group_element_apply_takes_few_numpy_calls_at_any_clock_power(monkeypatch):
-    # the residue-class walk makes about |s| + 2 t products; some t <=
-    # sqrt(2 nu) has |s| <= sqrt(2 nu) (Dirichlet), so at most 2 sqrt(3 nu)
-    # + 3 calls for any k, and a handful near 0 and nu/2
+def test_group_element_apply_takes_two_products_per_tile_at_any_clock_power(monkeypatch):
+    # a full apply walks j in stretches of at least a tile: a stretch's
+    # phases are at most two runs of the held table, or one gather from it,
+    # and a run's product splits where j + l passes nu, at one j only; so
+    # at most 2 ceil(nu / tile) + 1 products whatever k is, and no phase is
+    # evaluated
     nu = 2**16
     rng = np.random.default_rng(8)
     ks = [int(k) for k in rng.integers(0, nu, 20)]
@@ -416,13 +418,15 @@ def test_group_element_apply_takes_few_numpy_calls_at_any_clock_power(monkeypatc
             calls.append(1)
             return np.multiply(*args, **kwargs)
 
+    def evaluated(w, dim):
+        raise AssertionError("a phase was evaluated with the table held")
+
+    linalg._clock_table(nu)
     monkeypatch.setattr(linalg, "np", Counting())
+    monkeypatch.setattr(linalg, "_clock_phases", evaluated)
     x = np.ones(nu, dtype=complex)
-    for k, bound in [(1, 3), (3, 5), (nu - 1, 3), (nu // 2 - 1, 7), (nu // 2, 5), (nu // 2 + 1, 7)]:
+    bound = 2 * -(-nu // linalg._tile()) + 1
+    for k in [1, 3, nu - 1, nu // 2 - 1, nu // 2, nu // 2 + 1] + ks:
         calls.clear()
         PermutationPhaseOperator(nu, k, 5, 9)._apply_array(x)
         assert len(calls) <= bound, (k, len(calls))
-    for k in ks:
-        calls.clear()
-        PermutationPhaseOperator(nu, k, 5, 9)._apply_array(x)
-        assert len(calls) <= 2 * math.sqrt(3 * nu) + 3, (k, len(calls))

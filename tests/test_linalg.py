@@ -751,7 +751,8 @@ def test_permutation_phase_compose_matches_dense():
     np.testing.assert_allclose(a.compose(b).dense(), a.dense() @ b.dense(), atol=1e-14)
 
 
-GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096, 2**16)
+TILE = linalg.TILE_CHUNKS * (np.getbufsize() // 2)  # amplitudes per tile of a full apply
+GROUP_DIMS = (1, 2, 3, 5, 16, 64, 100, 4096, 2**16, 2 * TILE + 3)
 
 
 @pytest.mark.parametrize("nu", GROUP_DIMS)
@@ -770,6 +771,11 @@ def test_group_element_apply_is_bitwise_the_index_formula(nu):
         # step of the phase index changes sign
         triples += [tuple(int(v) for v in rng.integers(0, nu, 3)) for _ in range(20)]
         triples += [(nu // 2 + d, 7, 11) for d in (-1, 0, 1)]
+    if nu == 2 * TILE + 3:
+        # a last tile of three amplitudes, and shifts whose j + l passes nu
+        # in the middle of the second tile and of the first
+        ks = (1, 3, nu - 1, nu // 2, nu // 2 + 1, nu // 3, 12345, int(rng.integers(0, nu)))
+        triples += [(k, l, 5) for k in ks for l in (TILE // 2, nu - TILE // 2 - 1)]
     for k, l, m in triples:
         expected = np.empty(nu, dtype=complex)
         k_, l_, m_ = k % nu, l % nu, m % nu

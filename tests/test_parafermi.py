@@ -14,6 +14,7 @@ from ccrlab.linalg import (
     PauliTerms,
     ResourceLimitError,
     StateVector,
+    _basis_index,
     anticommutator_apply,
     bracket,
     commutator_apply,
@@ -506,6 +507,23 @@ def test_vacuum_condition_is_exact_and_matches_the_register(p, modes):
         b_k = parafermi.parafermi_op(sys, k)
         out = b_k.apply(parafermi.parafermi_op(sys, l).adjoint().apply(sys.vacuum))
         assert (out - (float(p) if k == l else 0.0) * sys.vacuum).norm() == 0.0
+
+
+def test_sparse_states_past_60_sites_fall_in_distinct_hash_classes():
+    # an int hashes as its value mod 2**61 - 1: keyed by the index itself,
+    # the 1024 one-hole states at 1024 sites would share 61 hash classes
+    sys = parafermi.make_green_system(1024, 1, site_cap=4096)
+    _, creator = sys.modes[0]
+    one = creator.act(parafermi._vacuum(sys))
+    assert {_basis_index(key) for key in one} == {(1 << 1024) - 1 - (1 << a) for a in range(1024)}
+    # the two-hole states raised from a sample of the one-hole states
+    two = creator.act(dict(list(one.items())[:8]))
+    assert len(two) == 8 * 1023 - 28
+    for state in (one, two):
+        assert len({hash(key) for key in state}) == len(state)
+    # and every coefficient stays exact: S = 2 p (p - 1)
+    sys = parafermi.make_green_system(256, 1, site_cap=4096)
+    assert parafermi._squared_norm(parafermi._creation_power_vacuum(sys, (2,))) == 2 * 256 * 255
 
 
 def test_a_broken_component_fails_the_vacuum_condition():

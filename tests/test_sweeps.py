@@ -536,7 +536,9 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
 def test_a_weyl_sweep_holds_one_clock_table_that_its_grid_point_builds(monkeypatch):
     # each grid point builds nu's table before its first draw, which drops
     # the previous point's; no check builds or primes a table of its own, and
-    # only a full apply (a tile that covers the cycle) reads the held one
+    # only a full apply (a tile that covers the cycle) and
+    # commutator_factorization_residual, which a library caller may reach
+    # with no table held, ask for the held one
     builds, callers = [], []
 
     class Tables(dict):
@@ -559,7 +561,7 @@ def test_a_weyl_sweep_holds_one_clock_table_that_its_grid_point_builds(monkeypat
     records, status = run_sweep(SweepConfig(experiment="weyl", nu_list=(2**10, 2**12, 2**14)))
     assert status == EXIT_OK and records
     assert builds == [(1, "_weyl_checks")] * 3
-    assert set(callers) == {"_weyl_checks", "_apply_array"}
+    assert set(callers) == {"_weyl_checks", "_apply_array", "commutator_factorization_residual"}
 
 
 @pytest.mark.parametrize("nu", [1, 5, 2 * linalg.TILE_CHUNKS * (np.getbufsize() // 2) + 3])

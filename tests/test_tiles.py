@@ -158,6 +158,20 @@ def test_both_phase_routes_of_a_compressed_element_are_the_same_numbers(monkeypa
                 assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(read, evaluated))
 
 
+def test_a_library_factorization_check_holds_its_clock_table(monkeypatch):
+    # called with no table held, the check builds nu's table as a full
+    # apply does, so a second call reads every tile's phases from it
+    nu = 2**16
+    monkeypatch.setattr(linalg, "_CLOCK_TABLES", {})
+    pair = weyl.make_canonical_pair(nu)
+    xi = random_state(nu, np.random.default_rng(5))
+    first = weyl.commutator_factorization_residual(pair, 2, 3, xi)
+    calls, clock_phases = [], linalg._clock_phases
+    monkeypatch.setattr(linalg, "_clock_phases", lambda w, dim: calls.append(dim) or clock_phases(w, dim))
+    assert weyl.commutator_factorization_residual(pair, 2, 3, xi) == first
+    assert calls == []
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
