@@ -547,11 +547,17 @@ class PauliTerms(dict):
     def _nonzero(cls, items) -> "PauliTerms":
         return cls({key: c for key, c in items if c != 0})
 
+    @classmethod
+    def total(cls, parts) -> "PauliTerms":
+        """The sum of parts, accumulated in one dict: linear in their terms."""
+        out = {}
+        for part in parts:
+            for key, c in part.items():
+                out[key] = out.get(key, 0) + c
+        return cls._nonzero(out.items())
+
     def __add__(self, other):
-        out = dict(self)
-        for key, c in other.items():
-            out[key] = out.get(key, 0) + c
-        return self._nonzero(out.items())
+        return self.total((self, other))
 
     def __neg__(self):
         return PauliTerms({key: -c for key, c in self.items()})
@@ -763,7 +769,7 @@ class PauliSumOperator(LinearOperator):
 
     def terms(self) -> PauliTerms:
         """Sum of the strings' expansions."""
-        return sum((s.terms() for s in self.strings), PauliTerms())
+        return PauliTerms.total(s.terms() for s in self.strings)
 
     def _apply_array(self, x, out=None):
         if out is None:

@@ -70,7 +70,7 @@ class GreenSystem:
         """((b_k, b_k^dag) as PauliTerms for k = 1..nu): b_k sums its p components."""
         out = []
         for k in range(1, self.nu + 1):
-            b = sum((self.component(k, a).terms() for a in range(1, self.p + 1)), PauliTerms())
+            b = PauliTerms.total(self.component(k, a).terms() for a in range(1, self.p + 1))
             out.append((b, b.adjoint()))
         return tuple(out)
 
@@ -228,7 +228,7 @@ def number_identity_residual(sys: GreenSystem) -> float:
     for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
         sites = [sys.site(k, a) for a in range(1, sys.p + 1)]
         projectors = (PauliString(1.0, [(site, "N")], sys.total_sites) for site in sites)
-        n_k = sum((proj.terms() for proj in projectors), PauliTerms())
+        n_k = PauliTerms.total(proj.terms() for proj in projectors)
         lhs = 0.5 * (bracket(b_k_dag, b_k, -1) + p_one)
         worst = max(worst, (lhs - n_k).norm())
     return worst

@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
@@ -22,6 +22,7 @@ import numpy.random  # numpy 2 loads it on first use; a sweep's time is then onl
 from . import clifford, parafermi, spin, weyl
 from .linalg import (
     _CLOCK_TABLES,
+    DEFAULT_SITE_CAP,
     ResourceLimitError,
     Window,
     _bracket_into,
@@ -39,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 CSV_HEADER = "experiment,params,defect,measured,bound,pass"
+_FIELD_NAMES = CSV_HEADER.split(",")
 
 # coherent states need 2 atan(|z| / sqrt(p)) < pi in doubles, for every p
 Z_MAX = 1e15
@@ -66,7 +68,7 @@ class SweepConfig:
     clifford_nu_list: tuple = (1, 2, 3, 4, 5, 6)
     tol_exact: float = 1e-12
     tol_relation: float = 1e-10
-    site_cap: int = 22
+    site_cap: int = DEFAULT_SITE_CAP
     seed: int = 0
     out: str | None = None
     fmt: str = "csv"
@@ -76,18 +78,9 @@ class SweepConfig:
             raise UsageError(f"unknown experiment {self.experiment!r}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown output format {self.fmt!r}")
-        grids = {
-            "nu_list": self.nu_list,
-            "p_list": self.p_list,
-            "mode_list": self.mode_list,
-            "k_list": self.k_list,
-            "z_list": self.z_list,
-            "parafermi_orders": self.parafermi_orders,
-            "clifford_nu_list": self.clifford_nu_list,
-        }
-        for name, grid in grids.items():
-            if len(grid) == 0:
-                raise UsageError(f"{name} must not be empty")
+        for field in fields(self):  # the grids are the fields with a tuple default
+            if isinstance(field.default, tuple) and len(getattr(self, field.name)) == 0:
+                raise UsageError(f"{field.name} must not be empty")
         dims = (
             self.nu_list + self.p_list + self.mode_list
             + self.parafermi_orders + self.clifford_nu_list
@@ -409,34 +402,32 @@ def run_sweep(cfg: SweepConfig):
 # serialization
 
 
+def _encode(r) -> tuple:
+    """A record's six fields as JSON values, in CSV_HEADER order.
+
+    A NaN measure and a missing bound are None; pass is the bool, or
+    "skip:" + reason for a grid point that was refused.
+    """
+    measured = None if math.isnan(r.measured) else r.measured
+    passed = "skip:" + r.skip_reason if r.skip_reason else r.passed
+    return r.experiment, r.params_key(), r.defect, measured, r.bound, passed
+
+
 def records_to_csv(records) -> str:
+    """CSV text of the _encode fields: a None measure is nan, a None bound
+    empty, pass true/false, and a comma in a skip reason becomes ;."""
     lines = [CSV_HEADER]
     for r in records:
-        measured = "nan" if math.isnan(r.measured) else _fmt_number(r.measured)
-        bound = "" if r.bound is None else _fmt_number(r.bound)
-        if r.skip_reason:
-            passed = "skip:" + r.skip_reason.replace(",", ";")
-        else:
-            passed = "true" if r.passed else "false"
-        lines.append(
-            f"{r.experiment},{r.params_key()},{r.defect},{measured},{bound},{passed}"
-        )
+        *text, measured, bound, passed = _encode(r)
+        measured = "nan" if measured is None else measured
+        bound = "" if bound is None else bound
+        passed = passed.replace(",", ";") if isinstance(passed, str) else passed
+        lines.append(",".join(map(_fmt_number, (*text, measured, bound, passed))))
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records) -> str:
-    payload = []
-    for r in records:
-        payload.append(
-            {
-                "experiment": r.experiment,
-                "params": r.params_key(),
-                "defect": r.defect,
-                "measured": None if math.isnan(r.measured) else r.measured,
-                "bound": r.bound,
-                "pass": (("skip:" + r.skip_reason) if r.skip_reason else r.passed),
-            }
-        )
+    payload = [dict(zip(_FIELD_NAMES, _encode(r))) for r in records]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -471,11 +462,18 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _parse_pass(passed):
-    """(passed, skip_reason) from a pass field: a bool, "true"/"false" or "skip:..."."""
-    if isinstance(passed, str) and passed.startswith("skip:"):
-        return True, passed[5:]
-    return passed in (True, "true"), None
+def _decode(experiment, params, defect, measured, bound, passed) -> DefectRecord:
+    """The record of six fields as _encode writes them; a malformed field raises."""
+    skip_reason = passed[5:] if isinstance(passed, str) and passed.startswith("skip:") else None
+    return DefectRecord(
+        experiment,
+        _parse_params(params),
+        defect,
+        math.nan if measured is None else float(measured),
+        None if bound is None else float(bound),
+        skip_reason is not None or passed in (True, "true"),
+        skip_reason,
+    )
 
 
 def parse_records_csv(text: str) -> list:
@@ -486,16 +484,7 @@ def parse_records_csv(text: str) -> list:
     for number, line in enumerate(lines[1:], start=1):
         try:
             experiment, params, defect, measured, bound, passed = line.split(",", 5)
-            records.append(
-                DefectRecord(
-                    experiment,
-                    _parse_params(params),
-                    defect,
-                    float(measured),
-                    None if bound == "" else float(bound),
-                    *_parse_pass(passed),
-                )
-            )
+            records.append(_decode(experiment, params, defect, measured, bound or None, passed))
         except ValueError as exc:
             raise UsageError(f"record {number}: malformed CSV line {line!r} ({exc})") from exc
     return records
@@ -511,17 +500,7 @@ def parse_records_json(text: str) -> list:
     records = []
     for number, item in enumerate(items, start=1):
         try:
-            measured, bound = item["measured"], item["bound"]
-            records.append(
-                DefectRecord(
-                    item["experiment"],
-                    _parse_params(item["params"]),
-                    item["defect"],
-                    math.nan if measured is None else float(measured),
-                    None if bound is None else float(bound),
-                    *_parse_pass(item["pass"]),
-                )
-            )
+            records.append(_decode(*(item[name] for name in _FIELD_NAMES)))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"record {number}: malformed JSON record ({exc!r})") from exc
     return records

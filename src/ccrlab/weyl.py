@@ -39,6 +39,7 @@ from .linalg import (
     StateVector,
     Window,
     _bracket_into,
+    _clock_phases,
     _clock_table,
     _components,
     require_dim,
@@ -84,7 +85,7 @@ def fourier_basis_vector(pair: WeylPair, n: int) -> StateVector:
     if not 0 <= n < nu:
         raise ValueError(f"index {n} out of range for nu={nu}")
     idx = np.arange(nu, dtype=np.int64)
-    comps = np.exp(2j * np.pi * ((n * idx) % nu) / nu) / np.sqrt(nu)
+    comps = _clock_phases((n * idx) % nu, nu) / np.sqrt(nu)
     return StateVector(nu, comps)
 
 

@@ -153,6 +153,37 @@ def test_number_identity_residual_forms_only_the_per_mode_number_operators(monke
     assert parafermi.number_identity_residual(sys) == 0.0
 
 
+def _pairwise_sum(parts) -> dict:
+    """The old sum(parts, PauliTerms()): each step copies the dict and drops zeros."""
+    out = {}
+    for part in parts:
+        out = dict(out)
+        for key, c in part.items():
+            out[key] = out.get(key, 0) + c
+        out = {key: c for key, c in out.items() if c != 0}
+    return out
+
+
+def test_mode_sums_accumulate_in_one_dict(monkeypatch):
+    # b_k, N_k and PauliSumOperator.terms each sum p parts; adding them
+    # pairwise copied the growing dict every time, quadratic in p
+    for p in range(1, 9):
+        sys = parafermi.make_green_system(p, 2)
+        _, per_mode, _ = parafermi.number_ops(sys)
+        for k, (b_k, _) in enumerate(sys.modes, start=1):
+            assert b_k == _pairwise_sum(sys.component(k, a).terms() for a in range(1, p + 1))
+            n_k = per_mode[k - 1]
+            assert n_k.terms() == _pairwise_sum(s.terms() for s in n_k.strings)
+    calls = []
+    add = PauliTerms.__add__
+    monkeypatch.setattr(PauliTerms, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    sys = parafermi.make_green_system(64, 2, site_cap=128)
+    sys.modes
+    assert calls == []
+    assert parafermi.number_identity_residual(sys) == 0.0
+    assert len(calls) == 2 * sys.nu  # + p and - N_k per mode, none while N_k is formed
+
+
 def test_residuals_raise_on_an_infinite_coefficient():
     sys = parafermi.make_green_system(2, 2)
     first = sys.components[(1, 1)].strings[0]

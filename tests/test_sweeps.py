@@ -61,6 +61,21 @@ def test_json_round_trip_is_exact():
     assert records_to_json(parsed) == text
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_exact_batteries_write_the_pinned_bytes(seed):
+    # clifford and parafermi rows are exact arithmetic (0.0, integer squared
+    # norms, correctly rounded closed forms) and read no random vector, so
+    # their bytes are the same on every host and seed; weyl and spin rows
+    # carry numpy's SIMD rounding, which may differ by CPU, and are not pinned
+    records = [
+        r for name in ("clifford", "parafermi")
+        for r in run_sweep(SweepConfig(experiment=name, seed=seed))[0]
+    ]
+    text = records_to_csv(records)
+    assert text == (Path(__file__).parent / "data" / "exact_batteries.csv").read_text()
+    assert records_to_csv(parse_records_json(records_to_json(records))) == text
+
+
 def test_spin_sweep_measures_k_over_j():
     cfg = SweepConfig(
         experiment="spin", p_list=(10, 100, 1000), k_list=(0, 1, 2, 3), z_list=(1.0,)
