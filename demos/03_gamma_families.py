@@ -2,8 +2,10 @@
 """Anticommuting generator families on qubit registers, matrix free.
 
 Builds the 2 nu + 1 generators as single Pauli strings with trailing-Z
-tails, checks their algebra without ever forming a matrix, on state vectors
-and exactly in the Pauli basis, and shows the pair products closing into a
+tails, held as exact Pauli sums (PauliTerms) and applied to state vectors
+through their PauliSumOperator.from_terms views, checks their algebra
+without ever forming a matrix, on state vectors and exactly in the Pauli
+basis, and shows the pair products closing into a
 rotation algebra whose structure constants are the so(n) relations
 [E_ij, E_kl] = -2 (d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk).
 """
@@ -13,30 +15,33 @@ import itertools
 import numpy as np
 
 from ccrlab import clifford
-from ccrlab.linalg import anticommutator_apply, commutator_apply, random_state
+from ccrlab.linalg import (
+    PauliSumOperator,
+    anticommutator_apply,
+    commutator_apply,
+    random_state,
+)
 
 
 def main():
     print("== the single-site family (nu = 1) ==")
     fam = clifford.make_gammas(1)
     for i, g in enumerate(fam.gammas, start=1):
-        print(f"  g_{i} = {g.strings[0]}")
+        (string,) = PauliSumOperator.from_terms(g, fam.nu).strings
+        print(f"  g_{i} = {string}")
 
     print("\n== exact anticommutation on a 16-site register (dim 65536) ==")
     nu = 16
     fam = clifford.make_gammas(nu)
+    gammas = [PauliSumOperator.from_terms(g, nu) for g in fam.gammas]
     rng = np.random.default_rng(0)
     xi = random_state(1 << nu, rng)
     worst = 0.0
     for i in range(2 * nu + 1):
         for j in range(i + 1, 2 * nu + 1):
-            worst = max(
-                worst, anticommutator_apply(fam.gammas[i], fam.gammas[j], xi).norm()
-            )
+            worst = max(worst, anticommutator_apply(gammas[i], gammas[j], xi).norm())
     print(f"  worst anticommutator norm over all {2*nu+1} choose 2 pairs = {worst:.2e}")
-    squares = max(
-        (g.apply(g.apply(xi)) - xi).norm() for g in fam.gammas
-    )
+    squares = max((g.apply(g.apply(xi)) - xi).norm() for g in gammas)
     print(f"  worst |g^2 - 1| residual                                  = {squares:.2e}")
     keys = list(itertools.combinations(range(1, 2 * nu + 2), 2))
     pairs = [(keys[i], keys[j]) for i, j in rng.integers(0, len(keys), (20, 2))]

@@ -11,9 +11,11 @@ Each is Hermitian, squares to the identity, and distinct generators
 anticommute, so e_i = i g_i satisfies e_i^2 = -1 and e_i e_j = -e_j e_i.
 The pair products E_ij = e_i e_j (i < j) close under commutators with the
 structure constants of so(2*nu + 1), which bracket_expansion writes in
-closed form.  Products and relations are multiplied out exactly over the
-Pauli basis (PauliTerms), so a relation that holds leaves a residual of
-exactly zero.
+closed form.  The generators are built as PauliTerms, one (x_mask, z_mask)
+key each, and products and relations are multiplied out exactly over the
+Pauli basis, so a relation that holds leaves a residual of exactly zero.
+so_n_basis and tensor_sum_rep return the vector view of such sums,
+PauliSumOperator.from_terms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 from .linalg import (
     DEFAULT_SITE_CAP,
-    PauliString,
     PauliSumOperator,
     PauliTerms,
     bracket,
@@ -32,32 +33,24 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class GammaFamily:
-    """2*nu + 1 Hermitian unitary generators on the 2**nu space."""
+    """2*nu + 1 Hermitian unitary generators on the 2**nu space, as PauliTerms."""
 
     nu: int
     gammas: tuple
-
-
-def _gamma_string(index: int, nu: int) -> PauliString:
-    if index == 2 * nu + 1:
-        return PauliString(1.0, [(k, "Z") for k in range(1, nu + 1)], nu)
-    if index % 2 == 1:  # index = 2k - 1
-        k = (index + 1) // 2
-        tail = [(kk, "Z") for kk in range(k + 1, nu + 1)]
-        return PauliString(1.0, [(k, "Y")] + tail, nu)
-    k = index // 2  # index = 2k
-    tail = [(kk, "Z") for kk in range(k + 1, nu + 1)]
-    return PauliString(-1.0, [(k, "X")] + tail, nu)
 
 
 def make_gammas(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> GammaFamily:
     if nu < 1:
         raise ValueError("nu must be a positive integer")
     require_sites(nu, site_cap)
-    ops = tuple(
-        PauliSumOperator([_gamma_string(i, nu)], nu) for i in range(1, 2 * nu + 2)
-    )
-    return GammaFamily(nu, ops)
+    gammas = []
+    for k in range(1, nu + 1):
+        bit = 1 << (k - 1)
+        tail = (1 << nu) - (bit << 1)  # Z on sites k+1..nu
+        # g_{2k-1} = Y_k Z_tail, g_{2k} = -X_k Z_tail
+        gammas += [PauliTerms({(bit, bit | tail): 1.0}), PauliTerms({(bit, tail): -1.0})]
+    gammas.append(PauliTerms({(0, (1 << nu) - 1): 1.0}))  # g_{2nu+1} = Z_1 ... Z_nu
+    return GammaFamily(nu, tuple(gammas))
 
 
 def _pair_product(gammas, i: int, j: int) -> PauliTerms:
@@ -70,13 +63,13 @@ def _pair_product(gammas, i: int, j: int) -> PauliTerms:
 def so_n_basis(family: GammaFamily) -> dict:
     """Pair products E_ij = (i g_i)(i g_j) = -g_i g_j for i < j.
 
-    Each E_ij is again a single Pauli string; E_ij is anti-Hermitian and
-    the set closes under commutators with the so(n) structure constants.
+    Each E_ij is again a single Pauli string, returned as its vector view
+    PauliSumOperator.from_terms; E_ij is anti-Hermitian and the set closes
+    under commutators with the so(n) structure constants.
     """
     n = 2 * family.nu + 1
-    terms = [g.terms() for g in family.gammas]
     return {
-        (i, j): PauliSumOperator.from_terms(_pair_product(terms, i, j), family.nu)
+        (i, j): PauliSumOperator.from_terms(_pair_product(family.gammas, i, j), family.nu)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
@@ -112,7 +105,7 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
     operator, so a relation that holds reads 0.0; a non-finite one raises
     ValueError.
     """
-    gammas = [g.terms() for g in family.gammas]
+    gammas = family.gammas
     one = PauliTerms({(0, 0): 1.0})
     square = max((g * g - one).norm() for g in gammas)
     anticommutation = max(
@@ -133,16 +126,15 @@ def tensor_sum_rep(
 ) -> PauliSumOperator:
     """Block sum of E_ij over p copies of the register: one string per block.
 
-    Block l (0-based) occupies sites l*nu + 1 .. (l+1)*nu.  Brackets of
-    block sums satisfy the same structure constants as the single-block
+    Block l (0-based) occupies sites l*nu + 1 .. (l+1)*nu, so its copy of
+    E_ij is the single-block key with both masks shifted by l*nu.  Brackets
+    of block sums satisfy the same structure constants as the single-block
     E_ij (the sum acts as a derivation on product states).
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    i, j = pair
-    total_sites = p * family.nu
-    require_sites(total_sites, site_cap)
-    terms = _pair_product([g.terms() for g in family.gammas], i, j)
-    (base,) = PauliSumOperator.from_terms(terms, family.nu).strings
-    strings = [base.shifted(l * family.nu, total_sites) for l in range(p)]
-    return PauliSumOperator(strings, total_sites)
+    nu = family.nu
+    require_sites(p * nu, site_cap)
+    terms = _pair_product(family.gammas, *pair)
+    blocks = ({(x << l * nu, z << l * nu): c for (x, z), c in terms.items()} for l in range(p))
+    return PauliSumOperator.from_terms(PauliTerms.total(blocks), p * nu)

@@ -13,10 +13,11 @@ Conventions fixed once, used by every module built on top of this one:
 Norms follow the normalized-trace scale: tau(A) = (1/dim) sum_i A_ii,
 hs_norm(A) = sqrt(tau(A^dag A)), operator_norm(A) = largest singular value.
 
-Two representations of a sum of Pauli strings share these conventions: a
-PauliSumOperator applies to state vectors, and PauliTerms, its expansion
-over the Hermitian Pauli basis, multiplies exactly, so identities between
-string sums are checked as operator equations at any register size.
+Two representations of a sum of Pauli strings share these conventions.
+PauliTerms, the expansion over the Hermitian Pauli basis and the form the
+families are built in, multiplies exactly, so identities between string
+sums are checked as operator equations at any register size; its vector
+view PauliSumOperator.from_terms applies to state vectors.
 
 Buffer form: every _apply_array(x, out=None) writes A x into a caller-owned
 contiguous vector out (fresh when None) that must not alias x, and returns
@@ -741,7 +742,7 @@ class PauliSumOperator(LinearOperator):
     """Sum of Pauli strings on a common 2**M space.
 
     Applies by zero-filling the output and adding each string's gather
-    into it; terms() is the exact expansion the identity checks read.
+    into it; terms() is its exact expansion, from_terms a PauliTerms' view.
     """
 
     def __init__(self, strings, n_sites: int | None = None):

@@ -13,15 +13,18 @@ commutation relations up to O(1/p) defects on low-excitation states; the
 deviation on a number eigenstate is not just bounded but exactly
 (2/p) * ||N_k xi||.
 
-Green's component relations, the number identity and the trilinear
-relations hold exactly at every order, so they are multiplied out exactly
-over the Pauli basis (PauliTerms) and read 0.0 when they hold.  The vacuum
-condition, the Fock norms and the unit defect act with PauliTerms.act on
-sparse states {basis key: coeff}, keyed by linalg._basis_key so that the
-indices of a register past 60 sites do not share hash classes: from the
-vacuum, b^dag powers have Gaussian-integer coefficients, so their squared
-norms are exact ints and no figure depends on the 2**(p*nu) register.  The state-vector routes
-(fock_state, normalized_ccr_checks, fock_ladder_checks) stay as oracles.
+The components, the mode sums b_k and the number operators N_k are
+PauliTerms built from site masks.  Green's component relations, the number
+identity and the trilinear relations hold exactly at every order, so they
+are multiplied out exactly over the Pauli basis and read 0.0 when they
+hold.  The vacuum condition, the Fock norms and the unit defect act with
+PauliTerms.act on sparse states {basis key: coeff}, keyed by
+linalg._basis_key so that the indices of a register past 60 sites do not
+share hash classes: from the vacuum, b^dag powers have Gaussian-integer
+coefficients, so their squared norms are exact ints and no figure depends
+on the 2**(p*nu) register.  The state-vector routes (fock_state,
+normalized_ccr_checks, fock_ladder_checks) stay as oracles, and
+parafermi_op's lowering-label strings are the reference for the masks.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ModeExclusionError(ValueError):
 
 @dataclass(frozen=True)
 class GreenSystem:
-    """Order p, nu modes, and the p*nu component annihilators.
+    """Order p, nu modes, and the p*nu component annihilators as PauliTerms.
 
     The exact mode sums and the register's vacuum vector are formed on
     first use, so a system read only in exact arithmetic holds no vector.
@@ -70,7 +73,7 @@ class GreenSystem:
         """((b_k, b_k^dag) as PauliTerms for k = 1..nu): b_k sums its p components."""
         out = []
         for k in range(1, self.nu + 1):
-            b = PauliTerms.total(self.component(k, a).terms() for a in range(1, self.p + 1))
+            b = PauliTerms.total(self.components[k, a] for a in range(1, self.p + 1))
             out.append((b, b.adjoint()))
         return tuple(out)
 
@@ -83,12 +86,9 @@ class GreenSystem:
     def site(self, k: int, alpha: int) -> int:
         return (alpha - 1) * self.nu + k
 
-    def component(self, k: int, alpha: int) -> PauliSumOperator:
-        return self.components[(k, alpha)]
-
 
 def _component_string(k: int, alpha: int, p: int, nu: int) -> PauliString:
-    # b = i * lower_k * Z_{k+1} ... Z_nu within block alpha
+    # b = i * lower_k * Z_{k+1} ... Z_nu within block alpha, from site labels
     base = (alpha - 1) * nu
     sites = [(base + k, "-")] + [(base + kk, "Z") for kk in range(k + 1, nu + 1)]
     return PauliString(1j, sites, p * nu)
@@ -97,21 +97,21 @@ def _component_string(k: int, alpha: int, p: int, nu: int) -> PauliString:
 def make_green_system(p: int, nu: int, site_cap: int = DEFAULT_SITE_CAP) -> GreenSystem:
     if p < 1 or nu < 1:
         raise ValueError("p and nu must be positive integers")
-    total = p * nu
-    require_sites(total, site_cap)
-    comps = {
-        (k, alpha): PauliSumOperator([_component_string(k, alpha, p, nu)], total)
-        for k in range(1, nu + 1)
-        for alpha in range(1, p + 1)
-    }
-    return GreenSystem(p, nu, total, comps)
+    require_sites(p * nu, site_cap)
+    comps = {}
+    for k, alpha in product(range(1, nu + 1), range(1, p + 1)):
+        # i lower_s Z_tail = (iX_s + Y_s) Z_tail / 2, tail = block alpha's sites past s
+        bit = 1 << ((alpha - 1) * nu + k - 1)
+        tail = (1 << alpha * nu) - (bit << 1)
+        comps[k, alpha] = PauliTerms({(bit, tail): 0.5j, (bit, bit | tail): 0.5})
+    return GreenSystem(p, nu, p * nu, comps)
 
 
 def parafermi_op(sys: GreenSystem, k: int) -> PauliSumOperator:
-    """Annihilator b_k = sum over the p component strings."""
+    """Annihilator b_k = sum over the p component strings, one lowering string each."""
     if not 1 <= k <= sys.nu:
         raise ValueError(f"mode {k} outside 1..{sys.nu}")
-    strings = [sys.component(k, alpha).strings[0] for alpha in range(1, sys.p + 1)]
+    strings = [_component_string(k, alpha, sys.p, sys.nu) for alpha in range(1, sys.p + 1)]
     return PauliSumOperator(strings, sys.total_sites)
 
 
@@ -202,7 +202,7 @@ def green_relation_residual(sys: GreenSystem) -> float:
     the Hilbert-Schmidt norm of the exact residual operator; a non-finite
     one raises ValueError.
     """
-    comps = [(key, c.terms()) for key, c in sys.components.items()]
+    comps = list(sys.components.items())
     adjoints = [c.adjoint() for _, c in comps]
     one = PauliTerms({(0, 0): 1.0})
     worst = 0.0
@@ -219,16 +219,15 @@ def green_relation_residual(sys: GreenSystem) -> float:
 def number_identity_residual(sys: GreenSystem) -> float:
     """Worst exact residual of N_k = ([b_k^dag, b_k] + p) / 2.
 
-    N_k is formed as the sum of its p N projectors' terms, the expansion
-    number_ops(sys)[1][k - 1].terms() gives.  A non-finite residual raises
-    ValueError.
+    N_k, the sum of its p projectors (1 + Z_s) / 2, is formed from masks:
+    p/2 at the identity and 1/2 at Z_s for each of its sites s.  A
+    non-finite residual raises ValueError.
     """
     p_one = PauliTerms({(0, 0): float(sys.p)})
     worst = 0.0
     for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
-        sites = [sys.site(k, a) for a in range(1, sys.p + 1)]
-        projectors = (PauliString(1.0, [(site, "N")], sys.total_sites) for site in sites)
-        n_k = PauliTerms.total(proj.terms() for proj in projectors)
+        n_k = PauliTerms({(0, 0): sys.p / 2})
+        n_k.update(((0, 1 << (sys.site(k, a) - 1)), 0.5) for a in range(1, sys.p + 1))
         lhs = 0.5 * (bracket(b_k_dag, b_k, -1) + p_one)
         worst = max(worst, (lhs - n_k).norm())
     return worst

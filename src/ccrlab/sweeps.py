@@ -432,8 +432,8 @@ def records_to_json(records) -> str:
 
 
 def _parse_params(text: str) -> dict:
-    """Parameters from params_key() text; a value stays text unless it is a
-    number that _fmt_number writes back as the same text (so 1e3 stays 1e3).
+    """Parameters from params_key() text; a label stays text, and so does any
+    other value unless _fmt_number writes its number back as the same text.
 
     A dimension parameter (p, nu, modes) or window size mu that is not a
     finite number raises ValueError: the report fits slopes against them.
@@ -444,7 +444,7 @@ def _parse_params(text: str) -> dict:
     for item in text.split(";"):
         key, value = item.split("=", 1)
         params[key] = value
-        for parse in (int, float):
+        for parse in () if key in _TEXT_PARAM else (int, float):
             try:
                 number = parse(value)
             except ValueError:
@@ -519,6 +519,7 @@ _CONVENTION_NOTES = (
 )
 
 _DIM_PARAM = ("p", "nu", "modes")
+_TEXT_PARAM = ("label",)  # parameters the batteries write as text
 _SLOPE_FLOOR = 1e-13  # values at the rounding floor carry no rate information
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ccrlab import clifford, parafermi, spin, weyl
 from ccrlab.linalg import (
+    PauliSumOperator,
     StateVector,
     anticommutator_apply,
     commutator_apply,
@@ -146,7 +147,7 @@ def test_criterion_08_gamma_anticommutation():
     for nu in range(1, 7):
         fam = clifford.make_gammas(nu)
         dim = 1 << nu
-        mats = [g.dense() for g in fam.gammas]
+        mats = [PauliSumOperator.from_terms(g, nu).dense() for g in fam.gammas]
         for i, a in enumerate(mats):
             for j, b in enumerate(mats[i:], start=i):
                 target = 2.0 * np.eye(dim) if i == j else np.zeros((dim, dim))
@@ -160,12 +161,13 @@ def test_criterion_08_gamma_anticommutation():
         rng = np.random.default_rng(nu)
         vectors = [random_state(dim, rng) for _ in range(2)]
         n_gen = 2 * nu + 1
+        gammas = [PauliSumOperator.from_terms(g, nu) for g in fam.gammas]
         for i in range(n_gen):
-            gi = fam.gammas[i]
+            gi = gammas[i]
             for xi in vectors:
                 worst_free = max(worst_free, (gi.apply(gi.apply(xi)) - xi).norm())
             for j in range(i + 1, n_gen):
-                gj = fam.gammas[j]
+                gj = gammas[j]
                 for xi in vectors:
                     worst_free = max(
                         worst_free, anticommutator_apply(gi, gj, xi).norm()
@@ -190,8 +192,12 @@ def test_criterion_09_parafermi_relations():
         rng = np.random.default_rng(p * 100 + nu)
         vectors = [random_state(dim, rng) for _ in range(2)]
 
-        for (k, a), ck in sys.components.items():
-            for (l, b), cl in sys.components.items():
+        comps = {
+            key: PauliSumOperator.from_terms(c, sys.total_sites)
+            for key, c in sys.components.items()
+        }
+        for (k, a), ck in comps.items():
+            for (l, b), cl in comps.items():
                 for xi in vectors:
                     if a == b:
                         res = anticommutator_apply(ck, cl.adjoint(), xi)

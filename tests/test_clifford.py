@@ -7,8 +7,8 @@ import pytest
 
 from ccrlab import clifford
 from ccrlab.linalg import (
-    PauliString,
     PauliSumOperator,
+    PauliTerms,
     ResourceLimitError,
     StateVector,
     anticommutator_apply,
@@ -21,11 +21,16 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def views(fam):
+    """The generators' vector views, PauliSumOperator.from_terms."""
+    return [PauliSumOperator.from_terms(g, fam.nu) for g in fam.gammas]
+
+
 def test_single_site_family():
-    fam = clifford.make_gammas(1)
-    np.testing.assert_allclose(fam.gammas[0].dense(), SY, atol=1e-15)
-    np.testing.assert_allclose(fam.gammas[1].dense(), -SX, atol=1e-15)
-    np.testing.assert_allclose(fam.gammas[2].dense(), SZ, atol=1e-15)
+    gammas = views(clifford.make_gammas(1))
+    np.testing.assert_allclose(gammas[0].dense(), SY, atol=1e-15)
+    np.testing.assert_allclose(gammas[1].dense(), -SX, atol=1e-15)
+    np.testing.assert_allclose(gammas[2].dense(), SZ, atol=1e-15)
 
 
 def test_invalid_register_rejected():
@@ -43,18 +48,17 @@ def test_register_over_the_site_cap_is_refused():
 
 
 def test_two_site_anticommutator_example():
-    fam = clifford.make_gammas(2)
+    gammas = views(clifford.make_gammas(2))
     rng = np.random.default_rng(0)
     for _ in range(3):
         xi = random_state(4, rng)
-        assert anticommutator_apply(fam.gammas[0], fam.gammas[3], xi).norm() <= 1e-12
+        assert anticommutator_apply(gammas[0], gammas[3], xi).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6])
 def test_gamma_relations_exhaustive_dense(nu):
-    fam = clifford.make_gammas(nu)
     dim = 1 << nu
-    mats = [g.dense() for g in fam.gammas]
+    mats = [g.dense() for g in views(clifford.make_gammas(nu))]
     eye = np.eye(dim)
     for i, a in enumerate(mats):
         np.testing.assert_allclose(a.conj().T, a, atol=1e-14)  # hermitian
@@ -65,17 +69,17 @@ def test_gamma_relations_exhaustive_dense(nu):
 
 @pytest.mark.parametrize("nu", [10, 16])
 def test_gamma_relations_random_vector_matrix_free(nu):
-    fam = clifford.make_gammas(nu)
+    gammas = views(clifford.make_gammas(nu))
     dim = 1 << nu
     rng = np.random.default_rng(nu)
     vectors = [random_state(dim, rng) for _ in range(2)]
     n_gen = 2 * nu + 1
     for i in range(n_gen):
-        gi = fam.gammas[i]
+        gi = gammas[i]
         for xi in vectors:
             assert (gi.apply(gi.apply(xi)) - xi).norm() <= 1e-12
         for j in range(i + 1, n_gen):
-            gj = fam.gammas[j]
+            gj = gammas[j]
             for xi in vectors:
                 assert anticommutator_apply(gi, gj, xi).norm() <= 1e-12
 
@@ -95,10 +99,11 @@ def test_relation_residuals_equal_state_vector_formulas(nu):
     ]
 
     square = anti = closure = 0.0
-    for i, gi in enumerate(fam.gammas):
+    gammas = views(fam)
+    for i, gi in enumerate(gammas):
         for xi in vectors:
             square = max(square, (gi.apply(gi.apply(xi)) - xi).norm())
-        for gj in fam.gammas[i + 1:]:
+        for gj in gammas[i + 1:]:
             for xi in vectors:
                 anti = max(anti, anticommutator_apply(gi, gj, xi).norm())
     for (i, j), (k, l) in samples:
@@ -115,11 +120,8 @@ def test_relation_residuals_equal_state_vector_formulas(nu):
 
 def test_relation_residuals_raise_on_an_infinite_coefficient():
     fam = clifford.make_gammas(3)
-    first = fam.gammas[0].strings[0]
-    broken = clifford.GammaFamily(
-        3,
-        (PauliSumOperator([PauliString(np.inf, first.sites, 3)]),) + fam.gammas[1:],
-    )
+    ((first, _),) = fam.gammas[0].items()
+    broken = clifford.GammaFamily(3, (PauliTerms({first: np.inf}),) + fam.gammas[1:])
     with pytest.raises(ValueError, match="not finite"):
         clifford.relation_residuals(broken, [])
 
@@ -135,13 +137,13 @@ def test_a_perturbed_structure_constant_leaves_a_closure_residual(monkeypatch):
 
 def test_gamma_relations_sampled_at_twenty_sites():
     nu = 20
-    fam = clifford.make_gammas(nu)
+    gammas = views(clifford.make_gammas(nu))
     dim = 1 << nu
     rng = np.random.default_rng(20)
     xi = random_state(dim, rng)
     pairs = {tuple(sorted(rng.integers(0, 2 * nu + 1, 2))) for _ in range(40)}
     for i, j in pairs:
-        gi, gj = fam.gammas[i], fam.gammas[j]
+        gi, gj = gammas[i], gammas[j]
         if i == j:
             assert (gi.apply(gi.apply(xi)) - xi).norm() <= 1e-12
         else:
@@ -150,14 +152,14 @@ def test_gamma_relations_sampled_at_twenty_sites():
 
 def test_unit_imaginary_rescaling_gives_clifford_relations():
     # e_i = i gamma_i: squares to -1 and anticommutes pairwise
-    fam = clifford.make_gammas(2)
+    gammas = views(clifford.make_gammas(2))
     rng = np.random.default_rng(1)
     for i in (0, 2, 4):
-        ei = fam.gammas[i].scaled(1j)
+        ei = gammas[i].scaled(1j)
         xi = random_state(4, rng)
         assert (ei.apply(ei.apply(xi)) + xi).norm() <= 1e-12
-    e1 = fam.gammas[0].scaled(1j)
-    e2 = fam.gammas[1].scaled(1j)
+    e1 = gammas[0].scaled(1j)
+    e2 = gammas[1].scaled(1j)
     xi = random_state(4, rng)
     assert anticommutator_apply(e1, e2, xi).norm() <= 1e-12
 
@@ -182,7 +184,7 @@ def test_pair_products_anti_hermitian():
 def test_pair_products_match_dense_gamma_products():
     fam = clifford.make_gammas(3)
     basis = clifford.so_n_basis(fam)
-    mats = [g.dense() for g in fam.gammas]
+    mats = [g.dense() for g in views(fam)]
     for (i, j), op in basis.items():
         np.testing.assert_allclose(op.dense(), -mats[i - 1] @ mats[j - 1], atol=1e-13)
 

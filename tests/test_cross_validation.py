@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from ccrlab import clifford, parafermi, spin, weyl
-from ccrlab.linalg import DenseOperator, commutator_apply, normalized_trace, random_state
+from ccrlab.linalg import (
+    DenseOperator,
+    PauliSumOperator,
+    commutator_apply,
+    normalized_trace,
+    random_state,
+)
 
 N_VECTORS = 20
 TOL = 1e-10
@@ -52,8 +58,8 @@ def test_spin_operators_cross_validate(p):
 def test_gamma_family_cross_validates(nu):
     fam = clifford.make_gammas(nu)
     rng = np.random.default_rng(nu)
-    for op in fam.gammas:
-        assert_matches_dense(op, rng)
+    for g in fam.gammas:
+        assert_matches_dense(PauliSumOperator.from_terms(g, nu), rng)
     basis = clifford.so_n_basis(fam)
     for key in ((1, 2), (2, 3), (1, 2 * nu + 1)):
         assert_matches_dense(basis[key], rng)
@@ -64,7 +70,7 @@ def test_green_system_cross_validates(p, nu):
     sys = parafermi.make_green_system(p, nu)
     rng = np.random.default_rng(p * 10 + nu)
     for comp in sys.components.values():
-        assert_matches_dense(comp, rng)
+        assert_matches_dense(PauliSumOperator.from_terms(comp, sys.total_sites), rng)
     for k in range(1, nu + 1):
         assert_matches_dense(parafermi.parafermi_op(sys, k), rng)
         assert_matches_dense(parafermi.normalized_op(sys, k).adjoint(), rng)

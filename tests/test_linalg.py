@@ -216,11 +216,13 @@ def test_kernel_equals_gather_reference_on_family_strings():
     rng = np.random.default_rng(101)
     strings = []
     for nu in range(1, 11):
-        strings.extend(op.strings[0] for op in clifford.make_gammas(nu).gammas)
+        for g in clifford.make_gammas(nu).gammas:
+            strings.extend(PauliSumOperator.from_terms(g, nu).strings)
     for p in range(1, 11):
         for nu in range(1, 10 // p + 1):
             green = parafermi.make_green_system(p, nu)
-            strings.extend(op.strings[0] for op in green.components.values())
+            for k in range(1, nu + 1):
+                strings.extend(parafermi.parafermi_op(green, k).strings)
     for s in strings:
         _assert_kernel_matches_reference(s, rng)
         _assert_kernel_matches_reference(s.adjoint(), rng)
@@ -567,11 +569,13 @@ def test_kernel_equals_the_sparse_action_on_every_basis_vector(m):
 def test_terms_adjoint_equals_the_adjoint_strings_expansion():
     ops = []
     for nu in range(1, 9):
-        ops.extend(clifford.make_gammas(nu).gammas)
+        ops.extend(PauliSumOperator.from_terms(g, nu) for g in clifford.make_gammas(nu).gammas)
     for p in range(1, 9):
         for modes in (1, 2):
             sys = parafermi.make_green_system(p, modes)
-            ops.extend(sys.components.values())
+            ops.extend(
+                PauliSumOperator.from_terms(c, sys.total_sites) for c in sys.components.values()
+            )
             for k, (b, b_dag) in enumerate(sys.modes, start=1):
                 op = parafermi.parafermi_op(sys, k)
                 assert b == op.terms()

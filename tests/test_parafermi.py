@@ -22,12 +22,19 @@ from ccrlab.linalg import (
 )
 
 
+def views(sys):
+    """The components' vector views, PauliSumOperator.from_terms."""
+    return {
+        key: PauliSumOperator.from_terms(c, sys.total_sites) for key, c in sys.components.items()
+    }
+
+
 def green_relation_worst(sys, rng, n_vectors=2):
     """Worst residual over every same-block and cross-block component relation."""
     dim = 1 << sys.total_sites
     vectors = [random_state(dim, rng) for _ in range(n_vectors)]
     worst = 0.0
-    comps = sys.components
+    comps = views(sys)
     for (k, a), ck in comps.items():
         for (l, b), cl in comps.items():
             for xi in vectors:
@@ -53,7 +60,7 @@ def test_single_fermion_mode():
 
 def test_vacuum_annihilated_by_every_component():
     sys = parafermi.make_green_system(3, 2)
-    for comp in sys.components.values():
+    for comp in views(sys).values():
         assert comp.apply(sys.vacuum).norm() == 0.0
 
 
@@ -78,7 +85,7 @@ def test_vacuum_condition_cross_modes():
 def test_green_relations_exhaustive_small():
     sys = parafermi.make_green_system(2, 2)
     dim = 16
-    comps = sys.components
+    comps = views(sys)
     # dense check over the full basis
     for (k, a), ck in comps.items():
         for (l, b), cl in comps.items():
@@ -134,9 +141,8 @@ def test_number_identity_residual_forms_only_the_per_mode_number_operators(monke
     # expansion; N and the per-block N^(alpha) are not formed.  A component
     # scaled by 2 leaves a residual to compare with the number_ops route
     sys = parafermi.make_green_system(3, 2)
-    first = sys.components[(2, 1)].strings[0]
     components = dict(sys.components)
-    components[(2, 1)] = PauliSumOperator([PauliString(2j, first.sites, sys.total_sites)])
+    components[(2, 1)] = 2 * sys.components[(2, 1)]
     broken = dataclasses.replace(sys, components=components)
     _, per_mode, _ = parafermi.number_ops(broken)
     p_one = PauliTerms({(0, 0): 3.0})
@@ -171,7 +177,7 @@ def test_mode_sums_accumulate_in_one_dict(monkeypatch):
         sys = parafermi.make_green_system(p, 2)
         _, per_mode, _ = parafermi.number_ops(sys)
         for k, (b_k, _) in enumerate(sys.modes, start=1):
-            assert b_k == _pairwise_sum(sys.component(k, a).terms() for a in range(1, p + 1))
+            assert b_k == _pairwise_sum(sys.components[k, a] for a in range(1, p + 1))
             n_k = per_mode[k - 1]
             assert n_k.terms() == _pairwise_sum(s.terms() for s in n_k.strings)
     calls = []
@@ -186,9 +192,8 @@ def test_mode_sums_accumulate_in_one_dict(monkeypatch):
 
 def test_residuals_raise_on_an_infinite_coefficient():
     sys = parafermi.make_green_system(2, 2)
-    first = sys.components[(1, 1)].strings[0]
     components = dict(sys.components)
-    components[(1, 1)] = PauliSumOperator([PauliString(np.inf, first.sites, sys.total_sites)])
+    components[(1, 1)] = np.inf * sys.components[(1, 1)]
     broken = dataclasses.replace(sys, components=components)
     with pytest.raises(ValueError, match="not finite"):
         parafermi.green_relation_residual(broken)
@@ -199,17 +204,26 @@ def test_residuals_raise_on_an_infinite_coefficient():
 def test_a_wrong_relation_leaves_a_nonzero_residual():
     # {c, c^dag} = 0 is false: the exact residual is the identity, norm 1
     sys = parafermi.make_green_system(2, 2)
-    c = sys.component(1, 1)
-    assert bracket(c.terms(), c.adjoint().terms(), +1).norm() == 1.0
+    c = sys.components[1, 1]
+    assert bracket(c, c.adjoint(), +1).norm() == 1.0
 
 
 def test_order_one_equals_single_component():
     sys = parafermi.make_green_system(1, 2)
     b = parafermi.parafermi_op(sys, 1)
-    comp = sys.component(1, 1)
+    comp = views(sys)[1, 1]
     rng = np.random.default_rng(1)
     xi = random_state(4, rng)
     assert (b.apply(xi) - comp.apply(xi)).norm() == 0.0
+
+
+@pytest.mark.parametrize("p,nu", list(product(range(1, 5), (1, 2, 3))))
+def test_ladder_strings_expand_to_the_mode_sums(p, nu):
+    # parafermi_op builds b_k from lowering labels on named sites; the
+    # components are built from masks.  The two routes meet term for term
+    sys = parafermi.make_green_system(p, nu)
+    for k in range(1, nu + 1):
+        assert parafermi.parafermi_op(sys, k).terms() == sys.modes[k - 1][0]
 
 
 def test_creation_norm_on_vacuum():
@@ -347,12 +361,10 @@ def test_number_ladder_relations():
 def test_component_number_identities():
     # per component: b^dag b projects onto the occupied site, b b^dag onto
     # the empty one
-    from ccrlab.linalg import PauliString, PauliSumOperator
-
     sys = parafermi.make_green_system(3, 2)
     rng = np.random.default_rng(14)
     dim = 1 << 6
-    for (k, alpha), comp in sys.components.items():
+    for (k, alpha), comp in views(sys).items():
         proj = PauliSumOperator(
             [PauliString(1.0, [(sys.site(k, alpha), "N")], sys.total_sites)]
         )
@@ -561,7 +573,7 @@ def test_a_broken_component_fails_the_vacuum_condition():
     sys = parafermi.make_green_system(2, 1)
     components = dict(sys.components)
     # a raising site where the lowering one belongs
-    components[(1, 2)] = PauliSumOperator([PauliString(1j, [(2, "+")], 2)])
+    components[(1, 2)] = PauliString(1j, [(2, "+")], 2).terms()
     broken = dataclasses.replace(sys, components=components)
     assert parafermi.vacuum_condition_residual(broken) > 0.5
 

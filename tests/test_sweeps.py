@@ -74,6 +74,10 @@ def test_exact_batteries_write_the_pinned_bytes(seed):
     text = records_to_csv(records)
     assert text == (Path(__file__).parent / "data" / "exact_batteries.csv").read_text()
     assert records_to_csv(parse_records_json(records_to_json(records))) == text
+    # a label such as '2' reads as a number but is text: the parsed records,
+    # not only their bytes, equal the written ones
+    assert parse_records_json(records_to_json(records)) == records
+    assert parse_records_csv(text) == records
 
 
 def test_spin_sweep_measures_k_over_j():
@@ -246,6 +250,20 @@ def test_clifford_battery_forms_no_operator_basis(monkeypatch):
     assert status == EXIT_OK
     closure = [r for r in records if r.defect == "so-bracket-closure"]
     assert closure and all(r.measured == 0.0 for r in closure)
+
+
+def test_the_exact_batteries_build_no_vector_operator(monkeypatch):
+    # the families are PauliTerms and every check multiplies them out: no
+    # Pauli string or string sum is constructed at the default grids
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact battery built a vector operator")
+
+    monkeypatch.setattr(PauliString, "__init__", refuse)
+    monkeypatch.setattr(PauliSumOperator, "__init__", refuse)
+    for name in ("clifford", "parafermi"):
+        records, status = run_sweep(SweepConfig(experiment=name))
+        assert status == EXIT_OK
+        assert records and not any(r.skip_reason for r in records)
 
 
 def test_report_contents():
