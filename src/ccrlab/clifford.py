@@ -20,13 +20,19 @@ PauliSumOperator.from_terms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .linalg import (
+    _I_POWERS,
+    _TWICE_I_POWERS,
     DEFAULT_SITE_CAP,
     PauliSumOperator,
     PauliTerms,
-    bracket,
+    _add_into,
+    _pairs_into,
+    _split,
+    _terms_norm,
     require_sites,
 )
 
@@ -53,11 +59,12 @@ def make_gammas(nu: int, site_cap: int = DEFAULT_SITE_CAP) -> GammaFamily:
     return GammaFamily(nu, tuple(gammas))
 
 
-def _pair_product(gammas, i: int, j: int) -> PauliTerms:
-    """E_ij = (i g_i)(i g_j) = -g_i g_j from the generators' terms (1-based i, j)."""
-    if not 1 <= i < j <= len(gammas):
-        raise ValueError(f"pair ({i}, {j}) is not 1 <= i < j <= {len(gammas)}")
-    return -(gammas[i - 1] * gammas[j - 1])
+def _pair_product(split: list, i: int, j: int) -> PauliTerms:
+    """E_ij = (i g_i)(i g_j) = -g_i g_j from the generators' split terms (1-based i, j)."""
+    if not 1 <= i < j <= len(split):
+        raise ValueError(f"pair ({i}, {j}) is not 1 <= i < j <= {len(split)}")
+    product = _pairs_into({}, split[i - 1], split[j - 1], _I_POWERS, None)
+    return PauliTerms._nonzero((key, -c) for key, c in product.items())
 
 
 def so_n_basis(family: GammaFamily) -> dict:
@@ -68,8 +75,9 @@ def so_n_basis(family: GammaFamily) -> dict:
     under commutators with the so(n) structure constants.
     """
     n = 2 * family.nu + 1
+    split = [_split(g) for g in family.gammas]
     return {
-        (i, j): PauliSumOperator.from_terms(_pair_product(family.gammas, i, j), family.nu)
+        (i, j): PauliSumOperator.from_terms(_pair_product(split, i, j), family.nu)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
@@ -103,21 +111,34 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
     `bracket_samples`, with each E_ab = -g_a g_b formed from the generators'
     terms.  Each residual is the Hilbert-Schmidt norm of the exact residual
     operator, so a relation that holds reads 0.0; a non-finite one raises
-    ValueError.
+    ValueError.  Each generator and each E_ab is split once for the pair
+    loop, and the expected terms are subtracted in the residual's dict.
     """
-    gammas = family.gammas
-    one = PauliTerms({(0, 0): 1.0})
-    square = max((g * g - one).norm() for g in gammas)
+    split = [_split(g) for g in family.gammas]
+    one = {(0, 0): 1.0}
+    square = max(
+        _terms_norm(_add_into(_pairs_into({}, s, s, _I_POWERS, None), one, -1)) for s in split
+    )
     anticommutation = max(
-        (bracket(gi, gj, +1).norm() for i, gi in enumerate(gammas) for gj in gammas[i + 1:]),
+        (
+            _terms_norm(_pairs_into({}, si, sj, _TWICE_I_POWERS, 1))
+            for i, si in enumerate(split)
+            for sj in split[i + 1:]
+        ),
         default=0.0,
     )
+
+    @functools.cache
+    def pair(a, b):
+        e_ab = _pair_product(split, a, b)
+        return e_ab, _split(e_ab)
+
     closure = 0.0
     for (i, j), (k, l) in bracket_samples:
-        res = bracket(_pair_product(gammas, i, j), _pair_product(gammas, k, l), -1)
+        res = _pairs_into({}, pair(i, j)[1], pair(k, l)[1], _TWICE_I_POWERS, 0)
         for a, b, coeff in bracket_expansion(i, j, k, l):
-            res = res - coeff * _pair_product(gammas, a, b)
-        closure = max(closure, res.norm())
+            _add_into(res, pair(a, b)[0], -coeff)
+        closure = max(closure, _terms_norm(res))
     return square, anticommutation, closure
 
 
@@ -135,6 +156,6 @@ def tensor_sum_rep(
         raise ValueError("p must be a positive integer")
     nu = family.nu
     require_sites(p * nu, site_cap)
-    terms = _pair_product(family.gammas, *pair)
+    terms = _pair_product([_split(g) for g in family.gammas], *pair)
     blocks = ({(x << l * nu, z << l * nu): c for (x, z), c in terms.items()} for l in range(p))
     return PauliSumOperator.from_terms(PauliTerms.total(blocks), p * nu)

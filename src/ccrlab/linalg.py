@@ -542,6 +542,10 @@ class PauliTerms(dict):
     numerators, dyadic Gaussian rationals over a common power of two, stay
     far below 2**53, so no product or sum rounds.  An identity that holds
     leaves no term at all.
+
+    Products and brackets run through one loop, _pairs_into, on terms split
+    once into (x, z, x | z, |x & z|, c); the exact relation checks call it
+    directly and subtract their expected terms in place (_add_into).
     """
 
     @classmethod
@@ -569,13 +573,7 @@ class PauliTerms(dict):
     def __mul__(self, other):
         if not isinstance(other, PauliTerms):
             return self._nonzero((key, other * c) for key, c in self.items())
-        out = {}
-        for (x1, z1), c1 in self.items():
-            y1 = (x1 & z1).bit_count()
-            for (x2, z2), c2 in other.items():
-                x3, z3 = x1 ^ x2, z1 ^ z2
-                e = y1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
-                out[x3, z3] = out.get((x3, z3), 0) + _I_POWERS[e & 3] * c1 * c2
+        out = _pairs_into({}, _split(self), _split(other), _I_POWERS, None)
         return self._nonzero(out.items())
 
     __rmul__ = __mul__  # only ever reached with a scalar on the left
@@ -586,7 +584,7 @@ class PauliTerms(dict):
 
     def norm(self) -> float:
         """l2 norm of the coefficients; a non-finite one raises ValueError."""
-        return _finite(math.sqrt(sum(abs(c) ** 2 for c in self.values())), "coefficient norm")
+        return _terms_norm(self)
 
     def act(self, state: dict) -> dict:
         """This sum applied to a sparse state {_basis_key(index): coeff}, exactly.
@@ -625,26 +623,67 @@ def _basis_index(key) -> int:
     return key if isinstance(key, int) else int.from_bytes(key, "little")
 
 
-def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
-    """ab + sign * ba: the anticommutator for sign +1, the commutator for -1.
+def _split(terms: dict) -> list:
+    """The nonzero terms of {(x, z): c} as (x, z, x | z, |x & z|, c), for _pairs_into."""
+    return [(x, z, x | z, (x & z).bit_count(), c) for (x, z), c in terms.items() if c != 0]
 
-    Two basis strings commute when |x1&z2| + |z1&x2| is even and
-    anticommute when it is odd, so each pair of terms adds either twice its
-    product or nothing; one pass over the pairs forms the bracket.  Doubling
-    is exact, so the result is the dict a * b + sign * (b * a).
+
+def _pairs_into(out: dict, left: list, right: list, phases: tuple, skip) -> dict:
+    """Add the product of every (left, right) pair of split terms into out.
+
+    phases is _I_POWERS for the product left * right and _TWICE_I_POWERS
+    for a bracket.  Two basis strings commute when |x1&z2| + |z1&x2| is
+    even and anticommute when it is odd, so in ab + sign * ba each pair
+    adds twice its product or nothing: the pairs of parity `skip` (1 for the
+    anticommutator, 0 for the commutator, None for the product) are left
+    out.  In a commutator a pair whose supports x | z are disjoint is left
+    out before any popcount: strings on disjoint sites commute.  Doubling
+    is exact.  A sum that cancels stays in out as a zero; returns out.
     """
-    skip = 1 if sign > 0 else 0  # the parity whose pairs cancel
-    right = [(x2, z2, (x2 & z2).bit_count(), c2) for (x2, z2), c2 in b.items()]
-    out = {}
-    for (x1, z1), c1 in a.items():
-        y1 = (x1 & z1).bit_count()
-        for x2, z2, y2, c2 in right:
+    commutator = skip == 0
+    for x1, z1, s1, y1, c1 in left:
+        for x2, z2, s2, y2, c2 in right:
+            if commutator and not s1 & s2:
+                continue
             zx = (z1 & x2).bit_count()
             if (zx + (x1 & z2).bit_count()) & 1 == skip:
                 continue
             x3, z3 = x1 ^ x2, z1 ^ z2
             e = y1 + y2 + 2 * zx - (x3 & z3).bit_count()
-            out[x3, z3] = out.get((x3, z3), 0) + _TWICE_I_POWERS[e & 3] * c1 * c2
+            out[x3, z3] = out.get((x3, z3), 0) + phases[e & 3] * c1 * c2
+    return out
+
+
+def _add_into(out: dict, terms: dict, scale) -> dict:
+    """out += scale * terms in place, each key where PauliTerms.total puts it.
+
+    A zero in out stands for a dropped term, so a key whose value is zero
+    moves to the end as a new key would: the nonzero terms keep the order
+    of the PauliTerms arithmetic, and _terms_norm sums them in that order.
+    """
+    for key, c in terms.items():
+        v = out.get(key, 0)
+        if v == 0:
+            out.pop(key, None)
+        out[key] = v + scale * c
+    return out
+
+
+def _terms_norm(terms: dict) -> float:
+    """l2 norm of the coefficients in dict order (a zero adds exactly
+    nothing); a non-finite one raises ValueError."""
+    if not terms:
+        return 0.0
+    return _finite(math.sqrt(sum([abs(c) ** 2 for c in terms.values()])), "coefficient norm")
+
+
+def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
+    """ab + sign * ba: the anticommutator for sign +1, the commutator for -1.
+
+    One _pairs_into pass over the term pairs, so the result is the dict
+    a * b + sign * (b * a).
+    """
+    out = _pairs_into({}, _split(a), _split(b), _TWICE_I_POWERS, 1 if sign > 0 else 0)
     return PauliTerms._nonzero(out.items())
 
 

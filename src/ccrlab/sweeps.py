@@ -41,6 +41,7 @@ EXIT_RESOURCE = 3
 
 CSV_HEADER = "experiment,params,defect,measured,bound,pass"
 _FIELD_NAMES = CSV_HEADER.split(",")
+_CSV_VERDICTS = {"true": True, "false": False}  # the CSV spelling of a bool pass value
 
 # coherent states need 2 atan(|z| / sqrt(p)) < pi in doubles, for every p
 Z_MAX = 1e15
@@ -463,16 +464,22 @@ def _parse_params(text: str) -> dict:
 
 
 def _decode(experiment, params, defect, measured, bound, passed) -> DefectRecord:
-    """The record of six fields as _encode writes them; a malformed field raises."""
+    """The record of six fields as _encode writes them; a malformed field raises.
+
+    pass must be a bool or "skip:" + a reason, and a measured record's bool
+    must be the writer's verdict, bound is None or measured <= bound: a
+    record that contradicts its own figures raises ValueError.
+    """
     skip_reason = passed[5:] if isinstance(passed, str) and passed.startswith("skip:") else None
+    if not (skip_reason or isinstance(passed, bool)):
+        raise ValueError(f"pass value {passed!r} is not a bool or skip:<reason>")
+    measured = math.nan if measured is None else float(measured)
+    bound = None if bound is None else float(bound)
+    if skip_reason is None and passed != (bound is None or measured <= bound):
+        raise ValueError(f"pass {passed} contradicts measured {measured!r}, bound {bound!r}")
+    passed = skip_reason is not None or passed
     return DefectRecord(
-        experiment,
-        _parse_params(params),
-        defect,
-        math.nan if measured is None else float(measured),
-        None if bound is None else float(bound),
-        skip_reason is not None or passed in (True, "true"),
-        skip_reason,
+        experiment, _parse_params(params), defect, measured, bound, passed, skip_reason
     )
 
 
@@ -484,6 +491,7 @@ def parse_records_csv(text: str) -> list:
     for number, line in enumerate(lines[1:], start=1):
         try:
             experiment, params, defect, measured, bound, passed = line.split(",", 5)
+            passed = _CSV_VERDICTS.get(passed, passed)
             records.append(_decode(experiment, params, defect, measured, bound or None, passed))
         except ValueError as exc:
             raise UsageError(f"record {number}: malformed CSV line {line!r} ({exc})") from exc

@@ -1,6 +1,8 @@
 """Substrate tests: realizations agree with dense oracles, norms behave."""
 
+import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -598,18 +600,63 @@ def test_one_pass_bracket_is_the_two_product_dict(pair):
         assert linalg.bracket(a, b, sign) == a * b + sign * (b * a)
 
 
+@st.composite
+def _wide_terms(draw, m):
+    # masks over up to 130 sites, past one machine word: dense draws, and
+    # masks of at most three sites, so that disjoint supports come up
+    sites = st.sets(st.integers(0, m - 1), max_size=3)
+    mask = st.integers(0, (1 << m) - 1) | sites.map(lambda s: sum(1 << i for i in s))
+    coeffs = st.tuples(_DYADIC_PARTS, _DYADIC_PARTS)
+    items = draw(st.dictionaries(st.tuples(mask, mask), coeffs, max_size=5))
+    return linalg.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
+
+
+@given(st.integers(1, 130).flatmap(lambda m: st.tuples(_wide_terms(m), _wide_terms(m))))
+def test_bracket_is_the_two_product_dict_on_masks_past_a_machine_word(pair):
+    a, b = pair
+    assert a * b == _parent_product(a, b)
+    for sign in (+1, -1):
+        assert linalg.bracket(a, b, sign) == a * b + sign * (b * a)
+
+
+def test_a_commutator_skips_disjoint_supports_before_any_popcount():
+    # X on site 1 and Y on site 130: the pair commutes, so the commutator
+    # never reaches the parity test, and the anticommutator doubles it
+    x1, y130 = {(1, 0): 1.0}, {(1 << 129, 1 << 129): 0.5j}
+    left, right = linalg._split(x1), linalg._split(y130)
+    assert left == [(1, 0, 1, 0, 1.0)] and right == [(1 << 129, 1 << 129, 1 << 129, 1, 0.5j)]
+    assert linalg._pairs_into({}, left, right, linalg._TWICE_I_POWERS, 0) == {}
+    anti = linalg._pairs_into({}, left, right, linalg._TWICE_I_POWERS, 1)
+    assert anti == {(1 | 1 << 129, 1 << 129): 1j}
+
+
+def _from_split(terms):
+    assert all(s == x | z and y == (x & z).bit_count() for x, z, s, y, _ in terms)
+    return linalg.PauliTerms({(x, z): c for x, z, _, _, c in terms})
+
+
 def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkeypatch):
-    one_pass = linalg.bracket
+    # every exact product and bracket runs through linalg._pairs_into: each
+    # call must add the oracle's product, or its bracket's two-product dict
+    core = linalg._pairs_into
     seen = []
 
-    def checked(a, b, sign):
-        out = one_pass(a, b, sign)
-        assert out == a * b + sign * (b * a)
-        seen.append(sign)
-        return out
+    def checked(out, left, right, phases, skip):
+        a, b = _from_split(left), _from_split(right)
+        got = core({}, left, right, phases, skip)
+        if skip is None:
+            assert phases == linalg._I_POWERS
+            assert linalg.PauliTerms._nonzero(got.items()) == _parent_product(a, b)
+        else:
+            sign = +1 if skip == 1 else -1
+            assert phases == linalg._TWICE_I_POWERS
+            want = _parent_product(a, b) + sign * _parent_product(b, a)
+            assert linalg.PauliTerms._nonzero(got.items()) == want
+        seen.append(skip)
+        return core(out, left, right, phases, skip)
 
-    monkeypatch.setattr(parafermi, "bracket", checked)
-    monkeypatch.setattr(clifford, "bracket", checked)
+    for module in (linalg, clifford, parafermi):
+        monkeypatch.setattr(module, "_pairs_into", checked)
     for p in (1, 2, 3):
         for nu in (1, 2):
             sys = parafermi.make_green_system(p, nu)
@@ -622,7 +669,175 @@ def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkey
         basis = clifford.so_n_basis(family)
         pairs = list(itertools.product(sorted(basis), repeat=2))
         clifford.relation_residuals(family, pairs)
-    assert {+1, -1} <= set(seen)
+    assert {None, 0, 1} <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# the parent's exact checks, composed from a copy of its product loop; each
+# rewritten check must return the same float on mutants that fail it
+
+
+def _parent_product(a, b):
+    """The product loop PauliTerms.__mul__ ran before the term-pair core."""
+    out = {}
+    for (x1, z1), c1 in a.items():
+        y1 = (x1 & z1).bit_count()
+        for (x2, z2), c2 in b.items():
+            x3, z3 = x1 ^ x2, z1 ^ z2
+            e = y1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
+            out[x3, z3] = out.get((x3, z3), 0) + (1, 1j, -1, -1j)[e & 3] * c1 * c2
+    return linalg.PauliTerms._nonzero(out.items())
+
+
+def _parent_bracket(a, b, sign):
+    return _parent_product(a, b) + sign * _parent_product(b, a)
+
+
+def _parent_norm(terms):
+    return math.sqrt(sum(abs(c) ** 2 for c in terms.values()))
+
+
+def _parent_relation_residuals(family, samples):
+    gammas = family.gammas
+    one = linalg.PauliTerms({(0, 0): 1.0})
+
+    def pair(i, j):
+        return -_parent_product(gammas[i - 1], gammas[j - 1])
+
+    square = max(_parent_norm(_parent_product(g, g) - one) for g in gammas)
+    anti = max(
+        (
+            _parent_norm(_parent_bracket(gi, gj, +1))
+            for i, gi in enumerate(gammas)
+            for gj in gammas[i + 1:]
+        ),
+        default=0.0,
+    )
+    closure = 0.0
+    for (i, j), (k, l) in samples:
+        res = _parent_bracket(pair(i, j), pair(k, l), -1)
+        for a, b, coeff in clifford.bracket_expansion(i, j, k, l):
+            res = res - coeff * pair(a, b)
+        closure = max(closure, _parent_norm(res))
+    return square, anti, closure
+
+
+def _parent_green(sys):
+    comps = list(sys.components.items())
+    one = linalg.PauliTerms({(0, 0): 1.0})
+    worst = 0.0
+    for index, ((k, a), ck) in enumerate(comps):
+        for (l, b), cl in comps[index:]:
+            sign = +1 if a == b else -1
+            res = _parent_bracket(ck, cl.adjoint(), sign)
+            if a == b and k == l:
+                res = res - one
+            worst = max(worst, _parent_norm(res), _parent_norm(_parent_bracket(ck, cl, sign)))
+    return worst
+
+
+def _parent_number_identity(sys):
+    worst = 0.0
+    for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
+        n_k = linalg.PauliTerms({(0, 0): sys.p / 2})
+        n_k.update(((0, 1 << (sys.site(k, a) - 1)), 0.5) for a in range(1, sys.p + 1))
+        lhs = 0.5 * (_parent_bracket(b_k_dag, b_k, -1) + linalg.PauliTerms({(0, 0): float(sys.p)}))
+        worst = max(worst, _parent_norm(lhs - n_k))
+    return worst
+
+
+def _parent_trilinear(sys, coefficient=2.0):
+    modes = range(1, sys.nu + 1)
+    ann, cre = (dict(zip(modes, terms)) for terms in zip(*sys.modes))
+    worst = 0.0
+    for l, m in itertools.product(modes, repeat=2):
+        cre_ann = _parent_bracket(cre[l], ann[m], -1)
+        cre_cre = _parent_bracket(cre[l], cre[m], -1)
+        ann_ann = _parent_bracket(ann[l], ann[m], -1)
+        for k in modes:
+            res = _parent_bracket(ann[k], cre_ann, -1)
+            if k == l:
+                res = res - coefficient * ann[m]
+            worst = max(worst, _parent_norm(res))
+            res = _parent_bracket(ann[k], cre_cre, -1)
+            if k == l:
+                res = res - coefficient * cre[m]
+            if k == m:
+                res = res + coefficient * cre[l]
+            worst = max(worst, _parent_norm(res))
+            worst = max(worst, _parent_norm(_parent_bracket(ann[k], ann_ann, -1)))
+    return worst
+
+
+def _with_tail(sys, tail_of):
+    """The system with component (1, 1)'s Z tail replaced by tail_of(tail)."""
+    ((bit, tail), _), _ = sys.components[1, 1].items()
+    tail = tail_of(tail)
+    mutant = linalg.PauliTerms({(bit, tail): 0.5j, (bit, bit | tail): 0.5})
+    return dataclasses.replace(sys, components={**sys.components, (1, 1): mutant})
+
+
+def test_parafermi_checks_equal_the_parent_composition_on_mutants(monkeypatch):
+    for p, modes in ((2, 2), (3, 2), (2, 3), (4, 1), (3, 1)):
+        sys = parafermi.make_green_system(p, modes)
+        assert parafermi.green_relation_residual(sys) == _parent_green(sys) == 0.0
+        mutants = [_with_tail(sys, lambda tail: tail | 1 << sys.nu)]  # one site into block 2
+        if modes > 1:
+            mutants.append(_with_tail(sys, lambda tail: tail << sys.nu))  # shifted a block on
+        for mutant in mutants:
+            worst = parafermi.green_relation_residual(mutant)
+            assert worst == _parent_green(mutant) and worst > 0.0  # checked, not skipped
+            assert parafermi.trilinear_defect(mutant) == _parent_trilinear(mutant)
+            assert parafermi.number_identity_residual(mutant) == _parent_number_identity(mutant)
+    add = parafermi._add_into
+    # the trilinear coefficient 2 read as 2.5: only the trilinear check scales by 2
+    monkeypatch.setattr(
+        parafermi, "_add_into",
+        lambda out, terms, scale: add(out, terms, 1.25 * scale if abs(scale) == 2 else scale),
+    )
+    for p, modes in ((1, 1), (2, 2), (3, 2), (5, 1)):
+        sys = parafermi.make_green_system(p, modes)
+        worst = parafermi.trilinear_defect(sys)
+        assert worst == _parent_trilinear(sys, 2.5) and worst > 0.0
+        assert parafermi.number_identity_residual(sys) == _parent_number_identity(sys) == 0.0
+
+
+_ZERO_OR_DYADIC = st.just(0j) | st.builds(
+    lambda a, b: complex(a, b) / 4, _DYADIC_PARTS, _DYADIC_PARTS
+)
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _ZERO_OR_DYADIC, max_size=8),
+    _dyadic_terms(2),
+    st.sampled_from([1, -1, 2.0, -2.0, 0.5j]),
+)
+def test_in_place_addition_keeps_the_order_of_the_terms_arithmetic(out, terms, scale):
+    # a zero in a residual's dict stands for a dropped term: adding to it
+    # must put the key last, where PauliTerms.total puts a new key, so the
+    # norm sums the same values in the same order
+    want = linalg.PauliTerms._nonzero(out.items()) + scale * terms
+    got = linalg._add_into(dict(out), terms, scale)
+    assert [(k, c) for k, c in got.items() if c != 0] == list(want.items())
+    assert linalg._terms_norm(got) == want.norm()
+
+
+def test_clifford_checks_equal_the_parent_composition_on_mutants():
+    for nu in (1, 2, 3):
+        family = clifford.make_gammas(nu)
+        keys = list(itertools.combinations(range(1, 2 * nu + 2), 2))
+        samples = list(itertools.product(keys, repeat=2))
+        want = _parent_relation_residuals(family, samples)
+        assert clifford.relation_residuals(family, samples) == want
+        for g in range(len(family.gammas)):
+            # one generator's support flipped on site 1: x ^= 1
+            gammas = list(family.gammas)
+            ((x, z), c), = gammas[g].items()
+            gammas[g] = linalg.PauliTerms({(x ^ 1, z): c})
+            mutant = dataclasses.replace(family, gammas=tuple(gammas))
+            got = clifford.relation_residuals(mutant, samples)
+            assert got == _parent_relation_residuals(mutant, samples)
+            assert max(got) > 0.0
 
 
 def test_hs_norm_and_trace_are_coefficient_reads_up_to_ten_sites():

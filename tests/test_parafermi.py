@@ -187,7 +187,18 @@ def test_mode_sums_accumulate_in_one_dict(monkeypatch):
     sys.modes
     assert calls == []
     assert parafermi.number_identity_residual(sys) == 0.0
-    assert len(calls) == 2 * sys.nu  # + p and - N_k per mode, none while N_k is formed
+    assert calls == []  # + p and - N_k go into the residual's dict in place
+
+
+def test_green_relations_make_core_calls_linear_in_p(monkeypatch):
+    # at modes = 1 every cross-block pair has disjoint supports and is
+    # skipped whole; the parent made p(p + 1) bracket calls
+    calls = []
+    core = parafermi._pairs_into
+    monkeypatch.setattr(parafermi, "_pairs_into", lambda *args: calls.append(1) or core(*args))
+    sys = parafermi.make_green_system(64, 1, site_cap=64)
+    assert parafermi.green_relation_residual(sys) == 0.0
+    assert len(calls) == 2 * 64  # two brackets for each component with itself
 
 
 def test_residuals_raise_on_an_infinite_coefficient():

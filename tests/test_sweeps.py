@@ -467,6 +467,68 @@ def test_malformed_record_files_are_usage_errors(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+_ROW = "weyl,nu=64,weyl-relation,"
+# (measured, bound, pass) as the CSV writes them: the pass value contradicts
+# the figures (bound is None or measured <= bound), or _encode cannot write it
+_BAD_CSV_VERDICTS = (
+    "5.0,1e-12,true", "nan,1e-12,true", "1e-16,1e-12,false", "1e-16,,false",
+    "1e-16,1e-12,", "1e-16,1e-12,True", "1e-16,1e-12,yes", "1e-16,1e-12,1", "nan,,skip:",
+    "1e-16,1e-12,true,true",
+)
+_GOOD_CSV_VERDICTS = (
+    "5.0,1e-12,false", "nan,1e-12,false", "1e-16,1e-12,true", "1e-12,1e-12,true",
+    "nan,,true", "5.0,,true", "nan,,skip:over the cap",
+)
+_JSON_ROW = {"experiment": "weyl", "params": "nu=64", "defect": "weyl-relation"}
+_BAD_JSON_VERDICTS = (
+    (5.0, 1e-12, True), (None, 1e-12, True), (1e-16, 1e-12, False), (1e-16, None, False),
+    (1e-16, 1e-12, "yes"), (1e-16, 1e-12, "true"), (1e-16, 1e-12, 1), (1e-16, 1e-12, None),
+    (None, None, "skip:"),
+)
+_GOOD_JSON_VERDICTS = (
+    (5.0, 1e-12, False), (None, 1e-12, False), (1e-16, 1e-12, True), (None, None, True),
+    (None, None, "skip:over the cap"),
+)
+
+
+def _verdict_file(fmt, verdict):
+    if fmt == "csv":
+        return f"{sweeps.CSV_HEADER}\n{_ROW}{verdict}\n"
+    measured, bound, passed = verdict
+    return json.dumps([{**_JSON_ROW, "measured": measured, "bound": bound, "pass": passed}])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_record_whose_verdict_the_writer_could_not_write_is_a_usage_error(tmp_path, capsys, fmt):
+    # report printed "worst 5.0 ... [pass, bound 1e-12]" for the first row and
+    # exited 0; a pass value the encoder never writes read as a FAIL
+    parse = parse_records_csv if fmt == "csv" else parse_records_json
+    bad, good = (
+        (_BAD_CSV_VERDICTS, _GOOD_CSV_VERDICTS) if fmt == "csv"
+        else (_BAD_JSON_VERDICTS, _GOOD_JSON_VERDICTS)
+    )
+    path = tmp_path / f"records.{fmt}"
+    for verdict in bad:
+        text = _verdict_file(fmt, verdict)
+        with pytest.raises(UsageError, match="pass"):
+            parse(text)
+        path.write_text(text)
+        assert cli.main(["report", "--in", str(path)]) == 2, verdict
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    for verdict in good:
+        text = _verdict_file(fmt, verdict)
+        (record,) = parse(text)
+        write = records_to_csv if fmt == "csv" else records_to_json
+        if fmt == "csv":
+            assert write([record]) == text
+        else:
+            assert json.loads(write([record])) == json.loads(text)
+        path.write_text(text)
+        assert cli.main(["report", "--in", str(path)]) in (0, 1)
+        capsys.readouterr()
+
+
 def test_cli_report_on_unreadable_input_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "records.csv"
     path.write_bytes(b"\xff\xfe\x00\x81")
@@ -733,7 +795,10 @@ def _written_records(draw):
         reason = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1))
         return DefectRecord(experiment, params, defect, math.nan, None, True, reason)
     bound = draw(st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    return DefectRecord(experiment, params, defect, draw(_MEASURED), bound, draw(st.booleans()))
+    measured = draw(_MEASURED)
+    # the verdict the battery writes; the parsers refuse a record that contradicts it
+    passed = bound is None or bool(measured <= bound)
+    return DefectRecord(experiment, params, defect, measured, bound, passed)
 
 
 @given(st.lists(_written_records(), max_size=6))
