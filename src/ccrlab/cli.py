@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .sweeps import (
     EXIT_USAGE,
+    EXPERIMENTS,
     SweepConfig,
     UsageError,
     parse_records_csv,
@@ -91,7 +92,7 @@ def _cmd_run(args) -> int:
     text = records_to_csv(records) if cfg.fmt == "csv" else records_to_json(records)
     out_path = cfg.out or f"records.{cfg.fmt}"
     Path(out_path).write_text(text)
-    failed = sum(1 for r in records if r.bound is not None and not r.passed)
+    failed = sum(1 for r in records if not r.passed)
     skipped = sum(1 for r in records if r.skip_reason)
     print(
         f"{len(records)} records -> {out_path} "
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute a sweep and write defect records")
-    run_p.add_argument("--experiment", choices=("weyl", "spin", "clifford", "parafermi", "all"))
+    run_p.add_argument("--experiment", choices=EXPERIMENTS + ("all",))
     run_p.add_argument("--config", help="key = value configuration file")
     run_p.add_argument("--out", help="output path (default records.<format>)")
     run_p.add_argument("--format", choices=("csv", "json"))

@@ -1,10 +1,11 @@
 """Sweep runner: executes the module test batteries over parameter grids and
 emits machine-readable defect tables plus a human-readable report.
 
-Records carry (experiment, parameter tuple, defect name, measured, bound,
-pass).  A bound marks an identity that must hold at every finite size; a
-record without a bound is convergence data, summarized in the report by a
-fitted log-log slope against the dimension parameter.
+The experiments are the rows of one table, _EXPERIMENTS.  Records carry
+(experiment, parameter tuple, defect name, measured, bound), and pass is
+derived from the figures.  A bound marks an identity that must hold at every
+finite size; a record without a bound is convergence data, summarized in the
+report by a fitted log-log slope against the dimension parameter.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,8 +33,6 @@ from .linalg import (
     residual_norm,
     tiled_residual_norm,
 )
-
-EXPERIMENTS = ("weyl", "spin", "clifford", "parafermi")
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -82,11 +82,7 @@ class SweepConfig:
         for field in fields(self):  # the grids are the fields with a tuple default
             if isinstance(field.default, tuple) and len(getattr(self, field.name)) == 0:
                 raise UsageError(f"{field.name} must not be empty")
-        dims = (
-            self.nu_list + self.p_list + self.mode_list
-            + self.parafermi_orders + self.clifford_nu_list
-        )
-        if any(n < 1 for n in dims):
+        if any(n < 1 for name in _AXIS_FIELDS for n in getattr(self, name)):
             raise UsageError("dimension parameters must be positive")
         if not 1 <= self.site_cap <= SITE_CAP_MAX:
             raise UsageError(f"site_cap must be between 1 and {SITE_CAP_MAX}")
@@ -107,8 +103,13 @@ class DefectRecord:
     defect: str
     measured: float
     bound: float | None
-    passed: bool
     skip_reason: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        """The verdict: true for a skip, for convergence data (no bound), or
+        when measured <= bound; a NaN figure fails its bound."""
+        return self.skip_reason is not None or self.bound is None or self.measured <= self.bound
 
     def params_key(self) -> str:
         return ";".join(f"{k}={_fmt_number(v)}" for k, v in sorted(self.params.items()))
@@ -130,10 +131,10 @@ def _fmt_number(value) -> str:
 # ---------------------------------------------------------------------------
 # per-experiment batteries
 #
-# Each family is a grid of parameter dicts, a builder that refuses a grid
-# point over the memory budget with ResourceLimitError, and a check generator
-# that yields (extra params, defect, measured, bound) in the order it draws
-# from rng.  Builders and residuals are looked up through their modules at
+# Each family is one row of _EXPERIMENTS: grid axes, a builder that refuses
+# a grid point over the memory budget with ResourceLimitError, and a check
+# generator that yields (extra params, defect, measured, bound) in the order
+# it draws from rng.  Builders and residuals are looked up through their modules at
 # call time, so wrappers installed on those modules are the ones called.
 # Residuals run on arrays in the linalg buffer form: operators apply into
 # work vectors, differences are taken in place, and residual_norm raises
@@ -322,62 +323,56 @@ def _parafermi_checks(cfg, rng, sys, p, modes):
         yield {"label": "2"}, "fock-norm-error", error, None
 
 
-def _run_battery(experiment, first_defect, grid, build, checks, cfg, rng) -> list:
+# One battery's row.  axes maps each grid parameter to the SweepConfig field
+# listing its values; a grid point is built by module.builder(*point,
+# site_cap=...) and checked, or refused as one record under skip_defect.
+Experiment = namedtuple("Experiment", "skip_defect axes module builder checks")
+_EXPERIMENTS = {
+    "weyl": Experiment("weyl-relation", {"nu": "nu_list"}, weyl, "make_canonical_pair", _weyl_checks),
+    "spin": Experiment("so3-closure", {"p": "p_list"}, spin, "make_spin_rep", _spin_checks),
+    "clifford": Experiment(
+        "gamma-anticommutation", {"nu": "clifford_nu_list"}, clifford, "make_gammas", _clifford_checks
+    ),
+    "parafermi": Experiment(
+        "green-relations", {"p": "parafermi_orders", "modes": "mode_list"},
+        parafermi, "make_green_system", _parafermi_checks,
+    ),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+_AXIS_FIELDS = {field for row in _EXPERIMENTS.values() for field in row.axes.values()}
+# the size parameters: a series is fitted against the first one a record has
+_DIM_PARAM = tuple(dict.fromkeys(param for row in _EXPERIMENTS.values() for param in row.axes))
+
+
+def _run_battery(experiment, cfg, rng) -> list:
     """Build the family at each grid point and record its checks.
 
     A grid point refused by its builder (ResourceLimitError), or one the
     machine cannot hold (a MemoryError while it is built or checked),
-    becomes one skip record under the battery's first defect name, in place
-    of any records it had written.
+    becomes one skip record under the row's skip defect, in place of any
+    records it had written.
     """
+    row = _EXPERIMENTS[experiment]
+    build = getattr(row.module, row.builder)  # at call time: a tracer wraps it there
+    values = (sorted(set(getattr(cfg, field))) for field in row.axes.values())
     records = []
-    for base in grid(cfg):
-        point = []
+    for point in itertools.product(*values):
+        base = dict(zip(row.axes, point))
+        written = []
         try:
-            built = build(cfg, **base)
-            for extra, defect, measured, bound in checks(cfg, rng, built, **base):
-                measured = float(measured)
-                passed = bound is None or bool(measured <= bound)
-                point.append(
-                    DefectRecord(experiment, {**base, **extra}, defect, measured, bound, passed)
-                )
+            built = build(*point, site_cap=cfg.site_cap)
+            for extra, defect, measured, bound in row.checks(cfg, rng, built, **base):
+                written.append(DefectRecord(experiment, base | extra, defect, float(measured), bound))
         except (ResourceLimitError, MemoryError) as exc:
             # numpy names the allocation it could not make; a bare MemoryError has no text
             reason = str(exc) or type(exc).__name__
-            point = [DefectRecord(experiment, base, first_defect, math.nan, None, True, reason)]
-        records.extend(point)
+            written = [DefectRecord(experiment, base, row.skip_defect, math.nan, None, reason)]
+        records.extend(written)
     return records
 
 
-_BATTERIES = {
-    "weyl": functools.partial(
-        _run_battery, "weyl", "weyl-relation",
-        lambda cfg: [{"nu": nu} for nu in sorted(set(cfg.nu_list))],
-        lambda cfg, nu: weyl.make_canonical_pair(nu, site_cap=cfg.site_cap),
-        _weyl_checks,
-    ),
-    "spin": functools.partial(
-        _run_battery, "spin", "so3-closure",
-        lambda cfg: [{"p": p} for p in sorted(set(cfg.p_list))],
-        lambda cfg, p: spin.make_spin_rep(p, site_cap=cfg.site_cap),
-        _spin_checks,
-    ),
-    "clifford": functools.partial(
-        _run_battery, "clifford", "gamma-anticommutation",
-        lambda cfg: [{"nu": nu} for nu in sorted(set(cfg.clifford_nu_list))],
-        lambda cfg, nu: clifford.make_gammas(nu, site_cap=cfg.site_cap),
-        _clifford_checks,
-    ),
-    "parafermi": functools.partial(
-        _run_battery, "parafermi", "green-relations",
-        lambda cfg: [
-            {"p": p, "modes": nu}
-            for p, nu in sorted({(p, nu) for p in cfg.parafermi_orders for nu in cfg.mode_list})
-        ],
-        lambda cfg, p, modes: parafermi.make_green_system(p, modes, site_cap=cfg.site_cap),
-        _parafermi_checks,
-    ),
-}
+# perfbench/tracing.py wraps these values, one span per battery
+_BATTERIES = {name: functools.partial(_run_battery, name) for name in _EXPERIMENTS}
 
 
 def run_sweep(cfg: SweepConfig):
@@ -391,12 +386,9 @@ def run_sweep(cfg: SweepConfig):
         # the next battery's peak memory does not carry this one's clock table
         _CLOCK_TABLES.clear()
     records.sort(key=DefectRecord.sort_key)
-    status = EXIT_OK
-    if any(r.skip_reason for r in records):
-        status = EXIT_RESOURCE
-    if any(r.bound is not None and not r.passed for r in records):
-        status = EXIT_IDENTITY_FAILURE
-    return records, status
+    if not all(r.passed for r in records):
+        return records, EXIT_IDENTITY_FAILURE
+    return records, EXIT_RESOURCE if any(r.skip_reason for r in records) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +458,26 @@ def _parse_params(text: str) -> dict:
 def _decode(experiment, params, defect, measured, bound, passed) -> DefectRecord:
     """The record of six fields as _encode writes them; a malformed field raises.
 
-    pass must be a bool or "skip:" + a reason, and a measured record's bool
-    must be the writer's verdict, bound is None or measured <= bound: a
-    record that contradicts its own figures raises ValueError.
+    The first three are text, measured and bound a number or None (a NaN
+    measure is None), and pass a bool or "skip:" + a reason.  A skip carries
+    no figure, and a measured record's bool must be the verdict of its
+    figures (DefectRecord.passed).
     """
+    if not all(isinstance(text, str) for text in (experiment, params, defect)):
+        raise ValueError("experiment, params and defect must be text")
+    if any(isinstance(x, (str, bool)) or x != x for x in (measured, bound)):  # x != x: a NaN
+        raise ValueError(f"measured {measured!r} and bound {bound!r} must be numbers or None")
     skip_reason = passed[5:] if isinstance(passed, str) and passed.startswith("skip:") else None
     if not (skip_reason or isinstance(passed, bool)):
         raise ValueError(f"pass value {passed!r} is not a bool or skip:<reason>")
+    if skip_reason is not None and (measured, bound) != (None, None):
+        raise ValueError(f"pass {passed!r} is a skip, but carries {measured!r}, {bound!r}")
     measured = math.nan if measured is None else float(measured)
     bound = None if bound is None else float(bound)
-    if skip_reason is None and passed != (bound is None or measured <= bound):
+    record = DefectRecord(experiment, _parse_params(params), defect, measured, bound, skip_reason)
+    if skip_reason is None and passed != record.passed:
         raise ValueError(f"pass {passed} contradicts measured {measured!r}, bound {bound!r}")
-    passed = skip_reason is not None or passed
-    return DefectRecord(
-        experiment, _parse_params(params), defect, measured, bound, passed, skip_reason
-    )
+    return record
 
 
 def parse_records_csv(text: str) -> list:
@@ -492,7 +489,9 @@ def parse_records_csv(text: str) -> list:
         try:
             experiment, params, defect, measured, bound, passed = line.split(",", 5)
             passed = _CSV_VERDICTS.get(passed, passed)
-            records.append(_decode(experiment, params, defect, measured, bound or None, passed))
+            measured = None if measured == "nan" else float(measured)
+            bound = float(bound) if bound else None
+            records.append(_decode(experiment, params, defect, measured, bound, passed))
         except ValueError as exc:
             raise UsageError(f"record {number}: malformed CSV line {line!r} ({exc})") from exc
     return records
@@ -526,7 +525,6 @@ _CONVENTION_NOTES = (
     "and is treated as a transcription slip.",
 )
 
-_DIM_PARAM = ("p", "nu", "modes")
 _TEXT_PARAM = ("label",)  # parameters the batteries write as text
 _SLOPE_FLOOR = 1e-13  # values at the rounding floor carry no rate information
 

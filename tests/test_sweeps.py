@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +210,7 @@ def test_resource_refusal_records_skip_and_exit_code():
 def test_identity_failure_sets_exit_code(monkeypatch):
     def broken_battery(cfg, rng):
         return [
-            DefectRecord("weyl", {"nu": 4}, "weyl-relation", 1.0, 1e-12, False)
+            DefectRecord("weyl", {"nu": 4}, "weyl-relation", 1.0, 1e-12)
         ]
 
     monkeypatch.setitem(sweeps._BATTERIES, "weyl", broken_battery)
@@ -284,7 +285,7 @@ def test_report_contents():
 
 def test_report_single_point_slope_na():
     records = [
-        DefectRecord("spin", {"p": 10, "k": 1}, "ccr-weight-defect", 0.2, None, True)
+        DefectRecord("spin", {"p": 10, "k": 1}, "ccr-weight-defect", 0.2, None)
     ]
     assert "slope n/a" in report(records)
 
@@ -428,6 +429,9 @@ _MALFORMED_RECORD_FILES = {
     "invalid.json": '[{"experiment": "spin",',
     "missing_key.json": json.dumps([{k: v for k, v in _RECORD.items() if k != "measured"}]),
     "not_a_record.json": json.dumps([_RECORD, 3]),
+    # the writer spells a NaN measure nan and never writes a NaN bound
+    "nan_bound.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,0.1,nan,false\n",
+    "capital_nan.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,NaN,,true\n",
 }
 
 
@@ -473,7 +477,7 @@ _ROW = "weyl,nu=64,weyl-relation,"
 _BAD_CSV_VERDICTS = (
     "5.0,1e-12,true", "nan,1e-12,true", "1e-16,1e-12,false", "1e-16,,false",
     "1e-16,1e-12,", "1e-16,1e-12,True", "1e-16,1e-12,yes", "1e-16,1e-12,1", "nan,,skip:",
-    "1e-16,1e-12,true,true",
+    "1e-16,1e-12,true,true", "0.5,,skip:over the cap", "nan,1e-12,skip:over the cap",
 )
 _GOOD_CSV_VERDICTS = (
     "5.0,1e-12,false", "nan,1e-12,false", "1e-16,1e-12,true", "1e-12,1e-12,true",
@@ -483,7 +487,7 @@ _JSON_ROW = {"experiment": "weyl", "params": "nu=64", "defect": "weyl-relation"}
 _BAD_JSON_VERDICTS = (
     (5.0, 1e-12, True), (None, 1e-12, True), (1e-16, 1e-12, False), (1e-16, None, False),
     (1e-16, 1e-12, "yes"), (1e-16, 1e-12, "true"), (1e-16, 1e-12, 1), (1e-16, 1e-12, None),
-    (None, None, "skip:"),
+    (None, None, "skip:"), (0.5, None, "skip:over the cap"), (None, 1e-12, "skip:over the cap"),
 )
 _GOOD_JSON_VERDICTS = (
     (5.0, 1e-12, False), (None, 1e-12, False), (1e-16, 1e-12, True), (None, None, True),
@@ -527,6 +531,39 @@ def test_a_record_whose_verdict_the_writer_could_not_write_is_a_usage_error(tmp_
         path.write_text(text)
         assert cli.main(["report", "--in", str(path)]) in (0, 1)
         capsys.readouterr()
+
+
+# JSON fields of a type _encode never writes
+_MISTYPED_JSON_FIELDS = {
+    "null-experiment": {"experiment": None},
+    "int-params": {"params": 7},
+    "int-defect": {"defect": 7},
+    "text-measured": {"measured": "1e-16"},
+    "text-bound": {"bound": "1e-12"},
+    "bool-measured": {"measured": False},
+    "bool-bound": {"bound": True},
+    "text-measured-bool-bound": {"measured": "1e-16", "bound": True},
+    "skip-with-a-measure": {"measured": 0.5, "bound": None, "pass": "skip:over the cap"},
+    # json writes a float NaN as NaN, which _encode writes as null
+    "nan-measured": {"measured": math.nan, "pass": False},
+    "nan-bound": {"bound": math.nan, "pass": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISTYPED_JSON_FIELDS))
+def test_a_json_record_of_a_type_the_encoder_never_writes_is_a_usage_error(tmp_path, capsys, name):
+    # report crashed with a TypeError traceback (exit 1) sorting a null
+    # experiment or an int defect against a text one, and read "1e-16"
+    # against a bound of true, or a skip carrying 0.5, as a record and exited 0
+    good = {**_JSON_ROW, "measured": 1e-16, "bound": 1e-12, "pass": True}
+    text = json.dumps([good, {**good, **_MISTYPED_JSON_FIELDS[name]}])
+    with pytest.raises(UsageError, match="record 2"):
+        parse_records_json(text)
+    path = tmp_path / "records.json"
+    path.write_text(text)
+    assert cli.main(["report", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_report_on_unreadable_input_is_a_usage_error(tmp_path, capsys):
@@ -693,6 +730,60 @@ def test_grid_points_over_the_budget_become_skip_records(experiment, grid, first
     assert any(not r.skip_reason for r in records)
 
 
+# the smallest grid: every axis of every experiment at 1
+_ONE_POINT = {field: (1,) for field in sweeps._AXIS_FIELDS}
+
+
+@pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
+def test_each_grid_axis_of_a_row_refuses_zero_and_an_empty_list(tmp_path, capsys, experiment):
+    for field in sweeps._EXPERIMENTS[experiment].axes.values():
+        for values, text in (((0,), "0"), ((), "")):
+            with pytest.raises(UsageError):
+                SweepConfig(experiment=experiment, **{field: values}).validate()
+            config = _write_config(tmp_path, f"experiment = {experiment}\n{field} = {text}")
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "x.csv").exists()
+
+
+def test_the_experiment_flag_accepts_exactly_the_rows(tmp_path, capsys):
+    assert cli.main(["run", "--experiment", "bogus"]) == 2
+    choices = capsys.readouterr().err.split("choose from ")[1].split(")")[0]
+    assert [c.strip(" '") for c in choices.split(",")] == [*sweeps.EXPERIMENTS, "all"]
+    config = _write_config(tmp_path, "\n".join(f"{f} = 1" for f in _ONE_POINT) + "\nk_list = 0")
+    for experiment in sweeps.EXPERIMENTS:
+        out = tmp_path / f"{experiment}.csv"
+        argv = ["run", "--experiment", experiment, "--config", str(config), "--out", str(out)]
+        assert cli.main(argv) == EXIT_OK
+        assert {r.experiment for r in parse_records_csv(out.read_text())} == {experiment}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
+def test_the_verdict_is_derived_from_the_figures(monkeypatch, experiment):
+    # a record stores no verdict; a NaN or over-bound figure fails its bound,
+    # a skip and convergence data pass, and the derived verdict sets the exit code
+    assert "passed" not in {f.name for f in fields(DefectRecord)}
+    row = sweeps._EXPERIMENTS[experiment]
+
+    def record(measured, bound, skip_reason=None):
+        return DefectRecord(experiment, {}, row.skip_defect, measured, bound, skip_reason)
+
+    assert not record(math.nan, 1e-12).passed
+    assert not record(2e-12, 1e-12).passed
+    assert record(1e-12, 1e-12).passed and record(math.nan, None).passed
+    assert record(math.nan, None, "over the cap").passed
+    for measured in (math.nan, 2e-12):
+        def checks(cfg, rng, built, **point):
+            yield {}, row.skip_defect, measured, 1e-12
+
+        monkeypatch.setitem(sweeps._EXPERIMENTS, experiment, row._replace(checks=checks))
+        records, status = run_sweep(SweepConfig(experiment=experiment, **_ONE_POINT))
+        assert status == EXIT_IDENTITY_FAILURE
+        assert [r.passed for r in records] == [False]
+        assert records_to_csv(records).endswith(f"{row.skip_defect},{measured!r},1e-12,false\n")
+
+
 # valid values small enough that no grid point holds a vector over 16 KB
 def test_one_dimensional_weyl_pair_passes_its_exact_identities():
     # the window then fills the whole cycle, where V leaves it invariant
@@ -793,12 +884,10 @@ def _written_records(draw):
     defect = draw(st.sampled_from(_DEFECT_NAMES))
     if draw(st.booleans()):
         reason = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1))
-        return DefectRecord(experiment, params, defect, math.nan, None, True, reason)
+        return DefectRecord(experiment, params, defect, math.nan, None, reason)
     bound = draw(st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     measured = draw(_MEASURED)
-    # the verdict the battery writes; the parsers refuse a record that contradicts it
-    passed = bound is None or bool(measured <= bound)
-    return DefectRecord(experiment, params, defect, measured, bound, passed)
+    return DefectRecord(experiment, params, defect, measured, bound)
 
 
 @given(st.lists(_written_records(), max_size=6))
@@ -827,7 +916,7 @@ def _finite_number(text):
     )
 )
 def test_params_key_survives_the_csv_and_json_round_trips(params):
-    record = DefectRecord("weyl", params, "weyl-relation", 0.5, None, True)
+    record = DefectRecord("weyl", params, "weyl-relation", 0.5, None)
     key = record.params_key()
     written = dict(item.split("=", 1) for item in key.split(";")) if key else {}
     # a dimension parameter or window size must read as a finite number
