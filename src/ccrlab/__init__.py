@@ -5,34 +5,20 @@ as the dimension grows.
 
 Subpackages
 -----------
+pauli      the exact Pauli algebra and the resource budget; imports no numpy
 linalg     state vectors and their support windows, operator realizations,
-           the exact Pauli algebra, commutators, norms
+           commutators, norms; re-exports pauli
 weyl       clock/shift pairs whose powers are Heisenberg group elements, plateaus
 spin       so(3) ladder representation, rotation covariance, coherent states
 clifford   anticommuting generator families and the so(n) they span
 parafermi  order-p oscillators from commuting fermion families
 sweeps     experiment runner emitting defect records and reports
+
+Submodules and the linalg names below load on first attribute access, so
+`import ccrlab` loads no numpy; a sweep loads the layers its experiments use.
 """
 
-from . import clifford, linalg, parafermi, spin, sweeps, weyl
-from .linalg import (
-    BandedOperator,
-    DenseOperator,
-    LinCombOperator,
-    LinearOperator,
-    PauliString,
-    PauliSumOperator,
-    PauliTerms,
-    PermutationPhaseOperator,
-    StateVector,
-    Window,
-    anticommutator_apply,
-    commutator_apply,
-    hs_norm,
-    kron,
-    normalized_trace,
-    operator_norm,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -60,3 +46,14 @@ __all__ = [
     "sweeps",
     "weyl",
 ]
+
+_SUBMODULES = {"clifford", "linalg", "parafermi", "pauli", "spin", "sweeps", "weyl"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in __all__:
+        value = globals()[name] = getattr(importlib.import_module(".linalg", __name__), name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

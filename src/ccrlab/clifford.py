@@ -21,6 +21,7 @@ PauliSumOperator.from_terms.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .linalg import (
@@ -140,6 +141,20 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
             _add_into(res, pair(a, b)[0], -coeff)
         closure = max(closure, _terms_norm(res))
     return square, anticommutation, closure
+
+
+def _clifford_checks(cfg, rng, family, nu):
+    """The sweep's battery at one grid point, on up to 20 bracket samples drawn from rng."""
+    keys = list(itertools.combinations(range(1, 2 * nu + 2), 2))
+    n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
+    samples = [
+        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))])
+        for _ in range(n_samples)
+    ]
+    square, anti, closure = relation_residuals(family, samples)
+    yield {}, "gamma-square", square, cfg.tol_exact
+    yield {}, "gamma-anticommutation", anti, cfg.tol_exact
+    yield {}, "so-bracket-closure", closure, cfg.tol_relation
 
 
 def tensor_sum_rep(

@@ -25,6 +25,9 @@ coefficients, so their squared norms are exact ints and no figure depends
 on the 2**(p*nu) register.  The state-vector routes (fock_state,
 normalized_ccr_checks, fock_ladder_checks) stay as oracles, and
 parafermi_op's lowering-label strings are the reference for the masks.
+
+Only the vector oracles need numpy, and each imports it, and the linalg
+names it uses, in its body: the exact battery runs on ccrlab.pauli alone.
 """
 
 from __future__ import annotations
@@ -34,22 +37,16 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
-from .linalg import (
+from .pauli import (
     _TWICE_I_POWERS,
     DEFAULT_SITE_CAP,
-    PauliString,
-    PauliSumOperator,
     PauliTerms,
-    StateVector,
     _add_into,
     _basis_key,
     _pairs_into,
     _split,
     _terms_norm,
     bracket,
-    commutator_apply,
     require_sites,
 )
 
@@ -85,6 +82,8 @@ class GreenSystem:
     @functools.cached_property
     def vacuum(self) -> StateVector:
         """Every site unoccupied: the basis vector with all 2**total_sites bits set."""
+        from .linalg import StateVector
+
         dim = 1 << self.total_sites
         return StateVector.basis(dim, dim - 1)
 
@@ -94,6 +93,8 @@ class GreenSystem:
 
 def _component_string(k: int, alpha: int, p: int, nu: int) -> PauliString:
     # b = i * lower_k * Z_{k+1} ... Z_nu within block alpha, from site labels
+    from .linalg import PauliString
+
     base = (alpha - 1) * nu
     sites = [(base + k, "-")] + [(base + kk, "Z") for kk in range(k + 1, nu + 1)]
     return PauliString(1j, sites, p * nu)
@@ -116,13 +117,15 @@ def parafermi_op(sys: GreenSystem, k: int) -> PauliSumOperator:
     """Annihilator b_k = sum over the p component strings, one lowering string each."""
     if not 1 <= k <= sys.nu:
         raise ValueError(f"mode {k} outside 1..{sys.nu}")
+    from .linalg import PauliSumOperator
+
     strings = [_component_string(k, alpha, sys.p, sys.nu) for alpha in range(1, sys.p + 1)]
     return PauliSumOperator(strings, sys.total_sites)
 
 
 def normalized_op(sys: GreenSystem, k: int) -> PauliSumOperator:
     """beta_k = b_k / sqrt(p)."""
-    return parafermi_op(sys, k).scaled(1.0 / np.sqrt(sys.p))
+    return parafermi_op(sys, k).scaled(1.0 / math.sqrt(sys.p))
 
 
 def number_ops(sys: GreenSystem):
@@ -131,6 +134,8 @@ def number_ops(sys: GreenSystem):
     N_k equals ([b_k^dag, b_k] + p) / 2 and the ladder relations
     N_k b_k = b_k (N_k - 1), N_k b_k^dag = b_k^dag (N_k + 1) hold.
     """
+    from .linalg import PauliString, PauliSumOperator
+
     total = sys.total_sites
 
     def proj(k, alpha):
@@ -352,6 +357,8 @@ class NormalizedCcrReport:
 def normalized_ccr_checks(
     sys: GreenSystem, k: int, l: int, xi: StateVector, ladder_order: int = 1
 ) -> NormalizedCcrReport:
+    from .linalg import commutator_apply
+
     beta_k = normalized_op(sys, k)
     beta_k_dag = beta_k.adjoint()
     if k == l:
@@ -464,9 +471,35 @@ def unit_defect(sys: GreenSystem, label) -> float:
     return math.sqrt(_squared_norm(shifted.act(psi)) / _squared_norm(psi)) / sys.p
 
 
+def _parafermi_checks(cfg, rng, sys, p, modes):
+    """The sweep's battery at one grid point, all exact: it draws nothing from rng."""
+    worst = green_relation_residual(sys)
+    yield {}, "green-relations", worst, cfg.tol_relation
+
+    worst = trilinear_defect(sys)
+    yield {}, "trilinear-relations", worst, cfg.tol_relation
+
+    worst = vacuum_condition_residual(sys)
+    yield {}, "vacuum-condition", worst, cfg.tol_relation
+
+    worst = number_identity_residual(sys)
+    yield {}, "number-identity", worst, cfg.tol_relation
+
+    if modes >= 2:
+        unit = unit_defect(sys, (1, 1) + (0,) * (modes - 2))
+        params = {"label": "1+1"}
+        yield params, "normalized-unit-exactness", abs(unit - 2.0 / p), cfg.tol_exact
+        yield params, "normalized-unit-defect", unit, None
+    if p >= 2:
+        error = fock_norm_error(sys, (2,) + (0,) * (modes - 1))
+        yield {"label": "2"}, "fock-norm-error", error, None
+
+
 def fock_ladder_checks(
     sys: GreenSystem, label, excitation_cap: int = DEFAULT_EXCITATION_CAP
 ) -> FockLadderReport:
+    import numpy as np
+
     occ = _occupations(label)
     norm_error = fock_norm_error(sys, occ)
 
@@ -522,6 +555,8 @@ def fock_span_basis(sys: GreenSystem, cap: int) -> np.ndarray:
     the vacuum and orthonormalizes; this span, not just the span of the
     sorted-order states, is exactly invariant under each b_k.
     """
+    import numpy as np
+
     dim = 1 << sys.total_sites
     creators = [parafermi_op(sys, k).adjoint() for k in range(1, sys.nu + 1)]
     vectors = [sys.vacuum.components]
@@ -548,6 +583,8 @@ def joint_annihilator_kernel(sys: GreenSystem) -> np.ndarray:
     kernel of the full register is generally larger than the vacuum line;
     uniqueness of the vacuum holds within the creation-monomial span.
     """
+    import numpy as np
+
     require_sites(sys.total_sites, 12)
     stacked = np.vstack(
         [parafermi_op(sys, k).dense() for k in range(1, sys.nu + 1)]

@@ -26,10 +26,12 @@ on the weights k - 2..k + 2, bitwise equal to the full vector's figure,
 and coherent_limit_error forms only the kmax + 1 amplitudes it reads, in
 stdlib math (coherent_head_error), so both cost O(1) in p.
 
-scipy is imported by the two functions that call it, not by this module:
+A library that only some functions need is imported in their bodies, not
+by the module; the package holds to this rule throughout.  Here scipy:
 coherent_amplitudes loads scipy.special on its first call and
 rotation_operator loads scipy.linalg, so importing ccrlab or running any
-sweep does not pay for scipy.
+sweep does not pay for scipy.  parafermi's vector oracles import numpy the
+same way, so an exact parafermi sweep loads no numpy either.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .linalg import (
     random_state,
     require_dim,
     residual_norm,
+    tiled_residual_norm,
 )
 
 COVARIANCE_SEED = 0x5EED
@@ -318,3 +321,67 @@ def coherent_limit_error(rep: SpinRep, z: complex, kmax: int) -> np.ndarray:
     amplitudes read are formed, by coherent_head_error.
     """
     return coherent_head_error(rep.p, z, kmax)
+
+
+# Rounding bound of so3-closure for a unit xi, u = 2**-53.  |J_a| taken
+# entrywise has norm j, so a banded apply of J_a errs by at most 5.5 u j ||x||:
+# (2 sqrt 2 + 1) u from one complex product and one sum per entry, and under
+# 1.5 u from the stored sqrt((p - k)(k + 1)).  J_a J_b xi then errs by 11 u j^2
+# and the commutator by 22 u j^2; its subtraction adds u ||J_c xi|| <= u j and
+# J_c xi 2 sqrt 2 u j, while the factor i is exact and the last subtraction
+# second order.  That is under (22 j^2 + 4 j) u <= 30 u j^2 at j >= 1/2, and
+# 32 covers the second-order terms.  The check runs tile by tile, and a tile
+# gives each kept entry the same operations as the full vector, so the model
+# is unchanged.
+SO3_ROUNDING = 32 * 2.0**-53
+
+
+def _so3_closure(rep, rng):
+    """max over the cyclic (a, b, c) of ||[J_a, J_b] xi - i J_c xi||, one random xi each.
+
+    Each runs tile by tile (linalg.tiled_residual_norm): a bracket of the
+    tridiagonal J's reaches two weights, and each tile forms the generators
+    on its own window (_generators), so no array of length p + 1 is formed
+    but xi.
+    """
+
+    def residual(triple, win, out, w1, w2):
+        x = win.components
+        gens = _generators(rep.p, win.start, win.start + x.shape[0])
+        ja, jb, jc = (gens[i] for i in triple)
+        _bracket_into(ja, jb, x, -1, out, w1, w2)
+        rhs = np.multiply(1j, jc._apply_array(x, w1), out=w2)
+        return np.subtract(out, rhs, out=out)
+
+    worst = 0.0
+    for triple in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        x = random_state(rep.p + 1, rng).components
+        tiles = functools.partial(residual, triple)
+        worst = max(worst, tiled_residual_norm(x, 2, tiles, cyclic=False))
+        del x  # the next draw does not hold this one
+    return worst
+
+
+def _spin_checks(cfg, rng, rep, p):
+    """The sweep's battery at one grid point, in the order it draws from rng."""
+    worst = _so3_closure(rep, rng)
+    yield {}, "so3-closure", worst, max(cfg.tol_relation, SO3_ROUNDING * rep.j**2)
+
+    for k in sorted(set(cfg.k_list)):
+        if k > p:
+            continue
+        measured = weight_state_ccr_defect(rep, k)
+        yield {"k": k}, "ccr-weight-exactness", abs(measured - k / rep.j), cfg.tol_exact
+        yield {"k": k}, "ccr-weight-defect", measured, None
+
+    if p <= 200:
+        worst = max(
+            covariance_defect(rep, theta, n_vectors=4, rng=rng)
+            for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        )
+        yield {}, "rotation-covariance", worst, cfg.tol_relation
+
+    for z in sorted(set(cfg.z_list)):
+        kmax = min(max(cfg.k_list), p)
+        for k, err in enumerate(coherent_limit_error(rep, z, kmax)):
+            yield {"z": float(z), "k": k}, "coherent-overlap-error", err, None

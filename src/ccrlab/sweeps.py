@@ -1,7 +1,9 @@
 """Sweep runner: executes the module test batteries over parameter grids and
 emits machine-readable defect tables plus a human-readable report.
 
-The experiments are the rows of one table, _EXPERIMENTS.  Records carry
+The experiments are the rows of one table, _EXPERIMENTS; each row's family
+module holds its builder and check generator and is imported when a config
+names the experiment.  Records carry
 (experiment, parameter tuple, defect name, measured, bound), and pass is
 derived from the figures.  A bound marks an identity that must hold at every
 finite size; a record without a bound is convergence data, summarized in the
@@ -11,28 +13,16 @@ report by a fitted log-log slope against the dimension parameter.
 from __future__ import annotations
 
 import functools
+import importlib
 import io
 import itertools
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, fields
 
-import numpy as np
-import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
-
-from . import clifford, parafermi, spin, weyl
-from .linalg import (
-    _CLOCK_TABLES,
-    DEFAULT_SITE_CAP,
-    ResourceLimitError,
-    Window,
-    _bracket_into,
-    _clock_table,
-    random_state,
-    residual_norm,
-    tiled_residual_norm,
-)
+from .pauli import DEFAULT_SITE_CAP, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -94,6 +84,8 @@ class SweepConfig:
             raise UsageError("seed must be nonnegative")
         if not all(0 < tol < math.inf for tol in (self.tol_exact, self.tol_relation)):
             raise UsageError("tolerances must be positive and finite")  # also refuses nan
+        for name in EXPERIMENTS if self.experiment == "all" else (self.experiment,):
+            _module(_EXPERIMENTS[name])  # the set-up loads the layers the run uses
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ def _fmt_number(value) -> str:
         return value
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return repr(float(value))  # shortest round-trip decimal for doubles
 
@@ -131,217 +123,36 @@ def _fmt_number(value) -> str:
 # ---------------------------------------------------------------------------
 # per-experiment batteries
 #
-# Each family is one row of _EXPERIMENTS: grid axes, a builder that refuses
-# a grid point over the memory budget with ResourceLimitError, and a check
-# generator that yields (extra params, defect, measured, bound) in the order
-# it draws from rng.  Builders and residuals are looked up through their modules at
-# call time, so wrappers installed on those modules are the ones called.
-# Residuals run on arrays in the linalg buffer form: operators apply into
-# work vectors, differences are taken in place, and residual_norm raises
-# ValueError on a non-finite norm rather than let a NaN pass.
-
-
-def _moved(op, win) -> float:
-    """||A x - x|| for the vector x of a linalg.Window and a group element A.
-
-    A window over the whole cycle is checked tile by tile, on the clock
-    table _weyl_checks holds, a shorter one through one fresh vector.
-    """
-
-    def residual(w, out, *_):
-        y = w.components
-        return np.subtract(w.compress(op)._apply_array(y, out), y, out=out)
-
-    x = win.components
-    if x.shape[0] < win.dim:
-        return residual_norm(residual(win, np.empty_like(x)), win.dim, win.start)
-    return tiled_residual_norm(x, min(op.l, op.dim - op.l), residual)
-
-
-def _weyl_relation(pair, rng) -> float:
-    """max over three random xi of ||U V xi - omega V U xi||, tile by tile (V reaches one index)."""
-    omega = np.exp(2j * np.pi / pair.nu)
-
-    def residual(win, lhs, w, rhs):
-        x, u, v = win.components, win.compress(pair.U), win.compress(pair.V)
-        u._apply_array(v._apply_array(x, w), lhs)
-        v._apply_array(u._apply_array(x, w), rhs)
-        return np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)
-
-    worst = 0.0
-    for _ in range(3):
-        worst = max(worst, tiled_residual_norm(random_state(pair.nu, rng).components, 1, residual))
-    return worst
-
-
-def _clock_shift_period(pair, rng) -> float:
-    """max ||g xi - xi|| over U^nu and V^nu, one random xi, one tiled pass per distinct element.
-
-    Both powers reduce to the identity element (0, 0, 0), and equal frozen
-    elements make one set entry, so the drawn vector is read once.
-    """
-    xi = Window.of(random_state(pair.nu, rng))
-    return max(_moved(g, xi) for g in {pair.power_op(k=pair.nu), pair.power_op(l=pair.nu)})
-
-
-def _weyl_checks(cfg, rng, pair, nu):
-    # the grid point's one clock table, read by its tiles, built before the
-    # first draw; each draw is consumed before the next is made
-    _clock_table(nu)
-    mu = weyl.default_window(nu)
-    yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
-
-    yield {}, "clock-shift-period", _clock_shift_period(pair, rng), cfg.tol_exact
-
-    for m, n in ((1, 1), (2, 3)):
-        res = weyl.commutator_factorization_residual(pair, m, n, random_state(nu, rng))
-        yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
-
-    for l in range(3):
-        if (l + 1) * mu > nu:
-            continue
-        params = {"mu": mu, "l": l}
-        window = weyl.plateau_window(pair, l, mu)
-        shift_defect = _moved(pair.V, window)
-        # a window that fills the whole cycle (nu = 1) is V-invariant
-        exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
-        yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
-        clock_defect = _moved(pair.U, window)
-        yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
-        defects = weyl.ccr_defect(pair, 1, 1, window)
-        yield params, "group-ccr-defect", defects.group, None
-        if l == 0:
-            yield params, "quadrature-ccr-defect", defects.quadrature, None
-
-    if nu <= 64:
-        worst = 0.0
-        for _ in range(100):
-            g = pair.power_op(*rng.integers(0, nu, 3))
-            h = pair.power_op(*rng.integers(0, nu, 3))
-            x = random_state(nu, rng).components
-            lhs = g._apply_array(h._apply_array(x))
-            worst = max(worst, residual_norm(np.subtract(lhs, g.compose(h)._apply_array(x), out=lhs)))
-        yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
-
-
-# Rounding bound of so3-closure for a unit xi, u = 2**-53.  |J_a| taken
-# entrywise has norm j, so a banded apply of J_a errs by at most 5.5 u j ||x||:
-# (2 sqrt 2 + 1) u from one complex product and one sum per entry, and under
-# 1.5 u from the stored sqrt((p - k)(k + 1)).  J_a J_b xi then errs by 11 u j^2
-# and the commutator by 22 u j^2; its subtraction adds u ||J_c xi|| <= u j and
-# J_c xi 2 sqrt 2 u j, while the factor i is exact and the last subtraction
-# second order.  That is under (22 j^2 + 4 j) u <= 30 u j^2 at j >= 1/2, and
-# 32 covers the second-order terms.  The check runs tile by tile, and a tile
-# gives each kept entry the same operations as the full vector, so the model
-# is unchanged.
-SO3_ROUNDING = 32 * 2.0**-53
-
-
-def _so3_closure(rep, rng):
-    """max over the cyclic (a, b, c) of ||[J_a, J_b] xi - i J_c xi||, one random xi each.
-
-    Each runs tile by tile (linalg.tiled_residual_norm): a bracket of the
-    tridiagonal J's reaches two weights, and each tile forms the generators
-    on its own window (spin._generators), so no array of length p + 1 is
-    formed but xi.
-    """
-
-    def residual(triple, win, out, w1, w2):
-        x = win.components
-        gens = spin._generators(rep.p, win.start, win.start + x.shape[0])
-        ja, jb, jc = (gens[i] for i in triple)
-        _bracket_into(ja, jb, x, -1, out, w1, w2)
-        rhs = np.multiply(1j, jc._apply_array(x, w1), out=w2)
-        return np.subtract(out, rhs, out=out)
-
-    worst = 0.0
-    for triple in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        x = random_state(rep.p + 1, rng).components
-        tiles = functools.partial(residual, triple)
-        worst = max(worst, tiled_residual_norm(x, 2, tiles, cyclic=False))
-        del x  # the next draw does not hold this one
-    return worst
-
-
-def _spin_checks(cfg, rng, rep, p):
-    worst = _so3_closure(rep, rng)
-    yield {}, "so3-closure", worst, max(cfg.tol_relation, SO3_ROUNDING * rep.j**2)
-
-    for k in sorted(set(cfg.k_list)):
-        if k > p:
-            continue
-        measured = spin.weight_state_ccr_defect(rep, k)
-        yield {"k": k}, "ccr-weight-exactness", abs(measured - k / rep.j), cfg.tol_exact
-        yield {"k": k}, "ccr-weight-defect", measured, None
-
-    if p <= 200:
-        worst = max(
-            spin.covariance_defect(rep, theta, n_vectors=4, rng=rng)
-            for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        )
-        yield {}, "rotation-covariance", worst, cfg.tol_relation
-
-    for z in sorted(set(cfg.z_list)):
-        kmax = min(max(cfg.k_list), p)
-        for k, err in enumerate(spin.coherent_limit_error(rep, z, kmax)):
-            yield {"z": float(z), "k": k}, "coherent-overlap-error", err, None
-
-
-def _clifford_checks(cfg, rng, family, nu):
-    keys = list(itertools.combinations(range(1, 2 * nu + 2), 2))
-    n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
-    samples = [
-        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))])
-        for _ in range(n_samples)
-    ]
-    square, anti, closure = clifford.relation_residuals(family, samples)
-    yield {}, "gamma-square", square, cfg.tol_exact
-    yield {}, "gamma-anticommutation", anti, cfg.tol_exact
-    yield {}, "so-bracket-closure", closure, cfg.tol_relation
-
-
-def _parafermi_checks(cfg, rng, sys, p, modes):
-    worst = parafermi.green_relation_residual(sys)
-    yield {}, "green-relations", worst, cfg.tol_relation
-
-    worst = parafermi.trilinear_defect(sys)
-    yield {}, "trilinear-relations", worst, cfg.tol_relation
-
-    worst = parafermi.vacuum_condition_residual(sys)
-    yield {}, "vacuum-condition", worst, cfg.tol_relation
-
-    worst = parafermi.number_identity_residual(sys)
-    yield {}, "number-identity", worst, cfg.tol_relation
-
-    if modes >= 2:
-        unit = parafermi.unit_defect(sys, (1, 1) + (0,) * (modes - 2))
-        params = {"label": "1+1"}
-        yield params, "normalized-unit-exactness", abs(unit - 2.0 / p), cfg.tol_exact
-        yield params, "normalized-unit-defect", unit, None
-    if p >= 2:
-        error = parafermi.fock_norm_error(sys, (2,) + (0,) * (modes - 1))
-        yield {"label": "2"}, "fock-norm-error", error, None
-
-
-# One battery's row.  axes maps each grid parameter to the SweepConfig field
-# listing its values; a grid point is built by module.builder(*point,
-# site_cap=...) and checked, or refused as one record under skip_defect.
-Experiment = namedtuple("Experiment", "skip_defect axes module builder checks")
+# Each family is one row of _EXPERIMENTS.  axes maps each grid parameter to
+# the SweepConfig field listing its values.  A grid point is built by
+# module.builder(*point, site_cap=...), which refuses one over the memory
+# budget with ResourceLimitError, and checked by the generator
+# module.checks(cfg, rng, built, **point), which yields (extra params,
+# defect, measured, bound) in the order it draws from rng; draws says
+# whether it reads rng at all.  A refused point is one record under
+# skip_defect.  The module is imported when a config names the experiment,
+# so a run loads only the layers its rows use.
+Experiment = namedtuple("Experiment", "skip_defect axes module builder checks draws")
 _EXPERIMENTS = {
-    "weyl": Experiment("weyl-relation", {"nu": "nu_list"}, weyl, "make_canonical_pair", _weyl_checks),
-    "spin": Experiment("so3-closure", {"p": "p_list"}, spin, "make_spin_rep", _spin_checks),
+    "weyl": Experiment("weyl-relation", {"nu": "nu_list"}, "weyl", "make_canonical_pair", "_weyl_checks", True),
+    "spin": Experiment("so3-closure", {"p": "p_list"}, "spin", "make_spin_rep", "_spin_checks", True),
     "clifford": Experiment(
-        "gamma-anticommutation", {"nu": "clifford_nu_list"}, clifford, "make_gammas", _clifford_checks
+        "gamma-anticommutation", {"nu": "clifford_nu_list"}, "clifford", "make_gammas", "_clifford_checks", True,
     ),
     "parafermi": Experiment(
         "green-relations", {"p": "parafermi_orders", "modes": "mode_list"},
-        parafermi, "make_green_system", _parafermi_checks,
+        "parafermi", "make_green_system", "_parafermi_checks", False,
     ),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 _AXIS_FIELDS = {field for row in _EXPERIMENTS.values() for field in row.axes.values()}
 # the size parameters: a series is fitted against the first one a record has
 _DIM_PARAM = tuple(dict.fromkeys(param for row in _EXPERIMENTS.values() for param in row.axes))
+
+
+def _module(row):
+    """The row's family module, imported on first use."""
+    return importlib.import_module(f".{row.module}", __package__)
 
 
 def _run_battery(experiment, cfg, rng) -> list:
@@ -353,7 +164,9 @@ def _run_battery(experiment, cfg, rng) -> list:
     records it had written.
     """
     row = _EXPERIMENTS[experiment]
-    build = getattr(row.module, row.builder)  # at call time: a tracer wraps it there
+    module = _module(row)
+    # at call time: a tracer wraps them there
+    build, checks = getattr(module, row.builder), getattr(module, row.checks)
     values = (sorted(set(getattr(cfg, field))) for field in row.axes.values())
     records = []
     for point in itertools.product(*values):
@@ -361,7 +174,7 @@ def _run_battery(experiment, cfg, rng) -> list:
         written = []
         try:
             built = build(*point, site_cap=cfg.site_cap)
-            for extra, defect, measured, bound in row.checks(cfg, rng, built, **base):
+            for extra, defect, measured, bound in checks(cfg, rng, built, **base):
                 written.append(DefectRecord(experiment, base | extra, defect, float(measured), bound))
         except (ResourceLimitError, MemoryError) as exc:
             # numpy names the allocation it could not make; a bare MemoryError has no text
@@ -379,12 +192,14 @@ def run_sweep(cfg: SweepConfig):
     """Execute the configured batteries; returns (records, exit_code)."""
     cfg.validate()
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
-    rng = np.random.default_rng(cfg.seed)
+    rng = None
+    if any(_EXPERIMENTS[name].draws for name in names):
+        import numpy.random
+
+        rng = numpy.random.default_rng(cfg.seed)
     records = []
     for name in names:
         records.extend(_BATTERIES[name](cfg, rng))
-        # the next battery's peak memory does not carry this one's clock table
-        _CLOCK_TABLES.clear()
     records.sort(key=DefectRecord.sort_key)
     if not all(r.passed for r in records):
         return records, EXIT_IDENTITY_FAILURE
@@ -458,15 +273,21 @@ def _parse_params(text: str) -> dict:
 def _decode(experiment, params, defect, measured, bound, passed) -> DefectRecord:
     """The record of six fields as _encode writes them; a malformed field raises.
 
-    The first three are text, measured and bound a number or None (a NaN
-    measure is None), and pass a bool or "skip:" + a reason.  A skip carries
-    no figure, and a measured record's bool must be the verdict of its
-    figures (DefectRecord.passed).
+    The first three are text, measured and bound a finite double or None (a
+    NaN measure is None), and pass a bool or "skip:" + a reason.  A skip
+    carries no figure, and a measured record's bool must be the verdict of
+    its figures (DefectRecord.passed).
     """
     if not all(isinstance(text, str) for text in (experiment, params, defect)):
         raise ValueError("experiment, params and defect must be text")
-    if any(isinstance(x, (str, bool)) or x != x for x in (measured, bound)):  # x != x: a NaN
-        raise ValueError(f"measured {measured!r} and bound {bound!r} must be numbers or None")
+    try:  # float() raises OverflowError on an int past the double range
+        finite = all(
+            x is None or not isinstance(x, (str, bool)) and math.isfinite(float(x)) for x in (measured, bound)
+        )
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"measured {measured!r} and bound {bound!r} must be finite doubles or None")
     skip_reason = passed[5:] if isinstance(passed, str) and passed.startswith("skip:") else None
     if not (skip_reason or isinstance(passed, bool)):
         raise ValueError(f"pass value {passed!r} is not a bool or skip:<reason>")
@@ -531,6 +352,8 @@ _SLOPE_FLOOR = 1e-13  # values at the rounding floor carry no rate information
 
 def _slope(points) -> float | None:
     """Least-squares slope of log(measured) against log(dimension parameter)."""
+    import numpy as np
+
     pts = [(x, y) for x, y in points if x > 0 and y > 0]
     if len({x for x, _ in pts}) < 2:
         return None
@@ -566,6 +389,8 @@ def _series_slopes(rows) -> list:
 
 def report(records) -> str:
     """Group records by experiment: worst defect per name, plus fitted slopes."""
+    import numpy as np
+
     if not records:
         raise UsageError("no records to report")
     out = io.StringIO()

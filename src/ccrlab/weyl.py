@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _CLOCK_TABLES,
     DEFAULT_SITE_CAP,
     LinCombOperator,
     PermutationPhaseOperator,
@@ -42,6 +43,7 @@ from .linalg import (
     _clock_phases,
     _clock_table,
     _components,
+    random_state,
     require_dim,
     residual_norm,
     tiled_residual_norm,
@@ -208,3 +210,90 @@ def commutator_factorization_residual(pair: WeylPair, m: int, n: int, xi: StateV
         return np.subtract(out, rhs, out=out)
 
     return tiled_residual_norm(x, min(v_n.l, pair.nu - v_n.l), residual)
+
+
+def _moved(op, win) -> float:
+    """||A x - x|| for the vector x of a linalg.Window and a group element A.
+
+    A window over the whole cycle is checked tile by tile, on the clock
+    table _weyl_checks holds, a shorter one through one fresh vector.
+    """
+
+    def residual(w, out, *_):
+        y = w.components
+        return np.subtract(w.compress(op)._apply_array(y, out), y, out=out)
+
+    x = win.components
+    if x.shape[0] < win.dim:
+        return residual_norm(residual(win, np.empty_like(x)), win.dim, win.start)
+    return tiled_residual_norm(x, min(op.l, op.dim - op.l), residual)
+
+
+def _weyl_relation(pair, rng) -> float:
+    """max over three random xi of ||U V xi - omega V U xi||, tile by tile (V reaches one index)."""
+    omega = np.exp(2j * np.pi / pair.nu)
+
+    def residual(win, lhs, w, rhs):
+        x, u, v = win.components, win.compress(pair.U), win.compress(pair.V)
+        u._apply_array(v._apply_array(x, w), lhs)
+        v._apply_array(u._apply_array(x, w), rhs)
+        return np.subtract(lhs, np.multiply(omega, rhs, out=w), out=lhs)
+
+    worst = 0.0
+    for _ in range(3):
+        worst = max(worst, tiled_residual_norm(random_state(pair.nu, rng).components, 1, residual))
+    return worst
+
+
+def _clock_shift_period(pair, rng) -> float:
+    """max ||g xi - xi|| over U^nu and V^nu, one random xi, one tiled pass per distinct element.
+
+    Both powers reduce to the identity element (0, 0, 0), and equal frozen
+    elements make one set entry, so the drawn vector is read once.
+    """
+    xi = Window.of(random_state(pair.nu, rng))
+    return max(_moved(g, xi) for g in {pair.power_op(k=pair.nu), pair.power_op(l=pair.nu)})
+
+
+def _weyl_checks(cfg, rng, pair, nu):
+    """The sweep's battery at one grid point; its clock table goes when it ends."""
+    try:
+        # the grid point's one clock table, read by its tiles, built before
+        # the first draw; each draw is consumed before the next is made
+        _clock_table(nu)
+        mu = default_window(nu)
+        yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
+
+        yield {}, "clock-shift-period", _clock_shift_period(pair, rng), cfg.tol_exact
+
+        for m, n in ((1, 1), (2, 3)):
+            res = commutator_factorization_residual(pair, m, n, random_state(nu, rng))
+            yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
+
+        for l in range(3):
+            if (l + 1) * mu > nu:
+                continue
+            params = {"mu": mu, "l": l}
+            window = plateau_window(pair, l, mu)
+            shift_defect = _moved(pair.V, window)
+            # a window that fills the whole cycle (nu = 1) is V-invariant
+            exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
+            yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
+            clock_defect = _moved(pair.U, window)
+            yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
+            defects = ccr_defect(pair, 1, 1, window)
+            yield params, "group-ccr-defect", defects.group, None
+            if l == 0:
+                yield params, "quadrature-ccr-defect", defects.quadrature, None
+
+        if nu <= 64:
+            worst = 0.0
+            for _ in range(100):
+                g = pair.power_op(*rng.integers(0, nu, 3))
+                h = pair.power_op(*rng.integers(0, nu, 3))
+                x = random_state(nu, rng).components
+                lhs = g._apply_array(h._apply_array(x))
+                worst = max(worst, residual_norm(np.subtract(lhs, g.compose(h)._apply_array(x), out=lhs)))
+            yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
+    finally:
+        _CLOCK_TABLES.clear()

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccrlab import linalg, spin, sweeps, weyl
+from ccrlab import linalg, spin, weyl
 from ccrlab.linalg import (
     BandedOperator,
     DenseOperator,
@@ -215,7 +215,7 @@ def test_weyl_residuals_are_bitwise_the_state_vector_formulas(nu):
             assert (got.quadrature, got.group) == _old_ccr_defect(pair, m, n, xi)
             assert weyl.commutator_factorization_residual(pair, m, n, xi) == _old_factorization(pair, m, n, xi)
     cfg = SweepConfig()
-    got = list(sweeps._weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
+    got = list(weyl._weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
     assert got == list(_old_weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
 
 
@@ -255,7 +255,7 @@ def test_spin_residuals_are_bitwise_the_state_vector_formulas(dim):
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         xi = random_state(dim, rng)
         worst = max(worst, (_old_bracket(ops[a], ops[b], xi, -1) - 1j * _old_vec(ops[c], xi)).norm())
-    assert sweeps._so3_closure(rep, np.random.default_rng(dim + 5)) == worst
+    assert spin._so3_closure(rep, np.random.default_rng(dim + 5)) == worst
 
 
 def _peak_vectors(fn, dim):
@@ -268,7 +268,7 @@ def _peak_vectors(fn, dim):
         tracemalloc.stop()
 
 
-# the commutator-factorization checks as sweeps._weyl_checks runs them:
+# the commutator-factorization checks as weyl._weyl_checks runs them:
 # each draw is consumed before the next is made
 def _factorizations(pair, rng):
     for m, n in ((1, 1), (2, 3)):
@@ -292,10 +292,10 @@ def test_residuals_allocate_only_their_work_vectors():
     # full vectors)
     linalg._clock_table(dim)
     checks = [
-        (lambda: sweeps._so3_closure(rep, np.random.default_rng(0)), 2.15),
-        (lambda: sweeps._weyl_relation(pair, np.random.default_rng(0)), 1.65),
+        (lambda: spin._so3_closure(rep, np.random.default_rng(0)), 2.15),
+        (lambda: weyl._weyl_relation(pair, np.random.default_rng(0)), 1.65),
         (lambda: _factorizations(pair, np.random.default_rng(0)), 1.65),
-        (lambda: sweeps._clock_shift_period(pair, np.random.default_rng(0)), 1.40),
+        (lambda: weyl._clock_shift_period(pair, np.random.default_rng(0)), 1.40),
     ]
     for check, bound in checks:
         peak = _peak_vectors(check, dim)
@@ -325,14 +325,14 @@ def test_a_grid_point_holds_its_vector_its_table_and_tile_work():
 
     def weyl_point():
         linalg._CLOCK_TABLES.clear()
-        list(sweeps._weyl_checks(SweepConfig(), np.random.default_rng(0), pair, dim))
+        list(weyl._weyl_checks(SweepConfig(), np.random.default_rng(0), pair, dim))
 
     try:
         peak = _peak_vectors(weyl_point, dim)
     finally:
         linalg._CLOCK_TABLES.clear()
     assert peak < 2.2, peak  # table + x + 0.2
-    peak = _peak_vectors(lambda: list(sweeps._spin_checks(SweepConfig(), np.random.default_rng(0), rep, dim - 1)), dim)
+    peak = _peak_vectors(lambda: list(spin._spin_checks(SweepConfig(), np.random.default_rng(0), rep, dim - 1)), dim)
     assert peak < 1.3, peak  # x + 0.3
 
 
@@ -362,10 +362,10 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
     spin_calls = [
         (0, lambda: spin.weight_state_ccr_defect(spin.make_spin_rep(12), 3)),
         (0, lambda: spin.covariance_defect(spin.make_spin_rep(12), 0.3)),
-        (1, lambda: list(sweeps._spin_checks(SweepConfig(), rng, spin.make_spin_rep(12), 12))),
+        (1, lambda: list(spin._spin_checks(SweepConfig(), rng, spin.make_spin_rep(12), 12))),
     ]
     for p, which in itertools.product((12, tiled - 1), range(3)):
-        spin_calls.append((which, lambda p=p: sweeps._so3_closure(spin.make_spin_rep(p), rng)))
+        spin_calls.append((which, lambda p=p: spin._so3_closure(spin.make_spin_rep(p), rng)))
     for which, call in spin_calls:
         monkeypatch.setattr(spin, "_generators", poisoned(which))
         with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
@@ -378,8 +378,8 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
             (nu, lambda pair=pair, xi=xi: weyl.ccr_defect(pair, 1, 1, xi)),
             (nu, lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 1, 1, xi)),
             (nu, lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 2, 3, xi)),
-            (nu, lambda pair=pair, xi=xi: sweeps._moved(pair.U, linalg.Window.of(xi))),
-            (nu, lambda pair=pair, nu=nu: list(sweeps._weyl_checks(SweepConfig(), rng, pair, nu))),
+            (nu, lambda pair=pair, xi=xi: weyl._moved(pair.U, linalg.Window.of(xi))),
+            (nu, lambda pair=pair, nu=nu: list(weyl._weyl_checks(SweepConfig(), rng, pair, nu))),
         ]
     # every clock phase but omega^0, so the clock table built from them and
     # the phases evaluated without one both carry it; each call runs with no

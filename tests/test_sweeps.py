@@ -145,30 +145,99 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.stdout == untraced
 
 
-def test_sweeps_without_spin_never_load_scipy():
+_LOADED = "def loaded(package):\n    return sorted(m for m in sys.modules if m.split('.')[0] == package)"
+_RUNS = {
     # spin imports scipy inside the functions that call it and the sweep
     # calls none of them, so the CLI and a default sweep of all four
     # experiments start and run in numpy time; a coherent-state amplitude
     # vector then loads scipy.special
+    "scipy": [
+        "import ccrlab.cli",
+        "from ccrlab import spin",
+        "from ccrlab.sweeps import SweepConfig, run_sweep",
+        "records, _ = run_sweep(SweepConfig())",
+        "assert {r.experiment for r in records} == {'weyl', 'spin', 'clifford', 'parafermi'}",
+        "assert not loaded('scipy'), loaded('scipy')",
+        "spin.coherent_amplitudes(spin.make_spin_rep(10), 0.3, 0.1)",
+        "assert 'scipy.special' in sys.modules, loaded('scipy')",
+    ],
+    # the package, its exact layer and an exact parafermi run load no numpy
+    "import ccrlab": ["import ccrlab", "assert not loaded('numpy'), loaded('numpy')"],
+    "import ccrlab.pauli": ["import ccrlab.pauli", "assert not loaded('numpy'), loaded('numpy')"],
+    "run parafermi": [
+        "from ccrlab import cli",
+        "assert cli.main(['run', '--experiment', 'parafermi', '--seed', '3', '--out', 'records.csv']) == 0",
+        "assert not loaded('numpy'), loaded('numpy')",
+    ],
+    # a run that forms vectors or draws loads numpy.random with its config,
+    # so its sweep time is only its checks
+    **{
+        f"build_config {experiment}": [
+            "from ccrlab import cli",
+            f"cli.build_config({{}}, {{'experiment': {experiment!r}}})",
+            "assert 'numpy.random' in sys.modules, loaded('numpy')",
+        ]
+        for experiment in ("weyl", "spin", "clifford", "all")
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_what_each_run_imports(tmp_path, run):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "\n".join(["import sys", _LOADED, *_RUNS[run]])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class _NoStream:
+    """A seeded stream that refuses every read."""
+
+    def __getattr__(self, name):
+        raise _Drew(name)
+
+
+class _Drew(Exception):
+    pass
+
+
+@pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
+def test_a_row_reads_the_seeded_stream_exactly_when_it_is_marked_as_drawing(experiment):
+    cfg = SweepConfig(experiment=experiment)
+    if sweeps._EXPERIMENTS[experiment].draws:
+        with pytest.raises(_Drew):
+            sweeps._run_battery(experiment, cfg, _NoStream())
+        return
+    records = sweeps._run_battery(experiment, cfg, _NoStream())
+    assert records and all(r.passed for r in records)
+
+
+def test_the_rows_that_draw_nothing_run_without_numpy(tmp_path):
+    # numpy blocked: a row marked as drawing nothing imports its module,
+    # builds and checks its default grid, and writes its records
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = "\n".join([
         "import sys",
-        "import ccrlab.cli",
-        "from ccrlab import spin",
-        "from ccrlab.sweeps import SweepConfig, run_sweep",
-        "def scipy_loaded():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
-        "records, _ = run_sweep(SweepConfig())",
-        "assert {r.experiment for r in records} == {'weyl', 'spin', 'clifford', 'parafermi'}",
-        "assert not scipy_loaded(), scipy_loaded()",
-        "spin.coherent_amplitudes(spin.make_spin_rep(10), 0.3, 0.1)",
-        "assert 'scipy.special' in sys.modules, scipy_loaded()",
+        "sys.modules['numpy'] = None",
+        "from ccrlab import sweeps",
+        "for name, row in sweeps._EXPERIMENTS.items():",
+        "    if not row.draws:",
+        "        module = sweeps._module(row)",
+        "        assert callable(getattr(module, row.builder)) and callable(getattr(module, row.checks))",
+        "        records = sweeps._run_battery(name, sweeps.SweepConfig(experiment=name), None)",
+        "        sys.stdout.write(sweeps.records_to_csv(records))",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    quiet = [name for name, row in sweeps._EXPERIMENTS.items() if not row.draws]
+    assert quiet == ["parafermi"]
+    assert proc.stdout == records_to_csv(sweeps._run_battery("parafermi", SweepConfig(experiment="parafermi"), None))
 
 
 def test_clifford_sweep_all_pass():
@@ -432,6 +501,13 @@ _MALFORMED_RECORD_FILES = {
     # the writer spells a NaN measure nan and never writes a NaN bound
     "nan_bound.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,0.1,nan,false\n",
     "capital_nan.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,NaN,,true\n",
+    # a figure that is not a finite double: the writer never writes one, and
+    # an int past the double range crashed report with an OverflowError
+    "inf_measured.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,inf,,true\n",
+    "overflowing_bound.csv": sweeps.CSV_HEADER + "\nspin,p=10,weight-state,0.1,1e999,true\n",
+    "huge_int_measured.json": json.dumps([{**_RECORD, "measured": 10**400}]),
+    "huge_int_bound.json": json.dumps([{**_RECORD, "bound": -(10**400)}]),
+    "infinite_measured.json": json.dumps([{**_RECORD, "measured": math.inf}]),
 }
 
 
@@ -623,7 +699,7 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
     # the MemoryError is raised, never provoked: nu = 64 fails at its fourth
     # draw, after its weyl-relation record was formed, and p = 20 in its builder
     draws = []
-    real_random_state, real_make_spin_rep = sweeps.random_state, spin.make_spin_rep
+    real_random_state, real_make_spin_rep = weyl.random_state, spin.make_spin_rep
 
     def random_state(dim, rng):
         draws.append(dim)
@@ -636,7 +712,7 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
             raise MemoryError
         return real_make_spin_rep(p, site_cap=site_cap)
 
-    monkeypatch.setattr(sweeps, "random_state", random_state)
+    monkeypatch.setattr(weyl, "random_state", random_state)
     monkeypatch.setattr(spin, "make_spin_rep", make_spin_rep)
     config = _write_config(
         tmp_path, "nu_list = 16, 64\np_list = 10, 20\nk_list = 0, 1\nclifford_nu_list = 1\n"
@@ -680,14 +756,14 @@ def test_a_weyl_sweep_holds_one_clock_table_that_its_grid_point_builds(monkeypat
 
     tables = Tables()
     monkeypatch.setattr(linalg, "_CLOCK_TABLES", tables)
-    monkeypatch.setattr(sweeps, "_CLOCK_TABLES", tables)
+    monkeypatch.setattr(weyl, "_CLOCK_TABLES", tables)
     real_clock_table = linalg._clock_table
 
     def clock_table(dim):
         callers.append(sys._getframe(1).f_code.co_name)
         return real_clock_table(dim)
 
-    for module in (linalg, sweeps, weyl):
+    for module in (linalg, weyl):
         if hasattr(module, "_clock_table"):
             monkeypatch.setattr(module, "_clock_table", clock_table)
     records, status = run_sweep(SweepConfig(experiment="weyl", nu_list=(2**10, 2**12, 2**14)))
@@ -702,10 +778,10 @@ def test_clock_shift_period_reads_its_draw_once(monkeypatch, nu):
     # figure that the max over both passes gave
     pair = weyl.make_canonical_pair(nu)
     xi = linalg.Window.of(linalg.random_state(nu, np.random.default_rng(nu)))
-    both = max(sweeps._moved(pair.power_op(k=nu), xi), sweeps._moved(pair.power_op(l=nu), xi))
-    moved, passes = sweeps._moved, []
-    monkeypatch.setattr(sweeps, "_moved", lambda op, win: passes.append(op) or moved(op, win))
-    assert sweeps._clock_shift_period(pair, np.random.default_rng(nu)) == both
+    both = max(weyl._moved(pair.power_op(k=nu), xi), weyl._moved(pair.power_op(l=nu), xi))
+    moved, passes = weyl._moved, []
+    monkeypatch.setattr(weyl, "_moved", lambda op, win: passes.append(op) or moved(op, win))
+    assert weyl._clock_shift_period(pair, np.random.default_rng(nu)) == both
     assert passes == [PermutationPhaseOperator(nu, 0, 0, 0)]
 
 
@@ -777,7 +853,7 @@ def test_the_verdict_is_derived_from_the_figures(monkeypatch, experiment):
         def checks(cfg, rng, built, **point):
             yield {}, row.skip_defect, measured, 1e-12
 
-        monkeypatch.setitem(sweeps._EXPERIMENTS, experiment, row._replace(checks=checks))
+        monkeypatch.setattr(sweeps._module(row), row.checks, checks)
         records, status = run_sweep(SweepConfig(experiment=experiment, **_ONE_POINT))
         assert status == EXIT_IDENTITY_FAILURE
         assert [r.passed for r in records] == [False]
@@ -892,9 +968,16 @@ def _written_records(draw):
 
 @given(st.lists(_written_records(), max_size=6))
 def test_written_records_round_trip_byte_for_byte(records):
+    # no battery measures an infinity (residual_norm refuses one), and the
+    # readers refuse a figure that is not a finite double
     csv_text = records_to_csv(records)
-    assert records_to_csv(parse_records_csv(csv_text)) == csv_text
     json_text = records_to_json(records)
+    if any(math.isinf(r.measured) for r in records):
+        for text, parse in ((csv_text, parse_records_csv), (json_text, parse_records_json)):
+            with pytest.raises(UsageError, match="finite doubles"):
+                parse(text)
+        return
+    assert records_to_csv(parse_records_csv(csv_text)) == csv_text
     assert records_to_json(parse_records_json(json_text)) == json_text
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrlab import linalg, spin, sweeps, weyl
+from ccrlab import linalg, spin, weyl
 from ccrlab.linalg import (
     BandedOperator,
     PermutationPhaseOperator,
@@ -89,7 +89,7 @@ _SEEDS = st.integers(0, 2**32 - 1)
 @given(_DIMS, _SEEDS)
 def test_weyl_relation_tiles_are_bitwise_the_full_vector(nu, seed):
     pair = weyl.make_canonical_pair(nu)
-    got = sweeps._weyl_relation(pair, np.random.default_rng(seed))
+    got = weyl._weyl_relation(pair, np.random.default_rng(seed))
     assert got == _full_weyl_relation(pair, np.random.default_rng(seed))
 
 
@@ -105,7 +105,7 @@ def test_moved_tiles_are_bitwise_the_full_vector(nu, seed, data):
     l = data.draw(st.sampled_from([0, 1, 2, nu - 1, nu - 3]))
     ops = [pair.power_op(k=nu), pair.power_op(l=nu), pair.power_op(k, l, data.draw(st.integers(0, nu)))]
     for op in ops:
-        assert sweeps._moved(op, Window.of(StateVector(nu, x))) == _full_moved(op, x)
+        assert weyl._moved(op, Window.of(StateVector(nu, x))) == _full_moved(op, x)
 
 
 @settings(max_examples=40)
@@ -126,7 +126,7 @@ def test_commutator_factorization_tiles_are_bitwise_the_full_vector(nu, seed, mn
 def test_so3_closure_tiles_are_bitwise_the_full_vector(dim, seed):
     # p + 1 = k T + 1 leaves a last tile of one amplitude
     rep = spin.make_spin_rep(max(dim - 1, 1))
-    got = sweeps._so3_closure(rep, np.random.default_rng(seed))
+    got = spin._so3_closure(rep, np.random.default_rng(seed))
     assert got == _full_so3_closure(rep, np.random.default_rng(seed))
 
 
@@ -137,7 +137,7 @@ def test_a_shift_across_index_zero_reaches_the_wrapped_tile(nu):
     pair = weyl.make_canonical_pair(nu)
     for op, index in ((pair.V, nu - 1), (pair.power_op(l=-1), 0)):
         xi = Window.of(StateVector.basis(nu, index))
-        assert sweeps._moved(op, xi) == _full_moved(op, xi.components) == math.sqrt(2.0)
+        assert weyl._moved(op, xi) == _full_moved(op, xi.components) == math.sqrt(2.0)
 
 
 def test_both_phase_routes_of_a_compressed_element_are_the_same_numbers(monkeypatch):

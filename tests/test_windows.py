@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccrlab import linalg, spin, sweeps, weyl
+from ccrlab import linalg, spin, weyl
 from ccrlab.linalg import (
     BandedOperator,
     LinCombOperator,
@@ -130,8 +130,8 @@ def test_plateau_checks_on_the_window_are_bitwise_the_full_vector(nu):
         assert got == weyl.ccr_defect(pair, 1, 1, vec)
         assert (got.quadrature, got.group) == _old_ccr_defect(pair, 1, 1, vec)
         for op in (pair.U, pair.V):
-            moved = sweeps._moved(op, win)
-            assert moved == sweeps._moved(op, Window.of(vec)) == (_old_vec(op, vec) - vec).norm()
+            moved = weyl._moved(op, win)
+            assert moved == weyl._moved(op, Window.of(vec)) == (_old_vec(op, vec) - vec).norm()
 
 
 def test_a_plateau_window_that_covers_the_cycle_is_the_vector():
