@@ -15,20 +15,22 @@ closed form.  The generators are built as PauliTerms, one (x_mask, z_mask)
 key each, and products and relations are multiplied out exactly over the
 Pauli basis, so a relation that holds leaves a residual of exactly zero.
 so_n_basis and tensor_sum_rep return the vector view of such sums,
-PauliSumOperator.from_terms.
+PauliSumOperator.from_terms, and import it in their bodies.  The sweep's
+battery checks the brackets of a fixed set chosen from nu alone, which
+reaches every branch of bracket_expansion and draws nothing, so a clifford
+run, like a parafermi one, runs on ccrlab.pauli alone and starts without
+numpy.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
-from .linalg import (
+from .pauli import (
     _I_POWERS,
     _TWICE_I_POWERS,
     DEFAULT_SITE_CAP,
-    PauliSumOperator,
     PauliTerms,
     _add_into,
     _pairs_into,
@@ -75,6 +77,8 @@ def so_n_basis(family: GammaFamily) -> dict:
     PauliSumOperator.from_terms; E_ij is anti-Hermitian and the set closes
     under commutators with the so(n) structure constants.
     """
+    from .linalg import PauliSumOperator
+
     n = 2 * family.nu + 1
     split = [_split(g) for g in family.gammas]
     return {
@@ -144,13 +148,21 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
 
 
 def _clifford_checks(cfg, rng, family, nu):
-    """The sweep's battery at one grid point, on up to 20 bracket samples drawn from rng."""
-    keys = list(itertools.combinations(range(1, 2 * nu + 2), 2))
-    n_samples = min(20, len(keys) * (len(keys) - 1) // 2 or 1)
-    samples = [
-        (keys[rng.integers(0, len(keys))], keys[rng.integers(0, len(keys))])
-        for _ in range(n_samples)
-    ]
+    """The sweep's battery at one grid point, all exact: it draws nothing from rng.
+
+    The brackets are a fixed set of at most 8, chosen from nu alone: a
+    disjoint and an identical pair, then for a shared index s of g_1, the
+    middle generator g_{nu+1} and g_{2nu+1}, one bracket of each branch of
+    bracket_expansion (d_jk, d_jl, d_ik, d_il in turn) that s can carry,
+    with the partners g_1, g_{s-1} below s and g_{s+1}, g_{2nu+1} above it.
+    g_1 carries only d_ik and g_{2nu+1} only d_jl, and a pair outside the
+    family is dropped.
+    """
+    n = 2 * nu + 1
+    brackets = [((1, 2), (3, 4)), ((1, n), (1, n))]
+    for s in (1, nu + 1, n):
+        brackets += [((1, s), (s, n)), ((1, s), (s - 1, s)), ((s, s + 1), (s, n)), ((s, s + 1), (s - 1, s))]
+    samples = [(a, b) for a, b in brackets if all(1 <= i < j <= n for i, j in (a, b))]
     square, anti, closure = relation_residuals(family, samples)
     yield {}, "gamma-square", square, cfg.tol_exact
     yield {}, "gamma-anticommutation", anti, cfg.tol_exact
@@ -167,6 +179,8 @@ def tensor_sum_rep(
     of block sums satisfy the same structure constants as the single-block
     E_ij (the sum acts as a derivation on product states).
     """
+    from .linalg import PauliSumOperator
+
     if p < 1:
         raise ValueError("p must be a positive integer")
     nu = family.nu

@@ -137,7 +137,7 @@ _EXPERIMENTS = {
     "weyl": Experiment("weyl-relation", {"nu": "nu_list"}, "weyl", "make_canonical_pair", "_weyl_checks", True),
     "spin": Experiment("so3-closure", {"p": "p_list"}, "spin", "make_spin_rep", "_spin_checks", True),
     "clifford": Experiment(
-        "gamma-anticommutation", {"nu": "clifford_nu_list"}, "clifford", "make_gammas", "_clifford_checks", True,
+        "gamma-anticommutation", {"nu": "clifford_nu_list"}, "clifford", "make_gammas", "_clifford_checks", False,
     ),
     "parafermi": Experiment(
         "green-relations", {"p": "parafermi_orders", "modes": "mode_list"},

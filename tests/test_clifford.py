@@ -15,6 +15,7 @@ from ccrlab.linalg import (
     commutator_apply,
     random_state,
 )
+from ccrlab.sweeps import EXIT_IDENTITY_FAILURE, SweepConfig, run_sweep
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -133,6 +134,44 @@ def test_a_perturbed_structure_constant_leaves_a_closure_residual(monkeypatch):
     ((a, b, c),) = clifford.bracket_expansion(1, 2, 2, 3)
     monkeypatch.setattr(clifford, "bracket_expansion", lambda *_: ((a, b, c * (1 + 2**-20)),))
     assert clifford.relation_residuals(fam, sample)[2] == abs(c) * 2**-20
+
+
+def _doubling(branch):
+    """bracket_expansion with the constants of one delta branch doubled.
+
+    Two ordered pairs that differ meet in at most one branch, and an
+    identical pair has no constants, so doubling every constant of a bracket
+    whose pairs meet there doubles exactly that branch's.
+    """
+    original = clifford.bracket_expansion
+
+    def mutant(i, j, k, l):
+        meets = {"jk": j == k, "jl": j == l, "ik": i == k, "il": i == l}[branch]
+        return tuple((a, b, 2 * c if meets else c) for a, b, c in original(i, j, k, l))
+
+    return mutant
+
+
+@pytest.mark.parametrize("branch", ["jk", "jl", "ik", "il"])
+def test_a_doubled_branch_of_the_structure_constants_fails_the_sweep_at_every_size(monkeypatch, branch):
+    # the battery's bracket set reaches every branch at every nu, whatever
+    # the seed, with at most 20 brackets per grid point
+    counts = []
+    residuals = clifford.relation_residuals
+
+    def counting(family, samples):
+        counts.append(len(samples))
+        return residuals(family, samples)
+
+    monkeypatch.setattr(clifford, "relation_residuals", counting)
+    monkeypatch.setattr(clifford, "bracket_expansion", _doubling(branch))
+    nus = (1, 2, 3, 4, 5, 6, 8, 12, 14, 16)
+    for seed in (1, 3, 5):
+        records, status = run_sweep(SweepConfig(experiment="clifford", clifford_nu_list=nus, seed=seed))
+        closure = {r.params["nu"]: r.passed for r in records if r.defect == "so-bracket-closure"}
+        assert closure == dict.fromkeys(nus, False)
+        assert status == EXIT_IDENTITY_FAILURE
+    assert len(counts) == 3 * len(nus) and max(counts) <= 20
 
 
 def test_gamma_relations_sampled_at_twenty_sites():

@@ -161,14 +161,23 @@ _RUNS = {
         "spin.coherent_amplitudes(spin.make_spin_rep(10), 0.3, 0.1)",
         "assert 'scipy.special' in sys.modules, loaded('scipy')",
     ],
-    # the package, its exact layer and an exact parafermi run load no numpy
+    # the package, its exact layer, and the config and run of an exact
+    # experiment (clifford, parafermi) load no numpy
     "import ccrlab": ["import ccrlab", "assert not loaded('numpy'), loaded('numpy')"],
     "import ccrlab.pauli": ["import ccrlab.pauli", "assert not loaded('numpy'), loaded('numpy')"],
-    "run parafermi": [
+    "build_config clifford": [
         "from ccrlab import cli",
-        "assert cli.main(['run', '--experiment', 'parafermi', '--seed', '3', '--out', 'records.csv']) == 0",
+        "cli.build_config({}, {'experiment': 'clifford'})",
         "assert not loaded('numpy'), loaded('numpy')",
     ],
+    **{
+        f"run {experiment}": [
+            "from ccrlab import cli",
+            f"assert cli.main(['run', '--experiment', {experiment!r}, '--seed', '3', '--out', 'records.csv']) == 0",
+            "assert not loaded('numpy'), loaded('numpy')",
+        ]
+        for experiment in ("clifford", "parafermi")
+    },
     # a run that forms vectors or draws loads numpy.random with its config,
     # so its sweep time is only its checks
     **{
@@ -177,7 +186,7 @@ _RUNS = {
             f"cli.build_config({{}}, {{'experiment': {experiment!r}}})",
             "assert 'numpy.random' in sys.modules, loaded('numpy')",
         ]
-        for experiment in ("weyl", "spin", "clifford", "all")
+        for experiment in ("weyl", "spin", "all")
     },
 }
 
@@ -236,8 +245,10 @@ def test_the_rows_that_draw_nothing_run_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     quiet = [name for name, row in sweeps._EXPERIMENTS.items() if not row.draws]
-    assert quiet == ["parafermi"]
-    assert proc.stdout == records_to_csv(sweeps._run_battery("parafermi", SweepConfig(experiment="parafermi"), None))
+    assert quiet == ["clifford", "parafermi"]
+    assert proc.stdout == "".join(
+        records_to_csv(sweeps._run_battery(name, SweepConfig(experiment=name), None)) for name in quiet
+    )
 
 
 def test_clifford_sweep_all_pass():
