@@ -275,12 +275,24 @@ class StateVector:
         return StateVector(self.dim, -self.components)
 
 
-def random_state(dim: int, rng: np.random.Generator) -> StateVector:
+def random_state(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> StateVector:
+    """A unit vector of C^dim with Gaussian amplitudes, drawn from rng.
+
+    With out, a writable contiguous complex128 vector of dim amplitudes (else
+    ValueError), the same stream is drawn into out and the components are a
+    read-only view of it, valid until out is drawn into again.  A sweep's
+    grid point draws all its vectors into one: once glibc has freed a large
+    draw, it serves fresh ones from its brk heap, which it keeps.
+    """
     # the dim real draws, then the dim imaginary ones, as a + 1j * b made
     # them, drawn a tile at a time into one buffer and written straight into
     # their slots of the complex array: a Generator's normal draws keep no
     # state between calls, so the stream is the one-call stream
-    comps = np.empty(dim, dtype=np.complex128)
+    if out is None:
+        out = np.empty(dim, dtype=np.complex128)
+    elif out.shape != (dim,) or out.dtype != np.complex128 or not out.flags.carray:  # contiguous and writable
+        raise ValueError(f"out must be a writable contiguous complex128 vector of {dim} amplitudes")
+    comps = out.view()  # StateVector freezes this view; out stays writable
     floats = comps.view(np.float64)
     step = _tile()
     buf = np.empty(min(dim, step))

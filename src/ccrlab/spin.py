@@ -342,7 +342,9 @@ def _so3_closure(rep, rng):
     Each runs tile by tile (linalg.tiled_residual_norm): a bracket of the
     tridiagonal J's reaches two weights, and each tile forms the generators
     on its own window (_generators), so no array of length p + 1 is formed
-    but xi.
+    but one buffer that the three xi are drawn into in turn
+    (linalg.random_state(out=)); fresh draws would stay on the allocator's
+    heap after the grid point.
     """
 
     def residual(triple, win, out, w1, w2):
@@ -353,12 +355,11 @@ def _so3_closure(rep, rng):
         rhs = np.multiply(1j, jc._apply_array(x, w1), out=w2)
         return np.subtract(out, rhs, out=out)
 
-    worst = 0.0
+    worst, buf = 0.0, np.empty(rep.p + 1, dtype=np.complex128)
     for triple in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        x = random_state(rep.p + 1, rng).components
+        x = random_state(rep.p + 1, rng, buf).components
         tiles = functools.partial(residual, triple)
         worst = max(worst, tiled_residual_norm(x, 2, tiles, cyclic=False))
-        del x  # the next draw does not hold this one
     return worst
 
 

@@ -389,8 +389,6 @@ def _series_slopes(rows) -> list:
 
 def report(records) -> str:
     """Group records by experiment: worst defect per name, plus fitted slopes."""
-    import numpy as np
-
     if not records:
         raise UsageError("no records to report")
     out = io.StringIO()
@@ -418,6 +416,8 @@ def report(records) -> str:
                 line += "]"
                 unbounded = [r for r in live if r.bound is None]
                 if unbounded:
+                    import numpy as np  # for the slopes only: exact records all carry a bound
+
                     slopes = _series_slopes(unbounded)
                     if slopes:
                         line += f" slope {float(np.mean(slopes)):+.2f}"

@@ -14,10 +14,11 @@ dimension that fits in memory.
 The residuals apply the elements into three work vectors (the linalg buffer
 form), subtract in place and raise ValueError on a non-finite residual norm.
 A random vector is drawn at length nu, and commutator_factorization_residual
-and the sweep's checks on it run tile by tile (linalg.tiled_residual_norm):
-no other vector of length nu is formed but nu's clock table, which the
-sweep builds once per grid point and commutator_factorization_residual
-builds when none is held for nu.  A
+and the sweep's checks on it run tile by tile (linalg.tiled_residual_norm).
+The sweep's grid point holds two vectors of length nu: its clock table,
+which commutator_factorization_residual also builds when none is held for
+nu, and one buffer that every draw of the point is drawn into
+(linalg.random_state(out=)), so no draw is left on the allocator's heap.  A
 plateau vector has mu = sqrt(nu) nonzero amplitudes, and U, V and the
 quadratures move an index by at most one, so its checks run on
 plateau_window, a linalg.Window of mu + 2 amplitudes: the same records,
@@ -229,8 +230,8 @@ def _moved(op, win) -> float:
     return tiled_residual_norm(x, min(op.l, op.dim - op.l), residual)
 
 
-def _weyl_relation(pair, rng) -> float:
-    """max over three random xi of ||U V xi - omega V U xi||, tile by tile (V reaches one index)."""
+def _weyl_relation(pair, rng, buf) -> float:
+    """max over three random xi, drawn into buf, of ||U V xi - omega V U xi||, tiled (V reaches one index)."""
     omega = np.exp(2j * np.pi / pair.nu)
 
     def residual(win, lhs, w, rhs):
@@ -241,33 +242,35 @@ def _weyl_relation(pair, rng) -> float:
 
     worst = 0.0
     for _ in range(3):
-        worst = max(worst, tiled_residual_norm(random_state(pair.nu, rng).components, 1, residual))
+        worst = max(worst, tiled_residual_norm(random_state(pair.nu, rng, buf).components, 1, residual))
     return worst
 
 
-def _clock_shift_period(pair, rng) -> float:
-    """max ||g xi - xi|| over U^nu and V^nu, one random xi, one tiled pass per distinct element.
+def _clock_shift_period(pair, rng, buf) -> float:
+    """max ||g xi - xi|| over U^nu and V^nu, one random xi in buf, one tiled pass per distinct element.
 
     Both powers reduce to the identity element (0, 0, 0), and equal frozen
     elements make one set entry, so the drawn vector is read once.
     """
-    xi = Window.of(random_state(pair.nu, rng))
+    xi = Window.of(random_state(pair.nu, rng, buf))
     return max(_moved(g, xi) for g in {pair.power_op(k=pair.nu), pair.power_op(l=pair.nu)})
 
 
 def _weyl_checks(cfg, rng, pair, nu):
-    """The sweep's battery at one grid point; its clock table goes when it ends."""
+    """The sweep's battery at one grid point; its clock table and draw buffer go when it ends."""
     try:
-        # the grid point's one clock table, read by its tiles, built before
-        # the first draw; each draw is consumed before the next is made
+        # the grid point's one clock table, read by its tiles, and its one
+        # draw buffer, built before the first draw; each draw is consumed
+        # before the next is drawn over it
         _clock_table(nu)
+        buf = np.empty(nu, dtype=np.complex128)
         mu = default_window(nu)
-        yield {}, "weyl-relation", _weyl_relation(pair, rng), cfg.tol_exact
+        yield {}, "weyl-relation", _weyl_relation(pair, rng, buf), cfg.tol_exact
 
-        yield {}, "clock-shift-period", _clock_shift_period(pair, rng), cfg.tol_exact
+        yield {}, "clock-shift-period", _clock_shift_period(pair, rng, buf), cfg.tol_exact
 
         for m, n in ((1, 1), (2, 3)):
-            res = commutator_factorization_residual(pair, m, n, random_state(nu, rng))
+            res = commutator_factorization_residual(pair, m, n, random_state(nu, rng, buf))
             yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
 
         for l in range(3):
@@ -291,7 +294,7 @@ def _weyl_checks(cfg, rng, pair, nu):
             for _ in range(100):
                 g = pair.power_op(*rng.integers(0, nu, 3))
                 h = pair.power_op(*rng.integers(0, nu, 3))
-                x = random_state(nu, rng).components
+                x = random_state(nu, rng, buf).components
                 lhs = g._apply_array(h._apply_array(x))
                 worst = max(worst, residual_norm(np.subtract(lhs, g.compose(h)._apply_array(x), out=lhs)))
             yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact

@@ -8,7 +8,11 @@ np.array_equal on vectors), not merely to rounding.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,11 +272,12 @@ def _peak_vectors(fn, dim):
         tracemalloc.stop()
 
 
-# the commutator-factorization checks as weyl._weyl_checks runs them:
-# each draw is consumed before the next is made
+# the commutator-factorization checks as weyl._weyl_checks runs them: both
+# draws go into one buffer, each consumed before the next is drawn over it
 def _factorizations(pair, rng):
+    buf = np.empty(pair.nu, dtype=complex)
     for m, n in ((1, 1), (2, 3)):
-        weyl.commutator_factorization_residual(pair, m, n, random_state(pair.nu, rng))
+        weyl.commutator_factorization_residual(pair, m, n, random_state(pair.nu, rng, buf))
 
 
 def test_residuals_allocate_only_their_work_vectors():
@@ -283,8 +288,9 @@ def test_residuals_allocate_only_their_work_vectors():
     # as the sweep holds it: the random state and O(tile) work, a tile being
     # an eighth of this vector: three work vectors, the wrapped windows'
     # copies and, for so3-closure, the generators' five diagonals.  The draw
-    # and the finiteness check take a tile at a time, and no earlier draw is
-    # alive during the next.  Measured: 2.131 for so3-closure, 1.630 for
+    # and the finiteness check take a tile at a time, and every draw of a
+    # check goes into one buffer, allocated in the measurement as the grid
+    # point allocates it.  Measured: 2.131 for so3-closure, 1.630 for
     # weyl-relation, 1.631 for commutator-factorization and 1.380 for
     # clock-shift-period, each bound 0.02 above (2.134, 1.630, 1.631 and
     # 1.502 with the float draw buffer, which at this dim stays under the
@@ -293,9 +299,9 @@ def test_residuals_allocate_only_their_work_vectors():
     linalg._clock_table(dim)
     checks = [
         (lambda: spin._so3_closure(rep, np.random.default_rng(0)), 2.15),
-        (lambda: weyl._weyl_relation(pair, np.random.default_rng(0)), 1.65),
+        (lambda: weyl._weyl_relation(pair, np.random.default_rng(0), np.empty(dim, complex)), 1.65),
         (lambda: _factorizations(pair, np.random.default_rng(0)), 1.65),
-        (lambda: weyl._clock_shift_period(pair, np.random.default_rng(0)), 1.40),
+        (lambda: weyl._clock_shift_period(pair, np.random.default_rng(0), np.empty(dim, complex)), 1.40),
     ]
     for check, bound in checks:
         peak = _peak_vectors(check, dim)
@@ -334,6 +340,78 @@ def test_a_grid_point_holds_its_vector_its_table_and_tile_work():
     assert peak < 2.2, peak  # table + x + 0.2
     peak = _peak_vectors(lambda: list(spin._spin_checks(SweepConfig(), np.random.default_rng(0), rep, dim - 1)), dim)
     assert peak < 1.3, peak  # x + 0.3
+
+
+@pytest.mark.parametrize(
+    "family, dim", [("weyl", 16), ("weyl", 2 * linalg._tile() + 3), ("spin", 2 * linalg._tile() + 3)]
+)
+def test_a_grid_point_draws_every_vector_into_one_buffer(monkeypatch, family, dim):
+    # weyl at nu = 16 also runs the homomorphism loop's 100 draws; spin past
+    # p = 200 draws its three so3-closure vectors and no covariance ones
+    draws = []
+    real = linalg.random_state
+
+    def spy(n, rng, out=None):
+        xi = real(n, rng, out)
+        draws.append((n, out, xi.components))
+        return xi
+
+    monkeypatch.setattr(weyl, "random_state", spy)
+    monkeypatch.setattr(spin, "random_state", spy)
+    rng = np.random.default_rng(dim)
+    if family == "weyl":
+        list(weyl._weyl_checks(SweepConfig(), rng, weyl.make_canonical_pair(dim), dim))
+        assert len(draws) == 6 + (100 if dim <= 64 else 0)
+    else:
+        list(spin._spin_checks(SweepConfig(), rng, spin.make_spin_rep(dim - 1), dim - 1))
+        assert len(draws) == 3
+    buf = draws[0][1]
+    assert isinstance(buf, np.ndarray)
+    for n, out, comps in draws:
+        assert n == dim and out is buf and np.shares_memory(comps, buf)
+
+
+_POINTS_RSS = """
+import numpy as np
+from ccrlab import weyl
+from ccrlab.sweeps import SweepConfig
+
+
+def checks(nu):
+    list(weyl._weyl_checks(SweepConfig(), rng, weyl.make_canonical_pair(nu), nu))
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+rng = np.random.default_rng(1)
+checks(64)  # the lazily built state of a grid point
+before = peak_kib()
+for nu in (2**18, 2**20):
+    checks(nu)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_a_large_weyl_point_keeps_nothing_from_the_one_before():
+    # 2**18 and then 2**20, as the sweep runs them: the peak grows by the
+    # larger point's clock table and draw buffer, 32 MiB, and its tile work.
+    # With a fresh vector per draw, glibc served the draws after the first
+    # from its brk heap and kept that heap: 36.1-36.2 MiB of growth against
+    # 31.9-32.2 MiB with one buffer per grid point.  The peak is the child's
+    # VmHWM, its own address space's: its ru_maxrss starts at this process's
+    # resident size, which an exec keeps
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POINTS_RSS], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth_kib = int(proc.stdout)
+    assert growth_kib < (2 * 16 * 2**20 + 3 * 2**20) // 1024, growth_kib / 1024
 
 
 def _poisoned(op, value):

@@ -106,6 +106,75 @@ def test_state_vector_is_immutable():
         v.components[0] = 2.0
 
 
+_TILE = linalg._tile()
+
+
+@pytest.mark.parametrize("dim", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
+def test_a_draw_into_a_buffer_is_bitwise_a_fresh_draw(dim):
+    # into a NaN-filled buffer, so a slot the draw skipped would show; the
+    # generator ends where the fresh draw leaves it
+    rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+    out = np.full(dim, np.nan, dtype=np.complex128)
+    got = random_state(dim, rng, out=out).components
+    want = random_state(dim, ref).components
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_draws_into_one_buffer_are_the_fresh_draws_in_turn():
+    dim = _TILE + 7
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    out = np.empty(dim, dtype=np.complex128)
+    for _ in range(2):
+        got = random_state(dim, rng, out=out).components
+        assert got.tobytes() == random_state(dim, ref).components.tobytes()
+
+
+def test_a_buffer_draw_is_a_read_only_view_of_the_buffer():
+    out = np.empty(16, dtype=np.complex128)
+    comps = random_state(16, np.random.default_rng(1), out=out).components
+    assert np.shares_memory(comps, out)
+    assert not comps.flags.writeable and out.flags.writeable
+    with pytest.raises(ValueError):
+        comps[0] = 2.0
+
+
+def _read_only(n):
+    out = np.empty(n, dtype=np.complex128)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty(15, dtype=np.complex128),
+        np.empty((16, 1), dtype=np.complex128),
+        np.empty(16, dtype=np.complex64),
+        np.empty(16, dtype=np.float64),
+        np.empty(32, dtype=np.complex128)[::2],
+        _read_only(16),
+    ],
+    ids=["short", "2-d", "complex64", "float64", "strided", "read-only"],
+)
+def test_a_draw_refuses_a_buffer_it_would_have_to_copy(out):
+    before = out.copy()
+    with pytest.raises(ValueError, match="out must be"):
+        random_state(16, np.random.default_rng(1), out=out)
+    assert np.array_equal(out, before, equal_nan=True)
+
+
+def test_a_buffer_draw_still_refuses_non_finite_amplitudes():
+    class NaNs:
+        def standard_normal(self, n, out):
+            out[:] = np.nan
+            return out
+
+    dim = _TILE + 3
+    with pytest.raises(ValueError, match="components must be finite"), np.errstate(all="ignore"):
+        random_state(dim, NaNs(), out=np.empty(dim, dtype=np.complex128))
+
+
 # ---------------------------------------------------------------------------
 # apply across realizations
 

@@ -178,6 +178,13 @@ _RUNS = {
         ]
         for experiment in ("clifford", "parafermi")
     },
+    # every clifford record carries a bound, so its report fits no slope
+    "report clifford": [
+        "from ccrlab import cli",
+        "assert cli.main(['run', '--experiment', 'clifford', '--seed', '3', '--out', 'records.csv']) == 0",
+        "assert cli.main(['report', '--in', 'records.csv']) == 0",
+        "assert not loaded('numpy'), loaded('numpy')",
+    ],
     # a run that forms vectors or draws loads numpy.random with its config,
     # so its sweep time is only its checks
     **{
@@ -712,11 +719,11 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
     draws = []
     real_random_state, real_make_spin_rep = weyl.random_state, spin.make_spin_rep
 
-    def random_state(dim, rng):
+    def random_state(dim, rng, out=None):
         draws.append(dim)
         if dim == 64 and draws.count(64) == 4:
             raise MemoryError("Unable to allocate a vector")
-        return real_random_state(dim, rng)
+        return real_random_state(dim, rng, out)
 
     def make_spin_rep(p, site_cap):
         if p == 20:
@@ -792,7 +799,7 @@ def test_clock_shift_period_reads_its_draw_once(monkeypatch, nu):
     both = max(weyl._moved(pair.power_op(k=nu), xi), weyl._moved(pair.power_op(l=nu), xi))
     moved, passes = weyl._moved, []
     monkeypatch.setattr(weyl, "_moved", lambda op, win: passes.append(op) or moved(op, win))
-    assert weyl._clock_shift_period(pair, np.random.default_rng(nu)) == both
+    assert weyl._clock_shift_period(pair, np.random.default_rng(nu), np.empty(nu, dtype=complex)) == both
     assert passes == [PermutationPhaseOperator(nu, 0, 0, 0)]
 
 

@@ -89,7 +89,7 @@ _SEEDS = st.integers(0, 2**32 - 1)
 @given(_DIMS, _SEEDS)
 def test_weyl_relation_tiles_are_bitwise_the_full_vector(nu, seed):
     pair = weyl.make_canonical_pair(nu)
-    got = weyl._weyl_relation(pair, np.random.default_rng(seed))
+    got = weyl._weyl_relation(pair, np.random.default_rng(seed), np.empty(nu, dtype=complex))
     assert got == _full_weyl_relation(pair, np.random.default_rng(seed))
 
 
