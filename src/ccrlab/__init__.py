@@ -6,16 +6,16 @@ as the dimension grows.
 Subpackages
 -----------
 pauli      the exact Pauli algebra and the resource budget; imports no numpy
-linalg     state vectors and their support windows, operator realizations,
-           commutators, norms; re-exports pauli
+linalg     state vectors, support windows, operator realizations, commutators, norms
 weyl       clock/shift pairs whose powers are Heisenberg group elements, plateaus
 spin       so(3) ladder representation, rotation covariance, coherent states
 clifford   anticommuting generator families and the so(n) they span
 parafermi  order-p oscillators from commuting fermion families
 sweeps     experiment runner emitting defect records and reports
 
-Submodules and the linalg names below load on first attribute access, so
-`import ccrlab` loads no numpy; a sweep loads the layers its experiments use.
+Submodules and the names below (PauliTerms from pauli, the rest from linalg)
+load on first access, so `from ccrlab import PauliTerms` loads no numpy; a
+sweep loads the layers its experiments use.
 """
 
 import importlib
@@ -54,6 +54,7 @@ def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     if name in __all__:
-        value = globals()[name] = getattr(importlib.import_module(".linalg", __name__), name)
+        home = importlib.import_module(".pauli" if name == "PauliTerms" else ".linalg", __name__)
+        value = globals()[name] = getattr(home, name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

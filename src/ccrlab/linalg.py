@@ -17,9 +17,8 @@ Two representations of a sum of Pauli strings share these conventions.
 PauliTerms, the expansion over the Hermitian Pauli basis and the form the
 families are built in, multiplies exactly, so identities between string
 sums are checked as operator equations at any register size; it lives in
-the numpy-free ccrlab.pauli, with the budget checks, and every name there
-is imported back here.  Its vector view PauliSumOperator.from_terms
-applies to state vectors.
+the numpy-free ccrlab.pauli, with the budget checks.  Its vector view
+PauliSumOperator.from_terms applies to state vectors.
 
 Buffer form: every _apply_array(x, out=None) writes A x into a caller-owned
 contiguous vector out (fresh when None) that must not alias x, and returns
@@ -41,10 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; a sweep's time is then only its checks
 
-from .pauli import (  # noqa: F401  the exact layer: each of its names is a linalg name too
-    _I_POWERS, _INT_KEYS, _TWICE_I_POWERS, DEFAULT_SITE_CAP, PauliTerms, ResourceLimitError, _add_into,
-    _basis_index, _basis_key, _finite, _pairs_into, _split, _terms_norm, bracket, require_dim, require_sites,
-)
+from .pauli import PauliTerms, _finite
 
 DENSIFICATION_CAP = 4096
 
@@ -273,6 +269,11 @@ class StateVector:
 
     def __neg__(self) -> "StateVector":
         return StateVector(self.dim, -self.components)
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default Generator on seed: the one stream a sweep's checks draw from."""
+    return np.random.default_rng(seed)
 
 
 def random_state(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> StateVector:

@@ -19,7 +19,7 @@ identity and the trilinear relations hold exactly at every order, so they
 are multiplied out exactly over the Pauli basis and read 0.0 when they
 hold.  The vacuum condition, the Fock norms and the unit defect act with
 PauliTerms.act on sparse states {basis key: coeff}, keyed by
-linalg._basis_key so that the indices of a register past 60 sites do not
+pauli._basis_key so that the indices of a register past 60 sites do not
 share hash classes: from the vacuum, b^dag powers have Gaussian-integer
 coefficients, so their squared norms are exact ints and no figure depends
 on the 2**(p*nu) register.  The state-vector routes (fock_state,

@@ -1,8 +1,8 @@
 """The exact layer, which imports no numpy: PauliTerms, sums of Pauli
 strings multiplied out over the Pauli basis in int and dict arithmetic, and
-the budget a construction is refused against.  linalg imports every name
-back beside the vector layer, so a run whose checks form no vector and draw
-no random numbers (the parafermi battery) starts without numpy.
+the budget a construction is refused against.  Callers import these from
+here, not from linalg, so a run whose checks form no vector and draw no
+random numbers (the parafermi battery) starts without numpy.
 """
 
 from __future__ import annotations

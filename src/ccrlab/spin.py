@@ -44,17 +44,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_SITE_CAP,
     BandedOperator,
     DenseOperator,
     LinCombOperator,
     StateVector,
     _bracket_into,
     random_state,
-    require_dim,
     residual_norm,
     tiled_residual_norm,
 )
+from .pauli import DEFAULT_SITE_CAP, require_dim
 
 COVARIANCE_SEED = 0x5EED
 

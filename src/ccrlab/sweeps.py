@@ -194,9 +194,9 @@ def run_sweep(cfg: SweepConfig):
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
     rng = None
     if any(_EXPERIMENTS[name].draws for name in names):
-        import numpy.random
+        from .linalg import seeded_rng  # the vector layer, which the drawing rows load anyway
 
-        rng = numpy.random.default_rng(cfg.seed)
+        rng = seeded_rng(cfg.seed)
     records = []
     for name in names:
         records.extend(_BATTERIES[name](cfg, rng))
@@ -352,14 +352,12 @@ _SLOPE_FLOOR = 1e-13  # values at the rounding floor carry no rate information
 
 def _slope(points) -> float | None:
     """Least-squares slope of log(measured) against log(dimension parameter)."""
-    import numpy as np
+    from statistics import linear_regression  # loads random, fractions, decimal: not at set-up
 
     pts = [(x, y) for x, y in points if x > 0 and y > 0]
     if len({x for x, _ in pts}) < 2:
         return None
-    xs = np.log([x for x, _ in pts])
-    ys = np.log([y for _, y in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+    return linear_regression([math.log(x) for x, _ in pts], [math.log(y) for _, y in pts]).slope
 
 
 def _series_slopes(rows) -> list:
@@ -416,11 +414,11 @@ def report(records) -> str:
                 line += "]"
                 unbounded = [r for r in live if r.bound is None]
                 if unbounded:
-                    import numpy as np  # for the slopes only: exact records all carry a bound
+                    from statistics import fmean  # as in _slope, only where a slope is fitted
 
                     slopes = _series_slopes(unbounded)
                     if slopes:
-                        line += f" slope {float(np.mean(slopes)):+.2f}"
+                        line += f" slope {fmean(slopes):+.2f}"
                         if len(slopes) > 1:
                             line += f" ({len(slopes)} series)"
                     else:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .linalg import (
     _CLOCK_TABLES,
-    DEFAULT_SITE_CAP,
     LinCombOperator,
     PermutationPhaseOperator,
     StateVector,
@@ -45,10 +44,10 @@ from .linalg import (
     _clock_table,
     _components,
     random_state,
-    require_dim,
     residual_norm,
     tiled_residual_norm,
 )
+from .pauli import DEFAULT_SITE_CAP, require_dim
 
 
 @dataclass(frozen=True)

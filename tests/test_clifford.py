@@ -8,13 +8,12 @@ import pytest
 from ccrlab import clifford
 from ccrlab.linalg import (
     PauliSumOperator,
-    PauliTerms,
-    ResourceLimitError,
     StateVector,
     anticommutator_apply,
     commutator_apply,
     random_state,
 )
+from ccrlab.pauli import PauliTerms, ResourceLimitError
 from ccrlab.sweeps import EXIT_IDENTITY_FAILURE, SweepConfig, run_sweep
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,6 +1,7 @@
 """Substrate tests: realizations agree with dense oracles, norms behave."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccrlab import clifford, linalg, parafermi, spin, weyl
+from ccrlab import clifford, linalg, parafermi, pauli, spin, weyl
 from ccrlab.linalg import (
     BandedOperator,
     ConvergenceError,
@@ -20,7 +21,6 @@ from ccrlab.linalg import (
     PauliString,
     PauliSumOperator,
     PermutationPhaseOperator,
-    ResourceLimitError,
     StateVector,
     anticommutator_apply,
     commutator_apply,
@@ -31,6 +31,7 @@ from ccrlab.linalg import (
     operator_norm,
     random_state,
 )
+from ccrlab.pauli import ResourceLimitError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -561,7 +562,7 @@ def test_terms_product_equals_dense_product_on_random_dyadic_sums():
         assert np.array_equal(_dense_of(a.terms() + b.terms(), 3), a.dense() + b.dense())
         assert np.array_equal(_dense_of(a.terms() - b.terms(), 3), a.dense() - b.dense())
         assert np.array_equal(_dense_of(0.25j * a.terms(), 3), 0.25j * a.dense())
-        comm = _dense_of(linalg.bracket(a.terms(), b.terms(), -1), 3)
+        comm = _dense_of(pauli.bracket(a.terms(), b.terms(), -1), 3)
         assert np.array_equal(comm, want - b.dense() @ a.dense())
 
 
@@ -582,10 +583,10 @@ def test_terms_drop_cancelled_terms_and_keep_the_identity_key():
 
 
 def test_terms_norm_refuses_non_finite_coefficients():
-    assert linalg.PauliTerms({(1, 0): 3.0, (0, 1): 4j}).norm() == 5.0
+    assert pauli.PauliTerms({(1, 0): 3.0, (0, 1): 4j}).norm() == 5.0
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="not finite"):
-            linalg.PauliTerms({(0, 0): complex(bad)}).norm()
+            pauli.PauliTerms({(0, 0): complex(bad)}).norm()
 
 
 _DYADIC_PARTS = st.integers(-8, 8)
@@ -596,7 +597,7 @@ def _dyadic_terms(draw, m):
     # (a + ib) / 4 coefficients: every product, sum and doubling is exact
     keys = st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1))
     items = draw(st.dictionaries(keys, st.tuples(_DYADIC_PARTS, _DYADIC_PARTS), max_size=5))
-    return linalg.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
+    return pauli.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
 
 
 @st.composite
@@ -666,7 +667,7 @@ def test_terms_adjoint_is_the_dense_conjugate_transpose(case):
 def test_one_pass_bracket_is_the_two_product_dict(pair):
     a, b = pair
     for sign in (+1, -1):
-        assert linalg.bracket(a, b, sign) == a * b + sign * (b * a)
+        assert pauli.bracket(a, b, sign) == a * b + sign * (b * a)
 
 
 @st.composite
@@ -677,7 +678,7 @@ def _wide_terms(draw, m):
     mask = st.integers(0, (1 << m) - 1) | sites.map(lambda s: sum(1 << i for i in s))
     coeffs = st.tuples(_DYADIC_PARTS, _DYADIC_PARTS)
     items = draw(st.dictionaries(st.tuples(mask, mask), coeffs, max_size=5))
-    return linalg.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
+    return pauli.PauliTerms._nonzero((key, complex(a, b) / 4) for key, (a, b) in items.items())
 
 
 @given(st.integers(1, 130).flatmap(lambda m: st.tuples(_wide_terms(m), _wide_terms(m))))
@@ -685,46 +686,50 @@ def test_bracket_is_the_two_product_dict_on_masks_past_a_machine_word(pair):
     a, b = pair
     assert a * b == _parent_product(a, b)
     for sign in (+1, -1):
-        assert linalg.bracket(a, b, sign) == a * b + sign * (b * a)
+        assert pauli.bracket(a, b, sign) == a * b + sign * (b * a)
 
 
 def test_a_commutator_skips_disjoint_supports_before_any_popcount():
     # X on site 1 and Y on site 130: the pair commutes, so the commutator
     # never reaches the parity test, and the anticommutator doubles it
     x1, y130 = {(1, 0): 1.0}, {(1 << 129, 1 << 129): 0.5j}
-    left, right = linalg._split(x1), linalg._split(y130)
+    left, right = pauli._split(x1), pauli._split(y130)
     assert left == [(1, 0, 1, 0, 1.0)] and right == [(1 << 129, 1 << 129, 1 << 129, 1, 0.5j)]
-    assert linalg._pairs_into({}, left, right, linalg._TWICE_I_POWERS, 0) == {}
-    anti = linalg._pairs_into({}, left, right, linalg._TWICE_I_POWERS, 1)
+    assert pauli._pairs_into({}, left, right, pauli._TWICE_I_POWERS, 0) == {}
+    anti = pauli._pairs_into({}, left, right, pauli._TWICE_I_POWERS, 1)
     assert anti == {(1 | 1 << 129, 1 << 129): 1j}
 
 
 def _from_split(terms):
     assert all(s == x | z and y == (x & z).bit_count() for x, z, s, y, _ in terms)
-    return linalg.PauliTerms({(x, z): c for x, z, _, _, c in terms})
+    return pauli.PauliTerms({(x, z): c for x, z, _, _, c in terms})
 
 
 def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkeypatch):
-    # every exact product and bracket runs through linalg._pairs_into: each
-    # call must add the oracle's product, or its bracket's two-product dict
-    core = linalg._pairs_into
+    # every exact product and bracket runs through pauli._pairs_into: each
+    # call must add the oracle's product, or its bracket's two-product dict.
+    # PauliTerms.__mul__ and bracket call it as a global of pauli, so that
+    # is the binding patched there
+    core = pauli._pairs_into
     seen = []
+    callers = set()
 
     def checked(out, left, right, phases, skip):
         a, b = _from_split(left), _from_split(right)
         got = core({}, left, right, phases, skip)
         if skip is None:
-            assert phases == linalg._I_POWERS
-            assert linalg.PauliTerms._nonzero(got.items()) == _parent_product(a, b)
+            assert phases == pauli._I_POWERS
+            assert pauli.PauliTerms._nonzero(got.items()) == _parent_product(a, b)
         else:
             sign = +1 if skip == 1 else -1
-            assert phases == linalg._TWICE_I_POWERS
+            assert phases == pauli._TWICE_I_POWERS
             want = _parent_product(a, b) + sign * _parent_product(b, a)
-            assert linalg.PauliTerms._nonzero(got.items()) == want
+            assert pauli.PauliTerms._nonzero(got.items()) == want
         seen.append(skip)
+        callers.add(inspect.currentframe().f_back.f_code)
         return core(out, left, right, phases, skip)
 
-    for module in (linalg, clifford, parafermi):
+    for module in (pauli, clifford, parafermi):
         monkeypatch.setattr(module, "_pairs_into", checked)
     for p in (1, 2, 3):
         for nu in (1, 2):
@@ -739,6 +744,7 @@ def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkey
         pairs = list(itertools.product(sorted(basis), repeat=2))
         clifford.relation_residuals(family, pairs)
     assert {None, 0, 1} <= set(seen)
+    assert pauli.bracket.__code__ in callers  # unit_defect's bracket
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +761,7 @@ def _parent_product(a, b):
             x3, z3 = x1 ^ x2, z1 ^ z2
             e = y1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
             out[x3, z3] = out.get((x3, z3), 0) + (1, 1j, -1, -1j)[e & 3] * c1 * c2
-    return linalg.PauliTerms._nonzero(out.items())
+    return pauli.PauliTerms._nonzero(out.items())
 
 
 def _parent_bracket(a, b, sign):
@@ -768,7 +774,7 @@ def _parent_norm(terms):
 
 def _parent_relation_residuals(family, samples):
     gammas = family.gammas
-    one = linalg.PauliTerms({(0, 0): 1.0})
+    one = pauli.PauliTerms({(0, 0): 1.0})
 
     def pair(i, j):
         return -_parent_product(gammas[i - 1], gammas[j - 1])
@@ -793,7 +799,7 @@ def _parent_relation_residuals(family, samples):
 
 def _parent_green(sys):
     comps = list(sys.components.items())
-    one = linalg.PauliTerms({(0, 0): 1.0})
+    one = pauli.PauliTerms({(0, 0): 1.0})
     worst = 0.0
     for index, ((k, a), ck) in enumerate(comps):
         for (l, b), cl in comps[index:]:
@@ -808,9 +814,9 @@ def _parent_green(sys):
 def _parent_number_identity(sys):
     worst = 0.0
     for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
-        n_k = linalg.PauliTerms({(0, 0): sys.p / 2})
+        n_k = pauli.PauliTerms({(0, 0): sys.p / 2})
         n_k.update(((0, 1 << (sys.site(k, a) - 1)), 0.5) for a in range(1, sys.p + 1))
-        lhs = 0.5 * (_parent_bracket(b_k_dag, b_k, -1) + linalg.PauliTerms({(0, 0): float(sys.p)}))
+        lhs = 0.5 * (_parent_bracket(b_k_dag, b_k, -1) + pauli.PauliTerms({(0, 0): float(sys.p)}))
         worst = max(worst, _parent_norm(lhs - n_k))
     return worst
 
@@ -842,7 +848,7 @@ def _with_tail(sys, tail_of):
     """The system with component (1, 1)'s Z tail replaced by tail_of(tail)."""
     ((bit, tail), _), _ = sys.components[1, 1].items()
     tail = tail_of(tail)
-    mutant = linalg.PauliTerms({(bit, tail): 0.5j, (bit, bit | tail): 0.5})
+    mutant = pauli.PauliTerms({(bit, tail): 0.5j, (bit, bit | tail): 0.5})
     return dataclasses.replace(sys, components={**sys.components, (1, 1): mutant})
 
 
@@ -885,10 +891,10 @@ def test_in_place_addition_keeps_the_order_of_the_terms_arithmetic(out, terms, s
     # a zero in a residual's dict stands for a dropped term: adding to it
     # must put the key last, where PauliTerms.total puts a new key, so the
     # norm sums the same values in the same order
-    want = linalg.PauliTerms._nonzero(out.items()) + scale * terms
-    got = linalg._add_into(dict(out), terms, scale)
+    want = pauli.PauliTerms._nonzero(out.items()) + scale * terms
+    got = pauli._add_into(dict(out), terms, scale)
     assert [(k, c) for k, c in got.items() if c != 0] == list(want.items())
-    assert linalg._terms_norm(got) == want.norm()
+    assert pauli._terms_norm(got) == want.norm()
 
 
 def test_clifford_checks_equal_the_parent_composition_on_mutants():
@@ -902,7 +908,7 @@ def test_clifford_checks_equal_the_parent_composition_on_mutants():
             # one generator's support flipped on site 1: x ^= 1
             gammas = list(family.gammas)
             ((x, z), c), = gammas[g].items()
-            gammas[g] = linalg.PauliTerms({(x ^ 1, z): c})
+            gammas[g] = pauli.PauliTerms({(x ^ 1, z): c})
             mutant = dataclasses.replace(family, gammas=tuple(gammas))
             got = clifford.relation_residuals(mutant, samples)
             assert got == _parent_relation_residuals(mutant, samples)
@@ -1017,13 +1023,13 @@ def test_normalized_trace_of_commutator_vanishes():
 
 def test_site_budget_refusal():
     with pytest.raises(ResourceLimitError, match="bytes"):
-        linalg.require_sites(23)
+        pauli.require_sites(23)
 
 
 def test_dimension_budget_refusal_counts_bytes():
-    linalg.require_dim(16, site_cap=4)
+    pauli.require_dim(16, site_cap=4)
     with pytest.raises(ResourceLimitError, match="272 bytes .*cap 256 bytes"):
-        linalg.require_dim(17, site_cap=4)
+        pauli.require_dim(17, site_cap=4)
     # the Weyl and spin constructors refuse before building any array
     with pytest.raises(ResourceLimitError):
         weyl.make_canonical_pair(2**40)

@@ -11,15 +11,12 @@ from ccrlab import parafermi
 from ccrlab.linalg import (
     PauliString,
     PauliSumOperator,
-    PauliTerms,
-    ResourceLimitError,
     StateVector,
-    _basis_index,
     anticommutator_apply,
-    bracket,
     commutator_apply,
     random_state,
 )
+from ccrlab.pauli import PauliTerms, ResourceLimitError, _basis_index, bracket
 
 
 def views(sys):

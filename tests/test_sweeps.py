@@ -145,6 +145,37 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.stdout == untraced
 
 
+# unbounded weyl and spin series, as (experiment, params, defect, measured):
+# two quadrature series and one group series against nu (mu does not split
+# a series), three ccr-weight series against p, and a coherent-overlap
+# defect that fits no slope: one series has a value at the rounding floor,
+# the other a single point
+_SERIES = (
+    ("weyl", {"l": 0, "mu": 8, "nu": 64}, "quadrature-ccr-defect", 0.181579),
+    ("weyl", {"l": 0, "mu": 16, "nu": 256}, "quadrature-ccr-defect", 0.131205),
+    ("weyl", {"l": 0, "mu": 32, "nu": 1024}, "quadrature-ccr-defect", 0.0915575),
+    ("weyl", {"l": 0, "mu": 64, "nu": 4096}, "quadrature-ccr-defect", 0.0661656),
+    ("weyl", {"l": 1, "mu": 8, "nu": 64}, "quadrature-ccr-defect", 0.199868),
+    ("weyl", {"l": 1, "mu": 16, "nu": 256}, "quadrature-ccr-defect", 0.131356),
+    ("weyl", {"l": 1, "mu": 32, "nu": 1024}, "quadrature-ccr-defect", 0.0833702),
+    ("weyl", {"l": 1, "mu": 64, "nu": 4096}, "quadrature-ccr-defect", 0.0547984),
+    ("weyl", {"l": 2, "mu": 8, "nu": 64}, "group-ccr-defect", 0.107039),
+    ("weyl", {"l": 2, "mu": 16, "nu": 256}, "group-ccr-defect", 0.0726951),
+    ("weyl", {"l": 2, "mu": 32, "nu": 1024}, "group-ccr-defect", 0.0493708),
+    ("spin", {"k": 1, "p": 10}, "ccr-weight-defect", 0.21278),
+    ("spin", {"k": 1, "p": 100}, "ccr-weight-defect", 0.0219585),
+    ("spin", {"k": 1, "p": 1000}, "ccr-weight-defect", 0.00245658),
+    ("spin", {"k": 2, "p": 10}, "ccr-weight-defect", 0.363798),
+    ("spin", {"k": 2, "p": 100}, "ccr-weight-defect", 0.0320946),
+    ("spin", {"k": 2, "p": 1000}, "ccr-weight-defect", 0.00306945),
+    ("spin", {"k": 3, "p": 10}, "ccr-weight-defect", 0.777233),
+    ("spin", {"k": 3, "p": 100}, "ccr-weight-defect", 0.0976614),
+    ("spin", {"k": 3, "p": 1000}, "ccr-weight-defect", 0.0133031),
+    ("spin", {"k": 1, "p": 10, "z": 1.0}, "coherent-overlap-error", 0.0416021),
+    ("spin", {"k": 1, "p": 100, "z": 1.0}, "coherent-overlap-error", 1e-14),
+    ("spin", {"k": 2, "p": 10, "z": 1.0}, "coherent-overlap-error", 0.0630187),
+)
+
 _LOADED = "def loaded(package):\n    return sorted(m for m in sys.modules if m.split('.')[0] == package)"
 _RUNS = {
     # spin imports scipy inside the functions that call it and the sweep
@@ -165,6 +196,10 @@ _RUNS = {
     # experiment (clifford, parafermi) load no numpy
     "import ccrlab": ["import ccrlab", "assert not loaded('numpy'), loaded('numpy')"],
     "import ccrlab.pauli": ["import ccrlab.pauli", "assert not loaded('numpy'), loaded('numpy')"],
+    "from ccrlab import PauliTerms": [
+        "from ccrlab import PauliTerms",
+        "assert not loaded('numpy'), loaded('numpy')",
+    ],
     "build_config clifford": [
         "from ccrlab import cli",
         "cli.build_config({}, {'experiment': 'clifford'})",
@@ -182,6 +217,17 @@ _RUNS = {
     "report clifford": [
         "from ccrlab import cli",
         "assert cli.main(['run', '--experiment', 'clifford', '--seed', '3', '--out', 'records.csv']) == 0",
+        "assert cli.main(['report', '--in', 'records.csv']) == 0",
+        "assert not loaded('numpy'), loaded('numpy')",
+    ],
+    # nor does a report that fits slopes to unbounded series, from a file
+    # written without numpy
+    "report weyl and spin series": [
+        "from ccrlab import cli",
+        "from ccrlab.sweeps import DefectRecord, records_to_csv",
+        f"records = [DefectRecord(*row, None) for row in {_SERIES!r}]",
+        "import pathlib",
+        "pathlib.Path('records.csv').write_text(records_to_csv(records))",
         "assert cli.main(['report', '--in', 'records.csv']) == 0",
         "assert not loaded('numpy'), loaded('numpy')",
     ],
@@ -375,6 +421,26 @@ def test_report_single_point_slope_na():
         DefectRecord("spin", {"p": 10, "k": 1}, "ccr-weight-defect", 0.2, None)
     ]
     assert "slope n/a" in report(records)
+
+
+def test_report_text_of_unbounded_series_is_pinned():
+    # the text numpy's polyfit and mean gave, byte for byte, after a CSV round trip
+    records = parse_records_csv(records_to_csv([DefectRecord(*row, None) for row in _SERIES]))
+    assert report(records) == (
+        "== spin\n"
+        "  ccr-weight-defect: worst 7.772330e-01 at k=3;p=10 [pass] slope -0.96 (3 series)\n"
+        "  coherent-overlap-error: worst 6.301870e-02 at k=2;p=10;z=1.0 [pass] slope n/a\n"
+        "\n"
+        "== weyl\n"
+        "  group-ccr-defect: worst 1.070390e-01 at l=2;mu=8;nu=64 [pass] slope -0.28\n"
+        "  quadrature-ccr-defect: worst 1.998680e-01 at l=1;mu=8;nu=64 [pass] slope -0.28 (2 series)\n"
+        "\n"
+        "note: rotation covariance is asserted as e^{-i t J3} Q e^{+i t J3} = Q cos t + P sin t, the "
+        "ordering consistent with [J3, J1] = i J2; the opposite exponent order corresponds to flipping "
+        "the sign of J3 or t.\n"
+        "note: low-excitation coherent amplitudes are compared against e^{-|z|^2/2} z^k / sqrt(k!); the "
+        "variant with 1/k! does not normalize and is treated as a transcription slip.\n"
+    )
 
 
 def test_report_requires_records():
