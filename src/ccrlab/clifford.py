@@ -148,7 +148,7 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
 
 
 def _clifford_checks(cfg, rng, family, nu):
-    """The sweep's battery at one grid point, all exact: it draws nothing from rng.
+    """The sweep's battery at one grid point, exact and held to 0.0; it draws nothing from rng.
 
     The brackets are a fixed set of at most 8, chosen from nu alone: a
     disjoint and an identical pair, then for a shared index s of g_1, the
@@ -164,9 +164,9 @@ def _clifford_checks(cfg, rng, family, nu):
         brackets += [((1, s), (s, n)), ((1, s), (s - 1, s)), ((s, s + 1), (s, n)), ((s, s + 1), (s - 1, s))]
     samples = [(a, b) for a, b in brackets if all(1 <= i < j <= n for i, j in (a, b))]
     square, anti, closure = relation_residuals(family, samples)
-    yield {}, "gamma-square", square, cfg.tol_exact
-    yield {}, "gamma-anticommutation", anti, cfg.tol_exact
-    yield {}, "so-bracket-closure", closure, cfg.tol_relation
+    yield {}, "gamma-square", square, 0.0
+    yield {}, "gamma-anticommutation", anti, 0.0
+    yield {}, "so-bracket-closure", closure, 0.0
 
 
 def tensor_sum_rep(

@@ -23,7 +23,9 @@ plateau vector has mu = sqrt(nu) nonzero amplitudes, and U, V and the
 quadratures move an index by at most one, so its checks run on
 plateau_window, a linalg.Window of mu + 2 amplitudes: the same records,
 bitwise, in O(mu) time and memory, up to nu = 2**40 and beyond.  A window
-that would cover the whole cycle is the plateau vector itself.
+that would cover the whole cycle is the plateau vector itself.  Until formed
+without subtraction, group-ccr-defect and quadrature-ccr-defect lose up to
+2**-53 nu / 2 pi of relative accuracy (2e-12 at 2**30, 1.2e-5 at 2**40).
 """
 
 from __future__ import annotations

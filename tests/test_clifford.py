@@ -173,6 +173,27 @@ def test_a_doubled_branch_of_the_structure_constants_fails_the_sweep_at_every_si
     assert len(counts) == 3 * len(nus) and max(counts) <= 20
 
 
+def test_generators_scaled_off_by_one_ulp_fail_the_sweep_at_every_size(monkeypatch):
+    # g_i (1 + 2**-52) squares to 1 + 2**-51, and a bracket of its pair
+    # products is off by 2**-50; the exact records are held to 0.0, so
+    # figures of 4.4e-16 and 8.9e-16 fail, where the old tolerances passed them
+    build = clifford.make_gammas
+
+    def scaled(nu, site_cap):
+        family = build(nu, site_cap=site_cap)
+        gammas = (PauliTerms({k: c * (1 + 2**-52) for k, c in g.items()}) for g in family.gammas)
+        return clifford.GammaFamily(nu, tuple(gammas))
+
+    monkeypatch.setattr(clifford, "make_gammas", scaled)
+    records, status = run_sweep(SweepConfig(experiment="clifford"))
+    assert status == EXIT_IDENTITY_FAILURE
+    nus = SweepConfig().clifford_nu_list
+    for defect in ("gamma-square", "so-bracket-closure"):
+        rows = [r for r in records if r.defect == defect]
+        assert {r.params["nu"]: r.passed for r in rows} == dict.fromkeys(nus, False)
+        assert 0.0 < max(r.measured for r in rows) <= 8.9e-16 < SweepConfig.tol_exact
+
+
 def test_gamma_relations_sampled_at_twenty_sites():
     nu = 20
     gammas = views(clifford.make_gammas(nu))

@@ -17,6 +17,7 @@ from ccrlab.linalg import (
     random_state,
 )
 from ccrlab.pauli import PauliTerms, ResourceLimitError, _basis_index, bracket
+from ccrlab.sweeps import EXIT_IDENTITY_FAILURE, SweepConfig, run_sweep
 
 
 def views(sys):
@@ -584,6 +585,32 @@ def test_a_broken_component_fails_the_vacuum_condition():
     components[(1, 2)] = PauliString(1j, [(2, "+")], 2).terms()
     broken = dataclasses.replace(sys, components=components)
     assert parafermi.vacuum_condition_residual(broken) > 0.5
+
+
+def test_components_scaled_off_by_1e_11_fail_the_exact_records_without_raising(monkeypatch):
+    # each scaled component leaves coefficients that are not Gaussian
+    # integers; the vacuum condition reads their float norm, as the other
+    # exact relations do, so the run ends in failing records and exit 1
+    build = parafermi.make_green_system
+
+    def scaled(p, nu, site_cap):
+        sys = build(p, nu, site_cap=site_cap)
+        components = {
+            key: PauliTerms({k: c * (1 + 1e-11) for k, c in terms.items()})
+            for key, terms in sys.components.items()
+        }
+        return dataclasses.replace(sys, components=components)
+
+    monkeypatch.setattr(parafermi, "make_green_system", scaled)
+    records, status = run_sweep(SweepConfig(experiment="parafermi", parafermi_orders=(1,), mode_list=(1,)))
+    assert status == EXIT_IDENTITY_FAILURE
+    figures = {r.defect: r.measured for r in records}
+    assert figures == pytest.approx(
+        {"green-relations": 2.0e-11, "trilinear-relations": 2.0 * 2**0.5 * 1e-11,
+         "vacuum-condition": 2.0e-11, "number-identity": 1.0e-11},
+        rel=1e-6,
+    )
+    assert all(r.bound == 0.0 and not r.passed for r in records)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])

@@ -532,8 +532,8 @@ def test_cli_usage_errors(tmp_path):
         "clifford_nu_list = 0",
         "site_cap = -1",
         "site_cap = 0",
-        # out-of-range scalars: a nan bound fails every record and an
-        # infinite one passes every record
+        # a nan bound would fail every record and an infinite one pass
+        # every record; no config key sets a bound, so these are unknown keys
         "tol_exact = nan",
         "tol_exact = inf",
         "tol_exact = -inf",
@@ -552,6 +552,7 @@ def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+    assert ("unknown configuration key" in err) == body.startswith("tol_")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -559,17 +560,17 @@ def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, 
 def test_config_keys_are_the_sweep_config_fields(tmp_path):
     body = (
         "experiment = weyl\nnu_list = 4\np_list = 10\nmode_list = 1\nk_list = 0\n"
-        "z_list = 1.5\nparafermi_orders = 2\nclifford_nu_list = 3\ntol_exact = 1e-11\n"
-        "tol_relation = 1e-9\nsite_cap = 8\nseed = 5\nout = x.csv\nformat = json"
+        "z_list = 1.5\nparafermi_orders = 2\nclifford_nu_list = 3\n"
+        "site_cap = 8\nseed = 5\nout = x.csv\nformat = json"
     )
     cfg = cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, body))), {})
     assert cfg == SweepConfig(
         experiment="weyl", nu_list=(4,), p_list=(10,), mode_list=(1,), k_list=(0,),
-        z_list=(1.5,), parafermi_orders=(2,), clifford_nu_list=(3,), tol_exact=1e-11,
-        tol_relation=1e-9, site_cap=8, seed=5, out="x.csv", fmt="json",
+        z_list=(1.5,), parafermi_orders=(2,), clifford_nu_list=(3,),
+        site_cap=8, seed=5, out="x.csv", fmt="json",
     )
     SweepConfig(site_cap=sweeps.SITE_CAP_MAX).validate()
-    for removed in ("mu_rule = sqrt", "fmt = csv"):
+    for removed in ("mu_rule = sqrt", "fmt = csv", "tol_exact = 1e-11", "tol_relation = 1e300"):
         with pytest.raises(UsageError, match="unknown configuration key"):
             cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, removed))), {})
 
@@ -996,6 +997,7 @@ def _config_files(draw):
             # refused before 1 << site_cap is formed
             values["site_cap"] = [draw(st.sampled_from([sweeps.SITE_CAP_MAX + 1, 2**63]))]
         elif defect == "non-finite tolerance":
+            # the tolerances are no config keys: refused as unknown
             tol = draw(st.sampled_from(["tol_exact", "tol_relation"]))
             values[tol] = [draw(st.sampled_from(["nan", "inf", "-inf"]))]
         else:
@@ -1114,13 +1116,13 @@ def test_config_file_parsing(tmp_path):
     config = _write_config(
         tmp_path,
         "# comment line\nexperiment = weyl\nnu_list = 4, 16  # inline comment\n"
-        "tol_exact = 1e-11\nseed = 9",
+        "site_cap = 12\nseed = 9",
     )
     values = cli.parse_config_file(str(config))
     cfg = cli.build_config(values, {})
     assert cfg.experiment == "weyl"
     assert cfg.nu_list == (4, 16)
-    assert cfg.tol_exact == 1e-11
+    assert cfg.site_cap == 12
     assert cfg.seed == 9
     bad = _write_config(tmp_path, "just a line without equals")
     with pytest.raises(UsageError):
