@@ -27,11 +27,9 @@ from .sweeps import (
     run_sweep,
 )
 
-# config key -> SweepConfig field; each value parses as the field's default
-# does, a list item by item
-_FIELDS = {
-    "format" if f.name == "fmt" else f.name: f for f in dataclasses.fields(SweepConfig)
-}
+# each config key is a SweepConfig field's name; its value parses as the
+# field's default does, a list item by item
+_FIELDS = {f.name: f for f in dataclasses.fields(SweepConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -70,7 +68,7 @@ def build_config(file_values: dict, overrides: dict) -> SweepConfig:
                 value = str(value) if field.default is None else type(field.default)(value)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
-        kwargs[field.name] = value
+        kwargs[key] = value
     try:
         cfg = SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -89,8 +87,8 @@ def _cmd_run(args) -> int:
     }
     cfg = build_config(file_values, overrides)
     records, status = run_sweep(cfg)
-    text = records_to_csv(records) if cfg.fmt == "csv" else records_to_json(records)
-    out_path = cfg.out or f"records.{cfg.fmt}"
+    text = records_to_csv(records) if cfg.format == "csv" else records_to_json(records)
+    out_path = cfg.out or f"records.{cfg.format}"
     Path(out_path).write_text(text)
     failed = sum(1 for r in records if not r.passed)
     skipped = sum(1 for r in records if r.skip_reason)

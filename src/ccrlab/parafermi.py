@@ -268,13 +268,14 @@ def _vacuum(sys: GreenSystem) -> dict:
     return {_basis_key((1 << sys.total_sites) - 1): 1}
 
 
-def _squared_norm(state: dict) -> int:
-    """||state||**2 as an exact int; every coefficient must be a Gaussian integer."""
+def _squared_norm(state: dict) -> int | float:
+    """||state||**2: an exact int when every coefficient is a Gaussian
+    integer, as on a correct construction, and a float sum otherwise."""
     total = 0
     for c in state.values():
         re, im = int(c.real), int(c.imag)
         if re != c.real or im != c.imag:
-            raise ValueError(f"coefficient {c} is not a Gaussian integer")
+            return sum(abs(c) ** 2 for c in state.values())
         total += re * re + im * im
     return total
 
@@ -444,12 +445,15 @@ def fock_norm_error(sys: GreenSystem, label) -> float:
     and |a - b| = |S - p**N F| / (sqrt(S p**N) + p**N sqrt(F)).  The
     numerator is an exact int and both roots are integer square roots
     carried 64 bits past the point, so nothing cancels and the quotient
-    rounds once.
+    rounds once.  A wrong construction, whose S is a float, gets |a - b|
+    in doubles.
     """
     occ = _occupations(label)
     s = _squared_norm(_creation_power_vacuum(sys, occ))
     pn = sys.p ** sum(occ)
     f = math.prod(math.factorial(n) for n in occ)
+    if isinstance(s, float):
+        return abs(math.sqrt(s / pn) - math.sqrt(f))
     scale = 1 << 128
     den = math.isqrt(s * pn * scale) + math.isqrt(f * pn * pn * scale)
     return abs(s - pn * f) * (1 << 64) / den
@@ -460,7 +464,8 @@ def unit_defect(sys: GreenSystem, label) -> float:
 
     With psi = b^dag powers on the vacuum, unnormalized, this is
     sqrt(||([b_1, b_1^dag] - p) psi||**2 / ||psi||**2) / p, and both squared
-    norms are exact ints.  A label past the order raises ModeExclusionError.
+    norms are exact ints on a correct construction.  A label past the order
+    raises ModeExclusionError.
     """
     occ = _occupations(label)
     psi = _creation_power_vacuum(sys, occ)

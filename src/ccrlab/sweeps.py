@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .pauli import DEFAULT_SITE_CAP, ResourceLimitError
 
@@ -33,9 +33,6 @@ CSV_HEADER = "experiment,params,defect,measured,bound,pass"
 _FIELD_NAMES = CSV_HEADER.split(",")
 _CSV_VERDICTS = {"true": True, "false": False}  # the CSV spelling of a bool pass value
 
-# coherent states need 2 atan(|z| / sqrt(p)) < pi in doubles, for every p
-Z_MAX = 1e15
-
 # numpy refuses an array of more than 2**63 - 1 bytes, so the largest budget
 # it could ever hold is a register of 58 sites: 2**58 amplitudes of 16 bytes
 SITE_CAP_MAX = 58
@@ -47,39 +44,35 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grids for one run; the seed pins every random draw."""
+    """Grids for one run; the seed pins every random draw.  Each tuple field
+    is an _EXPERIMENTS axis, and each field's name is its config key."""
 
     experiment: str = "all"
     nu_list: tuple = (64, 256, 1024, 4096)
     p_list: tuple = (10, 100, 1000)
     mode_list: tuple = (1, 2)
-    k_list: tuple = (0, 1, 2, 3)
-    z_list: tuple = (1.0,)
     parafermi_orders: tuple = (1, 2, 3, 4, 8)
     clifford_nu_list: tuple = (1, 2, 3, 4, 5, 6)
     site_cap: int = DEFAULT_SITE_CAP
     seed: int = 0
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     tol_exact = 1e-12  # not fields: no config key sets a bound
     tol_relation = 1e-10
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS + ("all",):
             raise UsageError(f"unknown experiment {self.experiment!r}")
-        if self.fmt not in ("csv", "json"):
-            raise UsageError(f"unknown output format {self.fmt!r}")
-        for field in fields(self):  # the grids are the fields with a tuple default
-            if isinstance(field.default, tuple) and len(getattr(self, field.name)) == 0:
-                raise UsageError(f"{field.name} must not be empty")
-        if any(n < 1 for name in _AXIS_FIELDS for n in getattr(self, name)):
-            raise UsageError("dimension parameters must be positive")
+        if self.format not in ("csv", "json"):
+            raise UsageError(f"unknown output format {self.format!r}")
+        for name in _AXIS_FIELDS:
+            values = getattr(self, name)
+            if not values:
+                raise UsageError(f"{name} must not be empty")
+            if any(n < 1 for n in values):
+                raise UsageError(f"{name} values must be positive")
         if not 1 <= self.site_cap <= SITE_CAP_MAX:
             raise UsageError(f"site_cap must be between 1 and {SITE_CAP_MAX}")
-        if any(k < 0 for k in self.k_list):
-            raise UsageError("k values must be nonnegative")
-        if not all(abs(z) < Z_MAX for z in self.z_list):  # also refuses nan
-            raise UsageError(f"z values must be finite and below {Z_MAX:g} in magnitude")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         for name in EXPERIMENTS if self.experiment == "all" else (self.experiment,):
@@ -143,7 +136,8 @@ _EXPERIMENTS = {
     ),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
-_AXIS_FIELDS = {field for row in _EXPERIMENTS.values() for field in row.axes.values()}
+# every grid field, in row order
+_AXIS_FIELDS = tuple(dict.fromkeys(field for row in _EXPERIMENTS.values() for field in row.axes.values()))
 # the size parameters: a series is fitted against the first one a record has
 _DIM_PARAM = tuple(dict.fromkeys(param for row in _EXPERIMENTS.values() for param in row.axes))
 

@@ -587,21 +587,25 @@ def test_a_broken_component_fails_the_vacuum_condition():
     assert parafermi.vacuum_condition_residual(broken) > 0.5
 
 
-def test_components_scaled_off_by_1e_11_fail_the_exact_records_without_raising(monkeypatch):
-    # each scaled component leaves coefficients that are not Gaussian
-    # integers; the vacuum condition reads their float norm, as the other
-    # exact relations do, so the run ends in failing records and exit 1
+def _scale_every_component(monkeypatch, factor):
     build = parafermi.make_green_system
 
     def scaled(p, nu, site_cap):
         sys = build(p, nu, site_cap=site_cap)
         components = {
-            key: PauliTerms({k: c * (1 + 1e-11) for k, c in terms.items()})
+            key: PauliTerms({k: c * factor for k, c in terms.items()})
             for key, terms in sys.components.items()
         }
         return dataclasses.replace(sys, components=components)
 
     monkeypatch.setattr(parafermi, "make_green_system", scaled)
+
+
+def test_components_scaled_off_by_1e_11_fail_the_exact_records_without_raising(monkeypatch):
+    # each scaled component leaves coefficients that are not Gaussian
+    # integers; the vacuum condition reads their float norm, as the other
+    # exact relations do, so the run ends in failing records and exit 1
+    _scale_every_component(monkeypatch, 1 + 1e-11)
     records, status = run_sweep(SweepConfig(experiment="parafermi", parafermi_orders=(1,), mode_list=(1,)))
     assert status == EXIT_IDENTITY_FAILURE
     figures = {r.defect: r.measured for r in records}
@@ -611,6 +615,20 @@ def test_components_scaled_off_by_1e_11_fail_the_exact_records_without_raising(m
         rel=1e-6,
     )
     assert all(r.bound == 0.0 and not r.passed for r in records)
+
+
+def test_components_scaled_off_by_1e_11_fail_at_every_default_grid_point(monkeypatch):
+    # the Fock figures (fock-norm-error at p >= 2, the unit defect at
+    # modes >= 2) then take a float squared norm: each grid point writes
+    # finite figures and exits 1, and no exception leaves run_sweep
+    _scale_every_component(monkeypatch, 1 + 1e-11)
+    grid = SweepConfig(experiment="parafermi")
+    for p, modes in product(grid.parafermi_orders, grid.mode_list):
+        records, status = run_sweep(SweepConfig(experiment="parafermi", parafermi_orders=(p,), mode_list=(modes,)))
+        assert status == EXIT_IDENTITY_FAILURE, (p, modes)
+        assert all(math.isfinite(r.measured) for r in records), (p, modes)
+        defects = {r.defect for r in records}
+        assert ("fock-norm-error" in defects, "normalized-unit-defect" in defects) == (p >= 2, modes >= 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
@@ -640,10 +658,11 @@ def test_exact_fock_checks_refuse_a_label_with_more_modes_than_the_system(check)
         check(sys, (1, 1))
 
 
-def test_squared_norm_refuses_a_non_integer_coefficient():
-    assert parafermi._squared_norm({0: 3 + 4j, 5: -1.0}) == 26
-    with pytest.raises(ValueError, match="Gaussian integer"):
-        parafermi._squared_norm({0: 0.5})
+def test_squared_norm_is_an_exact_int_only_for_gaussian_integers():
+    exact = parafermi._squared_norm({0: 3 + 4j, 5: -1.0})
+    assert exact == 26 and type(exact) is int
+    rounded = parafermi._squared_norm({0: 3 + 4j, 5: 0.5})
+    assert rounded == 25.25 and type(rounded) is float
 
 
 def test_fock_norm_error_is_within_an_ulp_of_the_closed_form():

@@ -33,7 +33,7 @@ from ccrlab.sweeps import (
     run_sweep,
 )
 
-FAST_SPIN = dict(experiment="spin", p_list=(10, 100), k_list=(0, 1, 2), z_list=(1.0,))
+FAST_SPIN = dict(experiment="spin", p_list=(10, 100))
 
 
 def test_identical_config_gives_identical_bytes():
@@ -82,9 +82,7 @@ def test_exact_batteries_write_the_pinned_bytes(seed):
 
 
 def test_spin_sweep_measures_k_over_j():
-    cfg = SweepConfig(
-        experiment="spin", p_list=(10, 100, 1000), k_list=(0, 1, 2, 3), z_list=(1.0,)
-    )
+    cfg = SweepConfig(experiment="spin", p_list=(10, 100, 1000))
     records, status = run_sweep(cfg)
     assert status == EXIT_OK
     defects = [r for r in records if r.defect == "ccr-weight-defect"]
@@ -98,7 +96,7 @@ def test_so3_closure_bound_follows_the_rounding_model():
     # at p = 10**4 the closure residual is about 0.6 u j^2 with u = 2**-53,
     # over an absolute 1e-10; while the model stays below tol_relation the
     # bound is tol_relation itself
-    cfg = SweepConfig(experiment="spin", p_list=(100, 10000), k_list=(0,), z_list=(1.0,))
+    cfg = SweepConfig(experiment="spin", p_list=(100, 10000))
     records, status = run_sweep(cfg)
     assert status == EXIT_OK
     closure = {r.params["p"]: r for r in records if r.defect == "so3-closure"}
@@ -106,13 +104,6 @@ def test_so3_closure_bound_follows_the_rounding_model():
     assert closure[10000].passed
     assert closure[10000].measured > cfg.tol_relation
     assert closure[10000].bound == 32 * 2.0**-53 * 5000.0**2
-
-
-def test_a_repeated_z_writes_each_record_once():
-    records, _ = run_sweep(SweepConfig(experiment="spin", p_list=(10,), z_list=(0.5, 1.0, 1.0)))
-    keys = [(r.experiment, r.params_key(), r.defect) for r in records]
-    assert len(keys) == len(set(keys))
-    assert records == run_sweep(SweepConfig(experiment="spin", p_list=(10,), z_list=(1.0, 0.5)))[0]
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
@@ -123,7 +114,7 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     # through them: a traced weyl and spin sweep writes the untraced bytes
     configs = [
         dict(experiment="weyl", nu_list=(1, 7, 64, 4096), seed=5),
-        dict(experiment="spin", p_list=(1, 10, 200, 1000), k_list=(0, 2, 7), seed=5),
+        dict(experiment="spin", p_list=(1, 10, 200, 1000), seed=5),
     ]
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -320,7 +311,7 @@ def test_empty_grid_is_a_usage_error():
     with pytest.raises(UsageError):
         SweepConfig(experiment="bogus").validate()
     with pytest.raises(UsageError):
-        SweepConfig(fmt="yaml").validate()
+        SweepConfig(format="yaml").validate()
 
 
 def test_resource_refusal_records_skip_and_exit_code():
@@ -401,9 +392,7 @@ def test_the_exact_batteries_build_no_vector_operator(monkeypatch):
 
 
 def test_report_contents():
-    cfg = SweepConfig(
-        experiment="spin", p_list=(10, 100, 1000), k_list=(0, 1, 2, 3), z_list=(1.0,)
-    )
+    cfg = SweepConfig(experiment="spin", p_list=(10, 100, 1000))
     records, _ = run_sweep(cfg)
     text = report(records)
     assert "== spin" in text
@@ -485,7 +474,7 @@ def test_cli_json_output(tmp_path, capsys):
 
 
 def test_cli_determinism_bytes(tmp_path):
-    config = _write_config(tmp_path, "p_list = 10, 100\nk_list = 0, 1\nz_list = 1.0")
+    config = _write_config(tmp_path, "p_list = 10, 100")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
         assert cli.main(
@@ -558,19 +547,29 @@ def test_cli_nonpositive_grid_values_exit_2_without_traceback(tmp_path, capsys, 
 
 
 def test_config_keys_are_the_sweep_config_fields(tmp_path):
+    assert [f.name for f in fields(SweepConfig)] == [
+        "experiment", "nu_list", "p_list", "mode_list", "parafermi_orders", "clifford_nu_list",
+        "site_cap", "seed", "out", "format",
+    ]
+    # every grid field is an axis of some experiment row
+    assert {f.name for f in fields(SweepConfig) if isinstance(f.default, tuple)} == set(sweeps._AXIS_FIELDS)
     body = (
-        "experiment = weyl\nnu_list = 4\np_list = 10\nmode_list = 1\nk_list = 0\n"
-        "z_list = 1.5\nparafermi_orders = 2\nclifford_nu_list = 3\n"
+        "experiment = weyl\nnu_list = 4\np_list = 10\nmode_list = 1\n"
+        "parafermi_orders = 2\nclifford_nu_list = 3\n"
         "site_cap = 8\nseed = 5\nout = x.csv\nformat = json"
     )
     cfg = cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, body))), {})
     assert cfg == SweepConfig(
-        experiment="weyl", nu_list=(4,), p_list=(10,), mode_list=(1,), k_list=(0,),
-        z_list=(1.5,), parafermi_orders=(2,), clifford_nu_list=(3,),
-        site_cap=8, seed=5, out="x.csv", fmt="json",
+        experiment="weyl", nu_list=(4,), p_list=(10,), mode_list=(1,),
+        parafermi_orders=(2,), clifford_nu_list=(3,),
+        site_cap=8, seed=5, out="x.csv", format="json",
     )
     SweepConfig(site_cap=sweeps.SITE_CAP_MAX).validate()
-    for removed in ("mu_rule = sqrt", "fmt = csv", "tol_exact = 1e-11", "tol_relation = 1e300"):
+    removed_keys = (
+        "mu_rule = sqrt", "fmt = csv", "tol_exact = 1e-11", "tol_relation = 1e300",
+        "k_list = 0", "z_list = 1.5",
+    )
+    for removed in removed_keys:
         with pytest.raises(UsageError, match="unknown configuration key"):
             cli.build_config(cli.parse_config_file(str(_write_config(tmp_path, removed))), {})
 
@@ -800,7 +799,7 @@ def test_a_grid_point_out_of_memory_becomes_a_skip_record(tmp_path, capsys, monk
     monkeypatch.setattr(weyl, "random_state", random_state)
     monkeypatch.setattr(spin, "make_spin_rep", make_spin_rep)
     config = _write_config(
-        tmp_path, "nu_list = 16, 64\np_list = 10, 20\nk_list = 0, 1\nclifford_nu_list = 1\n"
+        tmp_path, "nu_list = 16, 64\np_list = 10, 20\nclifford_nu_list = 1\n"
         "parafermi_orders = 1\nmode_list = 1"
     )
     out = tmp_path / "records.csv"
@@ -911,7 +910,7 @@ def test_the_experiment_flag_accepts_exactly_the_rows(tmp_path, capsys):
     assert cli.main(["run", "--experiment", "bogus"]) == 2
     choices = capsys.readouterr().err.split("choose from ")[1].split(")")[0]
     assert [c.strip(" '") for c in choices.split(",")] == [*sweeps.EXPERIMENTS, "all"]
-    config = _write_config(tmp_path, "\n".join(f"{f} = 1" for f in _ONE_POINT) + "\nk_list = 0")
+    config = _write_config(tmp_path, "\n".join(f"{f} = 1" for f in _ONE_POINT))
     for experiment in sweeps.EXPERIMENTS:
         out = tmp_path / f"{experiment}.csv"
         argv = ["run", "--experiment", experiment, "--config", str(config), "--out", str(out)]
@@ -957,10 +956,8 @@ _CONFIG_VALUES = {
     "nu_list": st.integers(1, 64),
     "p_list": st.integers(1, 24),
     "mode_list": st.integers(1, 3),
-    "k_list": st.integers(0, 4),
     "parafermi_orders": st.integers(1, 4),
     "clifford_nu_list": st.integers(1, 8),
-    "z_list": st.floats(-3, 3),
 }
 _NOT_NUMBERS = st.sampled_from(["abc", "1.5", "nan", "inf", "1e3", "-", "0x10"])
 _DEFECTS = (
