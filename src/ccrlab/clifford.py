@@ -28,8 +28,6 @@ import functools
 from dataclasses import dataclass
 
 from .pauli import (
-    _I_POWERS,
-    _TWICE_I_POWERS,
     DEFAULT_SITE_CAP,
     PauliTerms,
     _add_into,
@@ -66,7 +64,7 @@ def _pair_product(split: list, i: int, j: int) -> PauliTerms:
     """E_ij = (i g_i)(i g_j) = -g_i g_j from the generators' split terms (1-based i, j)."""
     if not 1 <= i < j <= len(split):
         raise ValueError(f"pair ({i}, {j}) is not 1 <= i < j <= {len(split)}")
-    product = _pairs_into({}, split[i - 1], split[j - 1], _I_POWERS, None)
+    product = _pairs_into(split[i - 1], split[j - 1], None)
     return PauliTerms._nonzero((key, -c) for key, c in product.items())
 
 
@@ -116,17 +114,15 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
     `bracket_samples`, with each E_ab = -g_a g_b formed from the generators'
     terms.  Each residual is the Hilbert-Schmidt norm of the exact residual
     operator, so a relation that holds reads 0.0; a non-finite one raises
-    ValueError.  Each generator and each E_ab is split once for the pair
+    NonFiniteError.  Each generator and each E_ab is split once for the pair
     loop, and the expected terms are subtracted in the residual's dict.
     """
     split = [_split(g) for g in family.gammas]
     one = {(0, 0): 1.0}
-    square = max(
-        _terms_norm(_add_into(_pairs_into({}, s, s, _I_POWERS, None), one, -1)) for s in split
-    )
+    square = max(_terms_norm(_add_into(_pairs_into(s, s, None), one, -1)) for s in split)
     anticommutation = max(
         (
-            _terms_norm(_pairs_into({}, si, sj, _TWICE_I_POWERS, 1))
+            _terms_norm(_pairs_into(si, sj, 1))
             for i, si in enumerate(split)
             for sj in split[i + 1:]
         ),
@@ -140,14 +136,14 @@ def relation_residuals(family: GammaFamily, bracket_samples) -> tuple:
 
     closure = 0.0
     for (i, j), (k, l) in bracket_samples:
-        res = _pairs_into({}, pair(i, j)[1], pair(k, l)[1], _TWICE_I_POWERS, 0)
+        res = _pairs_into(pair(i, j)[1], pair(k, l)[1], -1)
         for a, b, coeff in bracket_expansion(i, j, k, l):
             _add_into(res, pair(a, b)[0], -coeff)
         closure = max(closure, _terms_norm(res))
     return square, anticommutation, closure
 
 
-def _clifford_checks(cfg, rng, family, nu):
+def _clifford_checks(rng, family):
     """The sweep's battery at one grid point, exact and held to 0.0; it draws nothing from rng.
 
     The brackets are a fixed set of at most 8, chosen from nu alone: a
@@ -158,9 +154,9 @@ def _clifford_checks(cfg, rng, family, nu):
     g_1 carries only d_ik and g_{2nu+1} only d_jl, and a pair outside the
     family is dropped.
     """
-    n = 2 * nu + 1
+    n = 2 * family.nu + 1
     brackets = [((1, 2), (3, 4)), ((1, n), (1, n))]
-    for s in (1, nu + 1, n):
+    for s in (1, family.nu + 1, n):
         brackets += [((1, s), (s, n)), ((1, s), (s - 1, s)), ((s, s + 1), (s, n)), ((s, s + 1), (s - 1, s))]
     samples = [(a, b) for a, b in brackets if all(1 <= i < j <= n for i, j in (a, b))]
     square, anti, closure = relation_residuals(family, samples)

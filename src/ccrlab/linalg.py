@@ -159,7 +159,7 @@ def vector_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
 
 
 def residual_norm(v: np.ndarray, dim: int | None = None, start: int = 0) -> float:
-    """vector_norm of a residual; a non-finite one raises ValueError."""
+    """vector_norm of a residual; a non-finite one raises NonFiniteError."""
     return _finite(vector_norm(v, dim, start), "residual norm")
 
 
@@ -180,7 +180,7 @@ def tiled_residual_norm(x: np.ndarray, reach: int, residual, cyclic: bool = True
     Beyond x this holds O(tile) memory: every window is a view of x, except
     that a cyclic window across index 0 or dim is copied.  A vector no
     longer than one tile and two reaches is one window, x itself.  A
-    non-finite norm raises ValueError.
+    non-finite norm raises NonFiniteError.
     """
     dim = x.shape[0]
     chunk = np.getbufsize() // 2

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .pauli import (
-    _TWICE_I_POWERS,
     DEFAULT_SITE_CAP,
+    TOL_EXACT,
     PauliTerms,
     _add_into,
     _basis_key,
@@ -210,7 +210,7 @@ def green_relation_residual(sys: GreenSystem) -> float:
     included: {c_l, c_k^dag} = {c_k, c_l^dag}^dag and [c_l, c_k] = -[c_k, c_l]
     for any operators, so the other order repeats a norm.  Each residual is
     the Hilbert-Schmidt norm of the exact residual operator; a non-finite
-    one raises ValueError.
+    one raises NonFiniteError.
 
     Each component and adjoint is split once for the pair loop.  A pair of
     components in different blocks whose supports, read from their masks,
@@ -227,11 +227,11 @@ def green_relation_residual(sys: GreenSystem) -> float:
         for l, b, cl, cl_dag, other in comps[index:]:
             if a != b and not support & other:
                 continue
-            skip = 1 if a == b else 0  # anticommutator within a block, else commutator
-            res = _pairs_into({}, ck, cl_dag, _TWICE_I_POWERS, skip)
+            sign = 1 if a == b else -1  # anticommutator within a block, else commutator
+            res = _pairs_into(ck, cl_dag, sign)
             if a == b and k == l:
                 _add_into(res, one, -1)
-            res_plain = _pairs_into({}, ck, cl, _TWICE_I_POWERS, skip)
+            res_plain = _pairs_into(ck, cl, sign)
             worst = max(worst, _terms_norm(res), _terms_norm(res_plain))
     return worst
 
@@ -249,14 +249,14 @@ def number_identity_residual(sys: GreenSystem) -> float:
 
     N_k, the sum of its p projectors (1 + Z_s) / 2, is formed from masks:
     p/2 at the identity and 1/2 at Z_s for each of its sites s.  A
-    non-finite residual raises ValueError.
+    non-finite residual raises NonFiniteError.
     """
     p_one = {(0, 0): float(sys.p)}
     worst = 0.0
     for k, (b_k, b_k_dag) in enumerate(sys.modes, start=1):
         n_k = {(0, 0): sys.p / 2}
         n_k.update(((0, 1 << (sys.site(k, a) - 1)), 0.5) for a in range(1, sys.p + 1))
-        res = _pairs_into({}, _split(b_k_dag), _split(b_k), _TWICE_I_POWERS, 0)
+        res = _pairs_into(_split(b_k_dag), _split(b_k), -1)
         _add_into(res, p_one, 1)
         for key, c in res.items():
             res[key] = 0.5 * c
@@ -303,34 +303,31 @@ def trilinear_defect(sys: GreenSystem) -> float:
         [b_k, [b_l^dag, b_m^dag]]  = 2 delta_kl b_m^dag - 2 delta_km b_l^dag
         [b_k, [b_l, b_m]]          = 0.
     These hold exactly at every finite order, so the result is 0.0 unless
-    the construction is wrong; a non-finite residual raises ValueError.
+    the construction is wrong; a non-finite residual raises NonFiniteError.
     """
     modes = range(1, sys.nu + 1)
     ann, cre = (dict(zip(modes, terms)) for terms in zip(*sys.modes))
     ann_split, cre_split = ({k: _split(b) for k, b in ops.items()} for ops in (ann, cre))
 
-    def commutator(left, right):
-        return _pairs_into({}, left, right, _TWICE_I_POWERS, 0)
-
     worst = 0.0
     for l, m in product(modes, repeat=2):
-        cre_ann = _split(commutator(cre_split[l], ann_split[m]))
-        cre_cre = _split(commutator(cre_split[l], cre_split[m]))
-        ann_ann = _split(commutator(ann_split[l], ann_split[m]))
+        cre_ann = _split(_pairs_into(cre_split[l], ann_split[m], -1))
+        cre_cre = _split(_pairs_into(cre_split[l], cre_split[m], -1))
+        ann_ann = _split(_pairs_into(ann_split[l], ann_split[m], -1))
         for k in modes:
-            res = commutator(ann_split[k], cre_ann)
+            res = _pairs_into(ann_split[k], cre_ann, -1)
             if k == l:
                 _add_into(res, ann[m], -2.0)
             worst = max(worst, _terms_norm(res))
 
-            res = commutator(ann_split[k], cre_cre)
+            res = _pairs_into(ann_split[k], cre_cre, -1)
             if k == l:
                 _add_into(res, cre[m], -2.0)
             if k == m:
                 _add_into(res, cre[l], 2.0)
             worst = max(worst, _terms_norm(res))
 
-            worst = max(worst, _terms_norm(commutator(ann_split[k], ann_ann)))
+            worst = max(worst, _terms_norm(_pairs_into(ann_split[k], ann_ann, -1)))
     return worst
 
 
@@ -476,8 +473,9 @@ def unit_defect(sys: GreenSystem, label) -> float:
     return math.sqrt(_squared_norm(shifted.act(psi)) / _squared_norm(psi)) / sys.p
 
 
-def _parafermi_checks(cfg, rng, sys, p, modes):
+def _parafermi_checks(rng, sys):
     """The sweep's battery at one grid point, exact relations held to 0.0; it draws nothing from rng."""
+    p, modes = sys.p, sys.nu
     worst = green_relation_residual(sys)
     yield {}, "green-relations", worst, 0.0
 
@@ -493,7 +491,7 @@ def _parafermi_checks(cfg, rng, sys, p, modes):
     if modes >= 2:
         unit = unit_defect(sys, (1, 1) + (0,) * (modes - 2))
         params = {"label": "1+1"}
-        yield params, "normalized-unit-exactness", abs(unit - 2.0 / p), cfg.tol_exact
+        yield params, "normalized-unit-exactness", abs(unit - 2.0 / p), TOL_EXACT
         yield params, "normalized-unit-defect", unit, None
     if p >= 2:
         error = fock_norm_error(sys, (2,) + (0,) * (modes - 1))

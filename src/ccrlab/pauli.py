@@ -1,8 +1,9 @@
 """The exact layer, which imports no numpy: PauliTerms, sums of Pauli
 strings multiplied out over the Pauli basis in int and dict arithmetic, and
-the budget a construction is refused against.  Callers import these from
-here, not from linalg, so a run whose checks form no vector and draw no
-random numbers (the parafermi battery) starts without numpy.
+the budget a construction is refused against, and the batteries' absolute
+bounds.  Callers import these from here, not from linalg, so a run whose
+checks form no vector and draw no random numbers (the parafermi battery)
+starts without numpy.  A norm that is not finite raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ from __future__ import annotations
 import math
 
 DEFAULT_SITE_CAP = 22
+TOL_EXACT = 1e-12  # a rounded figure of an exact identity
+TOL_RELATION = 1e-10  # a relation computed through several rounded products
+
+
+class NonFiniteError(ValueError):
+    """A residual or coefficient norm is inf or NaN."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -43,13 +50,15 @@ def require_dim(dim: int, site_cap: int = DEFAULT_SITE_CAP) -> None:
 def _finite(value: float, what: str) -> float:
     # a NaN must not reach max(): max(0.0, nan) is 0.0, a false pass
     if not math.isfinite(value):
-        raise ValueError(f"{what} is not finite ({value})")
+        raise NonFiniteError(f"{what} is not finite ({value})")
     return value
 
 
 _I_POWERS = (1, 1j, -1, -1j)
 _INT_KEYS = 1 << 60  # sparse-state keys below this are the basis index itself
 _TWICE_I_POWERS = (2, 2j, -2, -2j)
+# sign -> (phase table, parity left out, commutator) for _pairs_into
+_PAIR_RULES = {None: (_I_POWERS, None, False), 1: (_TWICE_I_POWERS, 1, False), -1: (_TWICE_I_POWERS, 0, True)}
 
 
 class PauliTerms(dict):
@@ -105,8 +114,7 @@ class PauliTerms(dict):
     def __mul__(self, other):
         if not isinstance(other, PauliTerms):
             return self._nonzero((key, other * c) for key, c in self.items())
-        out = _pairs_into({}, _split(self), _split(other), _I_POWERS, None)
-        return self._nonzero(out.items())
+        return self._nonzero(_pairs_into(_split(self), _split(other), None).items())
 
     __rmul__ = __mul__  # only ever reached with a scalar on the left
 
@@ -115,7 +123,7 @@ class PauliTerms(dict):
         return PauliTerms({key: c.conjugate() for key, c in self.items()})
 
     def norm(self) -> float:
-        """l2 norm of the coefficients; a non-finite one raises ValueError."""
+        """l2 norm of the coefficients; a non-finite one raises NonFiniteError."""
         return _terms_norm(self)
 
     def act(self, state: dict) -> dict:
@@ -160,19 +168,20 @@ def _split(terms: dict) -> list:
     return [(x, z, x | z, (x & z).bit_count(), c) for (x, z), c in terms.items() if c != 0]
 
 
-def _pairs_into(out: dict, left: list, right: list, phases: tuple, skip) -> dict:
-    """Add the product of every (left, right) pair of split terms into out.
+def _pairs_into(left: list, right: list, sign) -> dict:
+    """The sum over every (left, right) pair of split terms, in a fresh dict.
 
-    phases is _I_POWERS for the product left * right and _TWICE_I_POWERS
-    for a bracket.  Two basis strings commute when |x1&z2| + |z1&x2| is
-    even and anticommute when it is odd, so in ab + sign * ba each pair
-    adds twice its product or nothing: the pairs of parity `skip` (1 for the
-    anticommutator, 0 for the commutator, None for the product) are left
-    out.  In a commutator a pair whose supports x | z are disjoint is left
-    out before any popcount: strings on disjoint sites commute.  Doubling
-    is exact.  A sum that cancels stays in out as a zero; returns out.
+    sign None gives the product left * right, and +1 or -1 the bracket
+    ab + sign * ba.  Two basis strings commute when |x1&z2| + |z1&x2| is
+    even and anticommute when it is odd, so in a bracket each pair adds
+    twice its product or nothing: the anticommutator leaves out the pairs
+    of odd parity, the commutator those of even parity.  In a commutator a
+    pair whose supports x | z are disjoint is left out before any popcount:
+    strings on disjoint sites commute.  Doubling is exact.  A sum that
+    cancels stays in the dict as a zero.
     """
-    commutator = skip == 0
+    out = {}
+    phases, skip, commutator = _PAIR_RULES[sign]
     for x1, z1, s1, y1, c1 in left:
         for x2, z2, s2, y2, c2 in right:
             if commutator and not s1 & s2:
@@ -203,7 +212,7 @@ def _add_into(out: dict, terms: dict, scale) -> dict:
 
 def _terms_norm(terms: dict) -> float:
     """l2 norm of the coefficients in dict order (a zero adds exactly
-    nothing); a non-finite one raises ValueError."""
+    nothing); a non-finite one raises NonFiniteError."""
     if not terms:
         return 0.0
     return _finite(math.sqrt(sum([abs(c) ** 2 for c in terms.values()])), "coefficient norm")
@@ -215,5 +224,4 @@ def bracket(a: PauliTerms, b: PauliTerms, sign: int) -> PauliTerms:
     One _pairs_into pass over the term pairs, so the result is the dict
     a * b + sign * (b * a).
     """
-    out = _pairs_into({}, _split(a), _split(b), _TWICE_I_POWERS, 1 if sign > 0 else 0)
-    return PauliTerms._nonzero(out.items())
+    return PauliTerms._nonzero(_pairs_into(_split(a), _split(b), sign).items())

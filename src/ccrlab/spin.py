@@ -55,7 +55,7 @@ from .linalg import (
     residual_norm,
     tiled_residual_norm,
 )
-from .pauli import DEFAULT_SITE_CAP, require_dim
+from .pauli import DEFAULT_SITE_CAP, TOL_EXACT, TOL_RELATION, require_dim
 
 COVARIANCE_SEED = 0x5EED
 
@@ -364,23 +364,23 @@ def _so3_closure(rep, rng):
     return worst
 
 
-def _spin_checks(cfg, rng, rep, p):
+def _spin_checks(rng, rep):
     """The sweep's battery at one grid point, in the order it draws from rng."""
     worst = _so3_closure(rep, rng)
-    yield {}, "so3-closure", worst, max(cfg.tol_relation, SO3_ROUNDING * rep.j**2)
+    yield {}, "so3-closure", worst, max(TOL_RELATION, SO3_ROUNDING * rep.j**2)
 
-    kmax = min(3, p)  # the lowest weights k = 0..3 that the order has
+    kmax = min(3, rep.p)  # the lowest weights k = 0..3 that the order has
     for k in range(kmax + 1):
         measured = weight_state_ccr_defect(rep, k)
-        yield {"k": k}, "ccr-weight-exactness", abs(measured - k / rep.j), cfg.tol_exact
+        yield {"k": k}, "ccr-weight-exactness", abs(measured - k / rep.j), TOL_EXACT
         yield {"k": k}, "ccr-weight-defect", measured, None
 
-    if p <= 200:
+    if rep.p <= 200:
         worst = max(
             covariance_defect(rep, theta, n_vectors=4, rng=rng)
             for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         )
-        yield {}, "rotation-covariance", worst, cfg.tol_relation
+        yield {}, "rotation-covariance", worst, TOL_RELATION
 
     for k, err in enumerate(coherent_limit_error(rep, 1.0, kmax)):
         yield {"z": 1.0, "k": k}, "coherent-overlap-error", err, None

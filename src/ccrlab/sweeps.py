@@ -22,7 +22,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .pauli import DEFAULT_SITE_CAP, ResourceLimitError
+from .pauli import DEFAULT_SITE_CAP, NonFiniteError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -57,8 +57,6 @@ class SweepConfig:
     seed: int = 0
     out: str | None = None
     format: str = "csv"
-    tol_exact = 1e-12  # not fields: no config key sets a bound
-    tol_relation = 1e-10
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS + ("all",):
@@ -118,11 +116,14 @@ def _fmt_number(value) -> str:
 # the SweepConfig field listing its values.  A grid point is built by
 # module.builder(*point, site_cap=...), which refuses one over the memory
 # budget with ResourceLimitError, and checked by the generator
-# module.checks(cfg, rng, built, **point), which yields (extra params,
-# defect, measured, bound) in the order it draws from rng; draws says
-# whether it reads rng at all.  A refused point is one record under
-# skip_defect.  The module is imported when a config names the experiment,
-# so a run loads only the layers its rows use.
+# module.checks(rng, built), which reads its size from the built family and
+# yields (extra params, defect, measured, bound) in the order it draws from
+# rng; draws says whether it reads rng at all.  Each bound is written where
+# its record is yielded, an absolute one as pauli.TOL_EXACT or TOL_RELATION.
+# A refused point is one skip record under skip_defect, and a point with a
+# figure that is not finite one failing record there.  The module is
+# imported when a config names the experiment, so a run loads only the
+# layers its rows use.
 Experiment = namedtuple("Experiment", "skip_defect axes module builder checks draws")
 _EXPERIMENTS = {
     "weyl": Experiment("weyl-relation", {"nu": "nu_list"}, "weyl", "make_canonical_pair", "_weyl_checks", True),
@@ -153,7 +154,8 @@ def _run_battery(experiment, cfg, rng) -> list:
     A grid point refused by its builder (ResourceLimitError), or one the
     machine cannot hold (a MemoryError while it is built or checked),
     becomes one skip record under the row's skip defect, in place of any
-    records it had written.
+    records it had written; a point whose figure is not finite
+    (NonFiniteError) becomes one failing record there in the same way.
     """
     row = _EXPERIMENTS[experiment]
     module = _module(row)
@@ -166,12 +168,14 @@ def _run_battery(experiment, cfg, rng) -> list:
         written = []
         try:
             built = build(*point, site_cap=cfg.site_cap)
-            for extra, defect, measured, bound in checks(cfg, rng, built, **base):
+            for extra, defect, measured, bound in checks(rng, built):
                 written.append(DefectRecord(experiment, base | extra, defect, float(measured), bound))
         except (ResourceLimitError, MemoryError) as exc:
             # numpy names the allocation it could not make; a bare MemoryError has no text
             reason = str(exc) or type(exc).__name__
             written = [DefectRecord(experiment, base, row.skip_defect, math.nan, None, reason)]
+        except NonFiniteError:
+            written = [DefectRecord(experiment, base, row.skip_defect, math.nan, 0.0)]
         records.extend(written)
     return records
 

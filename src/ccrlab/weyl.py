@@ -49,7 +49,7 @@ from .linalg import (
     residual_norm,
     tiled_residual_norm,
 )
-from .pauli import DEFAULT_SITE_CAP, require_dim
+from .pauli import DEFAULT_SITE_CAP, TOL_EXACT, require_dim
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,9 @@ def _clock_shift_period(pair, rng, buf) -> float:
     return max(_moved(g, xi) for g in {pair.power_op(k=pair.nu), pair.power_op(l=pair.nu)})
 
 
-def _weyl_checks(cfg, rng, pair, nu):
+def _weyl_checks(rng, pair):
     """The sweep's battery at one grid point; its clock table and draw buffer go when it ends."""
+    nu = pair.nu
     try:
         # the grid point's one clock table, read by its tiles, and its one
         # draw buffer, built before the first draw; each draw is consumed
@@ -266,13 +267,13 @@ def _weyl_checks(cfg, rng, pair, nu):
         _clock_table(nu)
         buf = np.empty(nu, dtype=np.complex128)
         mu = default_window(nu)
-        yield {}, "weyl-relation", _weyl_relation(pair, rng, buf), cfg.tol_exact
+        yield {}, "weyl-relation", _weyl_relation(pair, rng, buf), TOL_EXACT
 
-        yield {}, "clock-shift-period", _clock_shift_period(pair, rng, buf), cfg.tol_exact
+        yield {}, "clock-shift-period", _clock_shift_period(pair, rng, buf), TOL_EXACT
 
         for m, n in ((1, 1), (2, 3)):
             res = commutator_factorization_residual(pair, m, n, random_state(nu, rng, buf))
-            yield {"m": m, "n": n}, "commutator-factorization", res, cfg.tol_exact
+            yield {"m": m, "n": n}, "commutator-factorization", res, TOL_EXACT
 
         for l in range(3):
             if (l + 1) * mu > nu:
@@ -282,7 +283,7 @@ def _weyl_checks(cfg, rng, pair, nu):
             shift_defect = _moved(pair.V, window)
             # a window that fills the whole cycle (nu = 1) is V-invariant
             exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
-            yield params, "plateau-shift-exact", abs(shift_defect - exact), cfg.tol_exact
+            yield params, "plateau-shift-exact", abs(shift_defect - exact), TOL_EXACT
             clock_defect = _moved(pair.U, window)
             yield params, "plateau-clock-bound", clock_defect, 2.0 * math.pi * (l + 1) * mu / nu
             defects = ccr_defect(pair, 1, 1, window)
@@ -298,6 +299,6 @@ def _weyl_checks(cfg, rng, pair, nu):
                 x = random_state(nu, rng, buf).components
                 lhs = g._apply_array(h._apply_array(x))
                 worst = max(worst, residual_norm(np.subtract(lhs, g.compose(h)._apply_array(x), out=lhs)))
-            yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
+            yield {}, "heisenberg-homomorphism", worst, TOL_EXACT
     finally:
         _CLOCK_TABLES.clear()

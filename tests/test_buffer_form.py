@@ -28,7 +28,7 @@ from ccrlab.linalg import (
     commutator_apply,
     random_state,
 )
-from ccrlab.sweeps import SweepConfig
+from ccrlab.pauli import TOL_EXACT
 
 DIMS = (1, 2, 7, 64, 2**16)
 
@@ -169,7 +169,8 @@ def _old_factorization(pair, m, n, xi):
     return (_old_bracket(u_m, v_n, xi, -1) - factor * _old_vec(v_n.compose(u_m), xi)).norm()
 
 
-def _old_weyl_checks(cfg, rng, pair, nu):
+def _old_weyl_checks(rng, pair):
+    nu = pair.nu
     mu = weyl.default_window(nu)
     worst = 0.0
     omega = np.exp(2j * np.pi / nu)
@@ -178,13 +179,13 @@ def _old_weyl_checks(cfg, rng, pair, nu):
         lhs = _old_vec(pair.U, _old_vec(pair.V, xi))
         rhs = omega * _old_vec(pair.V, _old_vec(pair.U, xi))
         worst = max(worst, (lhs - rhs).norm())
-    yield {}, "weyl-relation", worst, cfg.tol_exact
+    yield {}, "weyl-relation", worst, TOL_EXACT
     xi = random_state(nu, rng)
     period = max((_old_vec(pair.power_op(k=nu), xi) - xi).norm(), (_old_vec(pair.power_op(l=nu), xi) - xi).norm())
-    yield {}, "clock-shift-period", period, cfg.tol_exact
+    yield {}, "clock-shift-period", period, TOL_EXACT
     for m, n in ((1, 1), (2, 3)):
         xi = random_state(nu, rng)
-        yield {"m": m, "n": n}, "commutator-factorization", _old_factorization(pair, m, n, xi), cfg.tol_exact
+        yield {"m": m, "n": n}, "commutator-factorization", _old_factorization(pair, m, n, xi), TOL_EXACT
     for l in range(3):
         if (l + 1) * mu > nu:
             continue
@@ -192,7 +193,7 @@ def _old_weyl_checks(cfg, rng, pair, nu):
         window = weyl.plateau_vector(pair, l, mu)
         exact = math.sqrt(2.0 / mu) if mu < nu else 0.0
         shift = (_old_vec(pair.V, window) - window).norm()
-        yield params, "plateau-shift-exact", abs(shift - exact), cfg.tol_exact
+        yield params, "plateau-shift-exact", abs(shift - exact), TOL_EXACT
         clock = (_old_vec(pair.U, window) - window).norm()
         yield params, "plateau-clock-bound", clock, 2.0 * math.pi * (l + 1) * mu / nu
         quad, group = _old_ccr_defect(pair, 1, 1, window)
@@ -206,7 +207,7 @@ def _old_weyl_checks(cfg, rng, pair, nu):
             h = pair.power_op(*rng.integers(0, nu, 3))
             xi = random_state(nu, rng)
             worst = max(worst, (_old_vec(g, _old_vec(h, xi)) - _old_vec(g.compose(h), xi)).norm())
-        yield {}, "heisenberg-homomorphism", worst, cfg.tol_exact
+        yield {}, "heisenberg-homomorphism", worst, TOL_EXACT
 
 
 @pytest.mark.parametrize("nu", DIMS)
@@ -218,9 +219,8 @@ def test_weyl_residuals_are_bitwise_the_state_vector_formulas(nu):
             got = weyl.ccr_defect(pair, m, n, xi)
             assert (got.quadrature, got.group) == _old_ccr_defect(pair, m, n, xi)
             assert weyl.commutator_factorization_residual(pair, m, n, xi) == _old_factorization(pair, m, n, xi)
-    cfg = SweepConfig()
-    got = list(weyl._weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
-    assert got == list(_old_weyl_checks(cfg, np.random.default_rng(nu), pair, nu))
+    got = list(weyl._weyl_checks(np.random.default_rng(nu), pair))
+    assert got == list(_old_weyl_checks(np.random.default_rng(nu), pair))
 
 
 def _old_qp(rep):
@@ -331,14 +331,14 @@ def test_a_grid_point_holds_its_vector_its_table_and_tile_work():
 
     def weyl_point():
         linalg._CLOCK_TABLES.clear()
-        list(weyl._weyl_checks(SweepConfig(), np.random.default_rng(0), pair, dim))
+        list(weyl._weyl_checks(np.random.default_rng(0), pair))
 
     try:
         peak = _peak_vectors(weyl_point, dim)
     finally:
         linalg._CLOCK_TABLES.clear()
     assert peak < 2.2, peak  # table + x + 0.2
-    peak = _peak_vectors(lambda: list(spin._spin_checks(SweepConfig(), np.random.default_rng(0), rep, dim - 1)), dim)
+    peak = _peak_vectors(lambda: list(spin._spin_checks(np.random.default_rng(0), rep)), dim)
     assert peak < 1.3, peak  # x + 0.3
 
 
@@ -360,10 +360,10 @@ def test_a_grid_point_draws_every_vector_into_one_buffer(monkeypatch, family, di
     monkeypatch.setattr(spin, "random_state", spy)
     rng = np.random.default_rng(dim)
     if family == "weyl":
-        list(weyl._weyl_checks(SweepConfig(), rng, weyl.make_canonical_pair(dim), dim))
+        list(weyl._weyl_checks(rng, weyl.make_canonical_pair(dim)))
         assert len(draws) == 6 + (100 if dim <= 64 else 0)
     else:
-        list(spin._spin_checks(SweepConfig(), rng, spin.make_spin_rep(dim - 1), dim - 1))
+        list(spin._spin_checks(rng, spin.make_spin_rep(dim - 1)))
         assert len(draws) == 3
     buf = draws[0][1]
     assert isinstance(buf, np.ndarray)
@@ -374,11 +374,10 @@ def test_a_grid_point_draws_every_vector_into_one_buffer(monkeypatch, family, di
 _POINTS_RSS = """
 import numpy as np
 from ccrlab import weyl
-from ccrlab.sweeps import SweepConfig
 
 
 def checks(nu):
-    list(weyl._weyl_checks(SweepConfig(), rng, weyl.make_canonical_pair(nu), nu))
+    list(weyl._weyl_checks(rng, weyl.make_canonical_pair(nu)))
 
 
 def peak_kib():
@@ -440,7 +439,7 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
     spin_calls = [
         (0, lambda: spin.weight_state_ccr_defect(spin.make_spin_rep(12), 3)),
         (0, lambda: spin.covariance_defect(spin.make_spin_rep(12), 0.3)),
-        (1, lambda: list(spin._spin_checks(SweepConfig(), rng, spin.make_spin_rep(12), 12))),
+        (1, lambda: list(spin._spin_checks(rng, spin.make_spin_rep(12)))),
     ]
     for p, which in itertools.product((12, tiled - 1), range(3)):
         spin_calls.append((which, lambda p=p: spin._so3_closure(spin.make_spin_rep(p), rng)))
@@ -457,7 +456,7 @@ def test_a_non_finite_coefficient_raises_in_every_residual(monkeypatch, value):
             (nu, lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 1, 1, xi)),
             (nu, lambda pair=pair, xi=xi: weyl.commutator_factorization_residual(pair, 2, 3, xi)),
             (nu, lambda pair=pair, xi=xi: weyl._moved(pair.U, linalg.Window.of(xi))),
-            (nu, lambda pair=pair, nu=nu: list(weyl._weyl_checks(SweepConfig(), rng, pair, nu))),
+            (nu, lambda pair=pair: list(weyl._weyl_checks(rng, pair))),
         ]
     # every clock phase but omega^0, so the clock table built from them and
     # the phases evaluated without one both carry it; each call runs with no

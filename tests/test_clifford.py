@@ -13,7 +13,7 @@ from ccrlab.linalg import (
     commutator_apply,
     random_state,
 )
-from ccrlab.pauli import PauliTerms, ResourceLimitError
+from ccrlab.pauli import TOL_EXACT, PauliTerms, ResourceLimitError
 from ccrlab.sweeps import EXIT_IDENTITY_FAILURE, SweepConfig, run_sweep
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -191,7 +191,7 @@ def test_generators_scaled_off_by_one_ulp_fail_the_sweep_at_every_size(monkeypat
     for defect in ("gamma-square", "so-bracket-closure"):
         rows = [r for r in records if r.defect == defect]
         assert {r.params["nu"]: r.passed for r in rows} == dict.fromkeys(nus, False)
-        assert 0.0 < max(r.measured for r in rows) <= 8.9e-16 < SweepConfig.tol_exact
+        assert 0.0 < max(r.measured for r in rows) <= 8.9e-16 < TOL_EXACT
 
 
 def test_gamma_relations_sampled_at_twenty_sites():

@@ -695,8 +695,8 @@ def test_a_commutator_skips_disjoint_supports_before_any_popcount():
     x1, y130 = {(1, 0): 1.0}, {(1 << 129, 1 << 129): 0.5j}
     left, right = pauli._split(x1), pauli._split(y130)
     assert left == [(1, 0, 1, 0, 1.0)] and right == [(1 << 129, 1 << 129, 1 << 129, 1, 0.5j)]
-    assert pauli._pairs_into({}, left, right, pauli._TWICE_I_POWERS, 0) == {}
-    anti = pauli._pairs_into({}, left, right, pauli._TWICE_I_POWERS, 1)
+    assert pauli._pairs_into(left, right, -1) == {}
+    anti = pauli._pairs_into(left, right, +1)
     assert anti == {(1 | 1 << 129, 1 << 129): 1j}
 
 
@@ -707,27 +707,24 @@ def _from_split(terms):
 
 def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkeypatch):
     # every exact product and bracket runs through pauli._pairs_into: each
-    # call must add the oracle's product, or its bracket's two-product dict.
+    # call must return the oracle's product, or its bracket's two-product dict.
     # PauliTerms.__mul__ and bracket call it as a global of pauli, so that
     # is the binding patched there
     core = pauli._pairs_into
     seen = []
     callers = set()
 
-    def checked(out, left, right, phases, skip):
+    def checked(left, right, sign):
         a, b = _from_split(left), _from_split(right)
-        got = core({}, left, right, phases, skip)
-        if skip is None:
-            assert phases == pauli._I_POWERS
+        got = core(left, right, sign)
+        if sign is None:
             assert pauli.PauliTerms._nonzero(got.items()) == _parent_product(a, b)
         else:
-            sign = +1 if skip == 1 else -1
-            assert phases == pauli._TWICE_I_POWERS
             want = _parent_product(a, b) + sign * _parent_product(b, a)
             assert pauli.PauliTerms._nonzero(got.items()) == want
-        seen.append(skip)
+        seen.append(sign)
         callers.add(inspect.currentframe().f_back.f_code)
-        return core(out, left, right, phases, skip)
+        return got
 
     for module in (pauli, clifford, parafermi):
         monkeypatch.setattr(module, "_pairs_into", checked)
@@ -743,7 +740,7 @@ def test_one_pass_bracket_is_the_two_product_dict_on_every_family_bracket(monkey
         basis = clifford.so_n_basis(family)
         pairs = list(itertools.product(sorted(basis), repeat=2))
         clifford.relation_residuals(family, pairs)
-    assert {None, 0, 1} <= set(seen)
+    assert {None, -1, 1} <= set(seen)
     assert pauli.bracket.__code__ in callers  # unit_defect's bracket
 
 

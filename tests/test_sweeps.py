@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ccrlab import cli, clifford, linalg, parafermi, spin, sweeps, weyl
 from ccrlab.linalg import PauliString, PauliSumOperator, PermutationPhaseOperator, StateVector
+from ccrlab.pauli import TOL_RELATION
 from ccrlab.sweeps import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -94,15 +95,15 @@ def test_spin_sweep_measures_k_over_j():
 
 def test_so3_closure_bound_follows_the_rounding_model():
     # at p = 10**4 the closure residual is about 0.6 u j^2 with u = 2**-53,
-    # over an absolute 1e-10; while the model stays below tol_relation the
-    # bound is tol_relation itself
+    # over an absolute 1e-10; while the model stays below TOL_RELATION the
+    # bound is TOL_RELATION itself
     cfg = SweepConfig(experiment="spin", p_list=(100, 10000))
     records, status = run_sweep(cfg)
     assert status == EXIT_OK
     closure = {r.params["p"]: r for r in records if r.defect == "so3-closure"}
-    assert closure[100].bound == cfg.tol_relation
+    assert closure[100].bound == TOL_RELATION
     assert closure[10000].passed
-    assert closure[10000].measured > cfg.tol_relation
+    assert closure[10000].measured > TOL_RELATION
     assert closure[10000].bound == 32 * 2.0**-53 * 5000.0**2
 
 
@@ -934,7 +935,7 @@ def test_the_verdict_is_derived_from_the_figures(monkeypatch, experiment):
     assert record(1e-12, 1e-12).passed and record(math.nan, None).passed
     assert record(math.nan, None, "over the cap").passed
     for measured in (math.nan, 2e-12):
-        def checks(cfg, rng, built, **point):
+        def checks(rng, built):
             yield {}, row.skip_defect, measured, 1e-12
 
         monkeypatch.setattr(sweeps._module(row), row.checks, checks)
@@ -942,6 +943,20 @@ def test_the_verdict_is_derived_from_the_figures(monkeypatch, experiment):
         assert status == EXIT_IDENTITY_FAILURE
         assert [r.passed for r in records] == [False]
         assert records_to_csv(records).endswith(f"{row.skip_defect},{measured!r},1e-12,false\n")
+
+
+def test_a_non_finite_clock_phase_fails_the_weyl_point_through_run_sweep(monkeypatch):
+    # every clock phase but omega^0 is NaN: the first residual raises
+    # NonFiniteError, and the grid point is one failing weyl-relation
+    # record, NaN against 0.0, in place of its records
+    clock_phases = linalg._clock_phases
+    monkeypatch.setattr(linalg, "_clock_phases", lambda w, dim: np.where(w == 0, clock_phases(w, dim), math.nan))
+    monkeypatch.setattr(linalg, "_CLOCK_TABLES", {})
+    with np.errstate(all="ignore"):
+        records, status = run_sweep(SweepConfig(experiment="weyl", nu_list=(16,)))
+    assert status == EXIT_IDENTITY_FAILURE
+    assert [(r.defect, r.params, r.bound, r.passed) for r in records] == [("weyl-relation", {"nu": 16}, 0.0, False)]
+    assert math.isnan(records[0].measured)
 
 
 # valid values small enough that no grid point holds a vector over 16 KB
